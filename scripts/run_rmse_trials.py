@@ -9,7 +9,6 @@ column tracks epsilon_min within a factor of about two.
 """
 import argparse
 import csv
-import os
 import sys
 
 from aemle import amplitude_point, classical_bound, run_trials
@@ -24,13 +23,11 @@ def main() -> int:
     ap.add_argument("--shots", type=int, default=100, help="shots per stage")
     ap.add_argument("--trials", type=int, default=256, help="repetitions per M")
     ap.add_argument("--seed", type=int, default=20250817)
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     ap.add_argument("--output", default="rmse_trials.csv")
     args = ap.parse_args()
 
     point = amplitude_point(args.a, args.kappa)
-    batch = run_trials(point, args.kind, args.max_M, args.shots, args.trials,
-                       args.seed, workers=args.threads)
+    batch = run_trials(point, args.kind, args.max_M, args.shots, args.trials, args.seed)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "n_queries", "rmse", "stderr", "epsilon_min",

@@ -239,7 +239,6 @@ def cmd_trials(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
         seed,
         MleConfig(divisions_per_stage=args.divisions),
         args.r,
-        workers=args.threads,
     )
     params: dict[str, object] = {
         "seed": seed,
@@ -397,8 +396,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["csv", "json", "table"], default="table",
                      help="output format (default table)")
     sub.add_argument("--output", default=None, help="write to this file instead of stdout")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker threads where applicable (results are thread-count independent)")
 
 
 def _add_schedule_flags(sub: argparse.ArgumentParser, default_M: int = 6) -> None:

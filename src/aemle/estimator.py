@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, DegenerateScheduleError
-from .fisher import ANOMALY_THRESHOLD, FisherMatrix, anomality, fisher_matrix
+from .fisher import (
+    ANOMALY_THRESHOLD,
+    FisherMatrix,
+    _element_sums,
+    anomality,
+    fisher_matrix,
+)
 from .model import Schedule, amplitude_point, explicit_schedule
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
@@ -29,6 +36,15 @@ _KAPPA_GRID_FLOOR = 1e-10
 _A_INSET = 1e-9
 
 
+def _integral(value: object, name: str) -> int:
+    """value as an int if it is integral (2 or 2.0), else ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name}={value!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class ExperimentData:
     """Observed stages (m_k, N_k, h_k) of a staged amplification experiment."""
@@ -38,8 +54,13 @@ class ExperimentData:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ConfigError("experiment data must have at least one stage")
+        stages = tuple(
+            (_integral(m, "depth m"), _integral(n, "shots N"), _integral(h, "hits h"))
+            for m, n, h in self.stages
+        )
+        object.__setattr__(self, "stages", stages)
         prev = -1
-        for m, n, h in self.stages:
+        for m, n, h in stages:
             if m < 0:
                 raise ConfigError(f"depth m={m} must be >= 0")
             if m < prev:
@@ -73,9 +94,7 @@ def data_to_json(data: ExperimentData) -> str:
 def data_from_json(text: str) -> ExperimentData:
     try:
         doc = json.loads(text)
-        stages = tuple(
-            (int(s["m"]), int(s["shots"]), int(s["hits"])) for s in doc["stages"]
-        )
+        stages = tuple((s["m"], s["shots"], s["hits"]) for s in doc["stages"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed experiment-data JSON: {exc}") from exc
     return ExperimentData(stages=stages)
@@ -133,32 +152,88 @@ class EstimateResult:
     kappa_identifiable: bool
 
 
-def _prob_grid(a_grid: np.ndarray, kappa_grid: np.ndarray, depths: np.ndarray) -> np.ndarray:
-    theta = np.arcsin(np.sqrt(np.clip(a_grid, 0.0, 1.0)))[:, None, None]
-    kk = kappa_grid[None, :, None]
-    mm = depths[None, None, :]
-    probs = 0.5 - 0.5 * np.exp(-kk * mm) * np.cos(2.0 * (2.0 * mm + 1.0) * theta)
-    return np.clip(probs, EPS_P, 1.0 - EPS_P)
+# numpy sums a contiguous row pairwise in blocks of this many elements.
+_PAIRWISE_BLOCK = 128
 
 
-def _ll_grid(
-    data: ExperimentData,
-    upto: int,
-    a_grid: np.ndarray,
-    kappa_grid: np.ndarray,
-) -> np.ndarray:
-    """Log-likelihood of stages 0..upto on the (a, kappa) grid."""
-    depths = np.asarray(data.depths[: upto + 1], dtype=float)
-    shots = np.asarray(data.shots[: upto + 1], dtype=float)
-    hits = np.asarray(data.hits[: upto + 1], dtype=float)
-    probs = _prob_grid(a_grid, kappa_grid, depths)
-    return np.sum(hits * np.log(probs) + (shots - hits) * np.log1p(-probs), axis=2)
+def _stage_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading (stage) axis, bit-identical to np.sum(axis=-1) of
+    the stage-last layout.
+
+    numpy reduces a contiguous row of up to 128 elements with eight running
+    accumulators over blocks of eight, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the remainder in sequence
+    (rows under eight are summed in sequence); longer rows split in halves at
+    a multiple of eight.  The reduction starts from +0.0, so a zero total is
+    +0.0.  The leading rows of `terms` are overwritten.
+    """
+    n = len(terms)
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2
+        half -= half % 8
+        return _stage_sum(terms[:half]) + _stage_sum(terms[half:])
+    if n < 8:
+        total = terms[0]
+        for row in terms[1:]:
+            total += row
+        return total + 0.0
+    acc = terms[:8]
+    body = n - n % 8
+    for i in range(8, body, 8):
+        acc += terms[i : i + 8]
+    acc[0::2] += acc[1::2]
+    acc[0::4] += acc[2::4]
+    total = acc[0]
+    total += acc[4]
+    for row in terms[body:]:
+        total += row
+    return total + 0.0
+
+
+class _StageLikelihood:
+    """Binomial log-likelihood of a dataset's leading stages on (a, kappa) grids.
+
+    The stage counts are converted to float arrays once, and one stage-first
+    (stage, a, kappa) workspace serves every grid of an estimate.
+    """
+
+    def __init__(self, data: ExperimentData, n_a: int, n_kappa: int) -> None:
+        self.depths = np.asarray(data.depths, dtype=float)
+        self.shots = np.asarray(data.shots, dtype=float)
+        self.hits = np.asarray(data.hits, dtype=float)
+        self.misses = self.shots - self.hits
+        shape = (len(self.depths), n_a, n_kappa)
+        self._log_p = np.empty(shape)
+        self._log_q = np.empty(shape)
+
+    def grid(self, n_stages: int, a_grid: np.ndarray, kappa_grid: np.ndarray) -> np.ndarray:
+        """Sum over stages 0..n_stages-1 of h ln P + (N - h) ln(1 - P), with
+        P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
+        [EPS_P, 1 - EPS_P]; shape (len(a_grid), len(kappa_grid))."""
+        m = self.depths[:n_stages]
+        theta = np.arcsin(np.sqrt(np.clip(a_grid, 0.0, 1.0)))
+        half_decay = 0.5 * np.exp(np.multiply.outer(m, -kappa_grid))
+        osc = np.cos(np.multiply.outer(2.0 * (2.0 * m + 1.0), theta))
+        log_p = self._log_p[:n_stages]
+        log_q = self._log_q[:n_stages]
+        np.multiply(osc[:, :, None], half_decay[:, None, :], out=log_p)
+        np.subtract(0.5, log_p, out=log_p)
+        np.clip(log_p, EPS_P, 1.0 - EPS_P, out=log_p)
+        np.negative(log_p, out=log_q)
+        np.log1p(log_q, out=log_q)
+        np.log(log_p, out=log_p)
+        log_p *= self.hits[:n_stages, None, None]
+        log_q *= self.misses[:n_stages, None, None]
+        log_p += log_q
+        return _stage_sum(log_p)
 
 
 def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
     """Sum of h ln P + (N - h) ln(1 - P) over stages, with P clamped to
     [1e-12, 1 - 1e-12]; always finite."""
-    grid = _ll_grid(data, len(data.stages) - 1, np.asarray([float(a)]), np.asarray([float(kappa)]))
+    grid = _StageLikelihood(data, 1, 1).grid(
+        len(data.stages), np.asarray([float(a)]), np.asarray([float(kappa)])
+    )
     return float(grid[0, 0])
 
 
@@ -175,18 +250,24 @@ def _snap(grid: np.ndarray, value: float) -> np.ndarray:
     return out
 
 
+def _fisher_prefix(
+    a: float, kappa: float, lik: _StageLikelihood, n_stages: int
+) -> FisherMatrix:
+    """Fisher matrix of the first n_stages stages at (a, kappa), with a inset
+    from the {0, 1} boundary where the information is singular."""
+    point = amplitude_point(min(max(a, _A_INSET), 1.0 - _A_INSET), kappa)
+    i11, i12, i22 = _element_sums(
+        np.asarray([point.a]), point.kappa, lik.depths[:n_stages], lik.shots[:n_stages]
+    )
+    return FisherMatrix(i11=float(i11[0]), i12=float(i12[0]), i22=float(i22[0]))
+
+
 def _box_errors(
-    a_hat: float, kappa_hat: float, data: ExperimentData, upto: int
+    a_hat: float, kappa_hat: float, lik: _StageLikelihood, n_stages: int
 ) -> tuple[float | None, float | None]:
-    """Per-parameter Cramer-Rao errors of the schedule up to stage `upto`,
-    evaluated at the running estimate (inset from the a boundary)."""
-    point = amplitude_point(
-        min(max(a_hat, _A_INSET), 1.0 - _A_INSET), max(kappa_hat, _KAPPA_GRID_FLOOR)
-    )
-    sched = explicit_schedule(
-        (m, n) for m, n, _ in data.stages[: upto + 1]
-    )
-    info = fisher_matrix(point, sched)
+    """Per-parameter Cramer-Rao errors of the first n_stages stages,
+    evaluated at the running estimate."""
+    info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, n_stages)
     det = info.det
     if info.i22 > 0.0 and det > 1e-12 * info.i11 * info.i22:
         return math.sqrt(info.i22 / det), math.sqrt(info.i11 / det)
@@ -218,6 +299,7 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
     khi_init = max(config.kappa_init_range[1], 2 * _KAPPA_GRID_FLOOR)
     kappa_mid = math.sqrt(klo_init * khi_init)
 
+    lik = _StageLikelihood(data, div, div if kappa_identifiable else 1)
     a_hat = kappa_hat = None
     evaluations = 0
     trace: list[StageTrace] = []
@@ -228,7 +310,7 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
             a_lo, a_hi = config.a_init_range
             k_lo, k_hi = klo_init, khi_init
         else:
-            eps_a, eps_k = _box_errors(a_hat, kappa_hat, data, stage - 1)
+            eps_a, eps_k = _box_errors(a_hat, kappa_hat, lik, stage)
             if eps_a is not None:
                 c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
                 a_lo = max(0.0, a_hat - c_box * eps_a)
@@ -253,7 +335,7 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
             if kappa_identifiable:
                 k_grid = _snap(k_grid, kappa_hat)
 
-        ll = _ll_grid(data, stage, a_grid, k_grid)
+        ll = lik.grid(stage + 1, a_grid, k_grid)
         evaluations += ll.size
         flat = int(np.argmax(ll))  # first max in a-major order: smallest a, then kappa
         ia, ik = np.unravel_index(flat, ll.shape)
@@ -279,10 +361,11 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
     point = amplitude_point(
         min(max(a_hat, _A_INSET), 1.0 - _A_INSET), max(kappa_hat, _KAPPA_GRID_FLOOR)
     )
-    info = fisher_matrix(point, data.schedule())
+    schedule = data.schedule()
+    info = fisher_matrix(point, schedule)
     beta: float | None
     try:
-        beta = anomality(point, data.schedule())
+        beta = anomality(point, schedule)
         anomalous = beta > ANOMALY_THRESHOLD
     except DegenerateScheduleError:
         beta = None
@@ -309,16 +392,13 @@ def mle_profile_1d(
     config = config or MleConfig()
     div = config.divisions_per_stage
     k_grid = np.asarray([float(kappa_fixed)])
+    lik = _StageLikelihood(data, div, 1)
     a_hat = None
     for stage in range(len(data.stages)):
         if stage == 0:
             a_lo, a_hi = config.a_init_range
         else:
-            point = amplitude_point(
-                min(max(a_hat, _A_INSET), 1.0 - _A_INSET), kappa_fixed
-            )
-            sched = explicit_schedule((m, n) for m, n, _ in data.stages[:stage])
-            info = fisher_matrix(point, sched)
+            info = _fisher_prefix(a_hat, kappa_fixed, lik, stage)
             if info.i11 <= 0.0:
                 a_lo, a_hi = config.a_init_range
             else:
@@ -329,6 +409,6 @@ def mle_profile_1d(
         a_grid = np.linspace(a_lo, a_hi, div)
         if stage > 0:
             a_grid = _snap(a_grid, a_hat)
-        ll = _ll_grid(data, stage, a_grid, k_grid)
+        ll = lik.grid(stage + 1, a_grid, k_grid)
         a_hat = float(a_grid[int(np.argmax(ll[:, 0]))])
     return a_hat

@@ -2,13 +2,13 @@
 
 Hit counts are drawn as sums of Bernoulli draws from a counter-based
 generator (Philox), so identical seeds give identical data on any platform.
-Each trial of a batch derives its own stream from (seed, M, trial index),
-making results independent of execution order and worker count.
+Each trial of a batch derives its own stream from (seed, M, trial index), so
+a trial's estimate depends on nothing else: not on the other trials, their
+order, or how many M values the batch covers.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +112,6 @@ def run_trials(
     seed: int,
     config: MleConfig | None = None,
     r: float | None = None,
-    workers: int = 1,
 ) -> TrialBatchResult:
     """Estimate over seeded repetitions for each M = 1..M_max.
 
@@ -127,12 +126,7 @@ def run_trials(
     records = []
     for M in range(1, M_max + 1):
         schedule = make_schedule(kind, M, shots, r)
-        args = [(point, schedule, config, seed, M, t) for t in range(trials)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda a: _run_one_trial(*a), args))
-        else:
-            results = [_run_one_trial(*a) for a in args]
+        results = [_run_one_trial(point, schedule, config, seed, M, t) for t in range(trials)]
         good = [res for res in results if res is not None]
         failed = trials - len(good)
         sq_errors = np.asarray([(res.a_hat - point.a) ** 2 for res in good])

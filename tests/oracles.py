@@ -4,12 +4,18 @@ The Fisher-matrix oracle never touches the library's analytic derivatives:
 per-stage log-probability derivatives come from complex-step differentiation
 (machine-accurate, no truncation error), and the information matrix is the
 exact covariance of the score over every possible outcome vector.
+
+The likelihood-grid reference is the estimator's original stage-last
+broadcast formula, kept verbatim so the stage-first kernel can be checked
+against it bit for bit.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
+
+import numpy as np
 
 _H = 1e-30  # complex-step size; contributes no subtractive rounding
 
@@ -63,3 +69,21 @@ def all_small_schedules(max_stages: int = 3, max_shots: int = 3, depth_pool=(0, 
         for depths in itertools.combinations_with_replacement(depth_pool, length):
             for shots in itertools.product(range(1, max_shots + 1), repeat=length):
                 yield depths, shots
+
+
+def log_likelihood_grid(depths, shots, hits, a_grid, kappa_grid):
+    """Staged binomial log-likelihood on an (a, kappa) grid, stage axis last.
+
+    P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) is broadcast to
+    (len(a_grid), len(kappa_grid), stages), clipped to [1e-12, 1 - 1e-12],
+    and h ln P + (N - h) ln(1 - P) is summed with np.sum(axis=2).
+    """
+    depths = np.asarray(depths, dtype=float)
+    shots = np.asarray(shots, dtype=float)
+    hits = np.asarray(hits, dtype=float)
+    theta = np.arcsin(np.sqrt(np.clip(a_grid, 0.0, 1.0)))[:, None, None]
+    kk = np.asarray(kappa_grid)[None, :, None]
+    mm = depths[None, None, :]
+    probs = 0.5 - 0.5 * np.exp(-kk * mm) * np.cos(2.0 * (2.0 * mm + 1.0) * theta)
+    probs = np.clip(probs, 1e-12, 1.0 - 1e-12)
+    return np.sum(hits * np.log(probs) + (shots - hits) * np.log1p(-probs), axis=2)

@@ -6,7 +6,6 @@ registered through conftest.check so a full run prints one PASS/FAIL row
 per criterion in the terminal summary.
 """
 import math
-import os
 import time
 
 import numpy as np
@@ -234,15 +233,10 @@ def test_10_anomalous_density_by_noise_level():
 
 def test_11_estimator_rmse_tracks_lower_bound():
     t0 = time.perf_counter()
-    workers = min(4, os.cpu_count() or 1)
-    tracked = run_trials(
-        amplitude_point(0.375, 0.067), "eis", 6, 100, 256, SEED, workers=workers
-    )
+    tracked = run_trials(amplitude_point(0.375, 0.067), "eis", 6, 100, 256, SEED)
     ratios = [rec.rmse / rec.epsilon_min for rec in tracked.records]
     track_ok = all(0.7 <= rho <= 2.0 for rho in ratios)
-    noisy = run_trials(
-        amplitude_point(0.381, 0.331), "eis", 6, 100, 256, SEED, workers=workers
-    )
+    noisy = run_trials(amplitude_point(0.381, 0.331), "eis", 6, 100, 256, SEED)
     above_classical = all(
         rec.rmse > classical_bound(0.381, rec.n_queries)
         for rec in noisy.records

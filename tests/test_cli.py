@@ -36,12 +36,41 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
-def test_thread_count_does_not_change_output(capsys):
-    base = ["trials", "--a", "0.3", "--kappa", "0.05", "--M", "2", "--shots", "30",
+# Verbatim output of `aemle trials --a 0.3 --kappa 0.05 --M 3 --shots 30
+# --trials 8 --seed 7 --format csv`: any change to the estimator's arithmetic
+# or to the trial streams shows up here as a changed byte.
+TRIALS_GOLDEN_CSV = (
+    "# aemle 0.1.0 trials seed=7 a=0.29999999999999999 kappa=0.050000000000000003"
+    " kind=eis shots=30 trials=8 divisions=64\n"
+    "M,N_q,rmse,stderr,mean_kappa_hat,failed_trials,epsilon_min\n"
+    "1,120,0.060736584087175478,0.018177858643361709,0.0363848092461602,0,"
+    "0.08366600265340754\n"
+    "2,270,0.019234545212875171,0.0051001824688505495,0.036237766246023449,0,"
+    "0.021074264246132696\n"
+    "3,540,0.0065825062717875527,0.0011818780462682205,0.050904422821695744,0,"
+    "0.010685398300063072\n"
+)
+
+
+def test_trials_golden_is_byte_identical(capsys):
+    code, out, _ = run_cli(
+        capsys, "trials", "--a", "0.3", "--kappa", "0.05", "--M", "3", "--shots", "30",
+        "--trials", "8", "--seed", "7", "--format", "csv"
+    )
+    assert code == 0
+    assert out == TRIALS_GOLDEN_CSV
+
+
+def test_trials_rows_independent_of_M_range(capsys):
+    # each M draws its trials from its own (seed, M, trial) streams, so the
+    # rows for M = 1, 2 do not depend on how many M values the run covers
+    base = ["trials", "--a", "0.3", "--kappa", "0.05", "--shots", "30",
             "--trials", "4", "--format", "csv"]
-    _, out1, _ = run_cli(capsys, *base, "--threads", "1")
-    _, out4, _ = run_cli(capsys, *base, "--threads", "4")
-    assert out1 == out4
+    _, out2, _ = run_cli(capsys, *base, "--M", "2")
+    _, out3, _ = run_cli(capsys, *base, "--M", "3")
+    rows2 = out2.strip().split("\n")[1:]
+    rows3 = out3.strip().split("\n")[1:]
+    assert len(rows2) == 3 and rows3[:3] == rows2
 
 
 def test_csv_reals_round_trip(capsys):
@@ -92,6 +121,12 @@ def test_estimate_file_errors(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "estimate", "--data", str(bad))
     assert code == 2
+
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text('{"stages": [{"m": 0, "shots": 10, "hits": 4}, '
+                          '{"m": 1.7, "shots": 10, "hits": 5}]}')
+    code, out, err = run_cli(capsys, "estimate", "--data", str(fractional))
+    assert code == 2 and out == "" and "m=1.7" in err
 
     degenerate = tmp_path / "degenerate.json"
     degenerate.write_text('{"stages": [{"m": 0, "shots": 10, "hits": 0}]}')

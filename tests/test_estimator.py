@@ -2,8 +2,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from oracles import log_likelihood_grid
 
 from aemle import (
     ConfigError,
@@ -21,6 +24,7 @@ from aemle import (
     noisy_good_prob,
     sample_counts,
 )
+from aemle.estimator import _StageLikelihood, _stage_sum
 
 
 def binomial_log_pmf(n: int, h: int, p: float) -> float:
@@ -171,3 +175,73 @@ def test_profile_rejects_negative_kappa():
     data = ExperimentData(stages=((0, 10, 4),))
     with pytest.raises(ConfigError):
         mle_profile_1d(data, kappa_fixed=-0.1)
+
+
+@st.composite
+def stage_counts(draw):
+    """Random staged counts: up to 64 stages, depths up to 2**10, shots up to
+    1e4, with saturated hit counts (h = 0 or h = N) drawn often."""
+    n_stages = draw(st.integers(1, 64))
+    depths = sorted(draw(st.lists(st.integers(0, 2**10), min_size=n_stages, max_size=n_stages)))
+    stages = []
+    for m in depths:
+        n = draw(st.integers(0, 10_000))
+        h = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+        stages.append((m, n, h))
+    return ExperimentData(stages=tuple(stages))
+
+
+@given(
+    data=stage_counts(),
+    div=st.integers(8, 64),
+    profile=st.booleans(),
+    a_box=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    k_box=st.tuples(st.floats(1e-10, 2.0), st.floats(1e-10, 2.0)),
+    prefix=st.floats(0.0, 1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_stage_first_kernel_is_bit_identical_to_broadcast_formula(
+    data, div, profile, a_box, k_box, prefix
+):
+    a_grid = np.linspace(min(a_box), max(a_box), div)
+    k_grid = np.asarray([k_box[0]]) if profile else np.geomspace(min(k_box), max(k_box), div)
+    n_stages = 1 + int(prefix * (len(data.stages) - 1))
+    got = _StageLikelihood(data, div, len(k_grid)).grid(n_stages, a_grid, k_grid)
+    ref = log_likelihood_grid(
+        data.depths[:n_stages], data.shots[:n_stages], data.hits[:n_stages], a_grid, k_grid
+    )
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+@pytest.mark.parametrize("n_stages", [*range(1, 65), 129, 200, 300])
+def test_stage_sum_matches_numpy_reduction_order(n_stages):
+    # magnitudes spread over 16 decades, so any other summation order rounds
+    # differently; the zero rows pin the sign of an all-zero sum
+    rng = np.random.default_rng(n_stages)
+    stage_last = rng.standard_normal((33, 17, n_stages)) * 10.0 ** rng.integers(
+        -8, 8, (33, 17, n_stages)
+    )
+    stage_last[0, 0] = -0.0
+    stage_last[0, 1] = 0.0
+    expected = np.sum(stage_last, axis=-1)
+    got = _stage_sum(np.ascontiguousarray(np.moveaxis(stage_last, -1, 0)))
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_data_rejects_non_integral_stage_values():
+    with pytest.raises(ConfigError):
+        ExperimentData(stages=((0, 10, 4), (1.7, 10, 5)))
+    with pytest.raises(ConfigError):
+        ExperimentData(stages=((0, 10.5, 4),))
+    with pytest.raises(ConfigError):
+        ExperimentData(stages=((0, 10, 4.2),))
+    with pytest.raises(ConfigError):
+        data_from_json('{"stages": [{"m": 1.7, "shots": 10, "hits": 5}]}')
+    with pytest.raises(ConfigError):
+        data_from_json('{"stages": [{"m": 1, "shots": "10", "hits": 5}]}')
+    # integral floats are counts, stored as ints
+    data = data_from_json('{"stages": [{"m": 2.0, "shots": 10, "hits": 5.0}]}')
+    assert data.stages == ((2, 10, 5),)
+    assert all(type(v) is int for v in data.stages[0])

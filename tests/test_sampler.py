@@ -1,6 +1,7 @@
 """Seeded sampling and the repeated-trial harness."""
 import math
 
+import numpy as np
 import pytest
 
 from aemle import (
@@ -8,10 +9,12 @@ from aemle import (
     amplitude_point,
     hit_rate_curve,
     make_schedule,
+    mle_grid_adaptive,
     noisy_good_prob,
     run_trials,
     sample_counts,
 )
+from aemle.sampler import _jackknife_rmse_stderr, _rng_for, _sample_with_rng
 
 
 def test_sample_counts_deterministic():
@@ -54,11 +57,22 @@ def test_run_trials_record_shape():
         assert rec.epsilon_min > 0.0
 
 
-def test_run_trials_thread_count_invariant():
+def test_run_trials_records_follow_per_trial_streams():
+    # each trial's estimate depends only on its (seed, M, t) stream: the batch
+    # records equal records rebuilt from trials estimated one at a time
     point = amplitude_point(0.375, 0.067)
-    serial = run_trials(point, "eis", 2, 40, trials=6, seed=10, workers=1)
-    threaded = run_trials(point, "eis", 2, 40, trials=6, seed=10, workers=4)
-    assert serial == threaded
+    batch = run_trials(point, "eis", 3, 40, trials=6, seed=10)
+    for rec in batch.records:
+        schedule = make_schedule("eis", rec.M, 40)
+        results = [
+            mle_grid_adaptive(_sample_with_rng(point, schedule, _rng_for(10, rec.M, t)))
+            for t in range(6)
+        ]
+        sq_errors = np.asarray([(res.a_hat - point.a) ** 2 for res in results])
+        assert rec.failed_trials == 0
+        assert rec.rmse == float(np.sqrt(np.mean(sq_errors)))
+        assert rec.stderr == _jackknife_rmse_stderr(sq_errors)
+        assert rec.mean_kappa_hat == float(np.mean([res.kappa_hat for res in results]))
 
 
 def test_run_trials_counts_failures():
