@@ -8,8 +8,6 @@ model, not to scale: n + 1 is capped at 12 qubits.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import DomainError, SpecError
@@ -101,24 +99,24 @@ def amplified_state(A: np.ndarray, m: int) -> np.ndarray:
 def depolarized_good_prob(A: np.ndarray, m: int, p_survive: float) -> float:
     """Good-state probability after m amplifications through a depolarizing channel.
 
-    The channel commutes with unitary conjugation by Q, so the state after m
-    rounds is p^m Q^m rho Q^{dag m} + (1 - p^m) I/d.  The identity term hits
-    the good subspace with probability 1/2; the pure branch is evolved
-    exactly.
+    The density matrix starts at the prepared pure state and each round maps
+    rho -> depolarize(Q rho Q^dag, p); the probability is the weight on the
+    ancilla-|1> (odd) diagonal entries.  No closed form of the noisy
+    evolution is assumed.
     """
     if not (0.0 < p_survive <= 1.0):
         raise DomainError(f"survival probability {p_survive} outside (0, 1]")
-    pure = good_state_probability(amplified_state(A, m))
-    survive = p_survive**m
-    return survive * pure + (1.0 - survive) * 0.5
+    if m < 0:
+        raise DomainError(f"m={m} must be >= 0")
+    Q = build_Q(A)
+    state = initial_state(A)
+    rho = np.outer(state, state.conj())
+    for _ in range(m):
+        rho = depolarize(Q @ rho @ Q.conj().T, p_survive)
+    return float(np.sum(rho.diagonal()[1::2].real))
 
 
 def depolarize(rho: np.ndarray, p_survive: float) -> np.ndarray:
     """One application of the depolarizing channel p rho + (1-p) I/d."""
     d = rho.shape[0]
     return p_survive * rho + (1.0 - p_survive) * np.eye(d) / d
-
-
-def statevector_to_json(state: np.ndarray) -> str:
-    """Debug dump: list of [re, im] pairs."""
-    return json.dumps([[float(z.real), float(z.imag)] for z in np.asarray(state, dtype=complex)])

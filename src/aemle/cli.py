@@ -74,18 +74,8 @@ def _emit(
     columns: list[str],
     rows: list[list[object]],
 ) -> None:
-    seed = params.get("seed", "")
     if args.format == "json":
-        doc = {
-            "meta": {
-                "tool": "aemle",
-                "version": __version__,
-                "command": command,
-                "params": params,
-            },
-            "columns": columns,
-            "rows": rows,
-        }
+        doc = {"meta": _meta(command, params), "columns": columns, "rows": rows}
         text = json.dumps(doc, indent=2) + "\n"
     else:
         pairs = " ".join(f"{k}={_fmt(v)}" for k, v in params.items())
@@ -106,6 +96,14 @@ def _emit(
             for row in cells:
                 lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
             text = "\n".join(lines) + "\n"
+    _write(args, text)
+
+
+def _meta(command: str, params: dict[str, object]) -> dict[str, object]:
+    return {"tool": "aemle", "version": __version__, "command": command, "params": params}
+
+
+def _write(args: argparse.Namespace, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -140,13 +138,8 @@ def cmd_schedule(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         params["r"] = args.r
     if args.format == "json":
         doc = json.loads(schedule_to_json(schedule))
-        doc["meta"] = {"tool": "aemle", "version": __version__, "command": "schedule", "params": params}
-        text = json.dumps(doc, indent=2) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        doc["meta"] = _meta("schedule", params)
+        _write(args, json.dumps(doc, indent=2) + "\n")
         return
     rows = [[k, m, n] for k, (m, n) in enumerate(schedule.stages)]
     _emit(args, "schedule", params, ["stage", "m", "shots"], rows)

@@ -16,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, DegenerateScheduleError
-from .fisher import (
-    ANOMALY_THRESHOLD,
-    FisherMatrix,
-    _element_sums,
-    anomality,
-    fisher_matrix,
-)
-from .model import Schedule, amplitude_point, explicit_schedule
+from .errors import ConfigError, DegenerateDataError
+from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _fisher_at
+from .model import amplitude_point
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
 EPS_P = 1e-12
@@ -80,9 +74,6 @@ class ExperimentData:
     @property
     def hits(self) -> tuple[int, ...]:
         return tuple(h for _, _, h in self.stages)
-
-    def schedule(self) -> Schedule:
-        return explicit_schedule((m, n) for m, n, _ in self.stages)
 
 
 def data_to_json(data: ExperimentData) -> str:
@@ -243,11 +234,13 @@ def _chebyshev_factor(eps_target: float, scale: float) -> int:
     return max(3, math.ceil(math.sqrt(math.log(1.0 / eps))) * math.ceil(scale))
 
 
-def _snap(grid: np.ndarray, value: float) -> np.ndarray:
-    """Replace the grid point nearest to value with value itself."""
+def _snap(grid: np.ndarray, value: float) -> tuple[np.ndarray, int]:
+    """Replace the grid point nearest to value with value itself; returns the
+    new grid and that point's index."""
     out = grid.copy()
-    out[int(np.argmin(np.abs(grid - value)))] = value
-    return out
+    index = int(np.argmin(np.abs(grid - value)))
+    out[index] = value
+    return out, index
 
 
 def _fisher_prefix(
@@ -256,94 +249,67 @@ def _fisher_prefix(
     """Fisher matrix of the first n_stages stages at (a, kappa), with a inset
     from the {0, 1} boundary where the information is singular."""
     point = amplitude_point(min(max(a, _A_INSET), 1.0 - _A_INSET), kappa)
-    i11, i12, i22 = _element_sums(
-        np.asarray([point.a]), point.kappa, lik.depths[:n_stages], lik.shots[:n_stages]
-    )
-    return FisherMatrix(i11=float(i11[0]), i12=float(i12[0]), i22=float(i22[0]))
+    return _fisher_at(point, lik.depths[:n_stages], lik.shots[:n_stages])
 
 
-def _box_errors(
-    a_hat: float, kappa_hat: float, lik: _StageLikelihood, n_stages: int
-) -> tuple[float | None, float | None]:
-    """Per-parameter Cramer-Rao errors of the first n_stages stages,
-    evaluated at the running estimate."""
-    info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, n_stages)
-    det = info.det
-    if info.i22 > 0.0 and det > 1e-12 * info.i11 * info.i22:
-        return math.sqrt(info.i22 / det), math.sqrt(info.i11 / det)
-    if info.i11 > 0.0:
-        return 1.0 / math.sqrt(info.i11), None
-    return None, None
+def _kappa_init_box(config: MleConfig) -> tuple[float, float]:
+    """kappa_init_range lifted onto the positive floor of the log grid."""
+    lo, hi = config.kappa_init_range
+    return max(lo, _KAPPA_GRID_FLOOR), max(hi, 2 * _KAPPA_GRID_FLOOR)
 
 
-def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> EstimateResult:
-    """Adaptive constant grid-search MLE of (a, kappa).
+def _search(
+    lik: _StageLikelihood, config: MleConfig, kappa_fixed: float | None
+) -> tuple[float, float, float, int, list[StageTrace]]:
+    """The stage-by-stage box search; returns (a_hat, kappa_hat, best_ll,
+    evaluations, trace).
 
-    Stage 0 searches the full init box; stage k restricts to the confidence
-    box around the stage k-1 estimate.  Ties break toward smaller a, then
-    smaller kappa.  If no stage has m > 0, kappa is unidentifiable: it is
-    fixed at the log-midpoint of kappa_init_range and flagged.
+    kappa_fixed=None searches kappa on the log-spaced grid.  A fixed kappa is
+    searched as a one-point axis, and its a-box is sized by the
+    one-parameter error 1/sqrt(i11) at that kappa.
     """
-    config = config or MleConfig()
-    n_stages = len(data.stages)
-    if n_stages > config.max_stages:
-        raise ConfigError(f"data has {n_stages} stages, config allows {config.max_stages}")
-    if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
-        raise DegenerateDataError(
-            "all stages are classical with saturated hit counts; the estimate "
-            "lies on the amplitude boundary"
-        )
     div = config.divisions_per_stage
-    kappa_identifiable = any(m > 0 for m in data.depths)
-    klo_init = max(config.kappa_init_range[0], _KAPPA_GRID_FLOOR)
-    khi_init = max(config.kappa_init_range[1], 2 * _KAPPA_GRID_FLOOR)
-    kappa_mid = math.sqrt(klo_init * khi_init)
-
-    lik = _StageLikelihood(data, div, div if kappa_identifiable else 1)
+    klo_init, khi_init = _kappa_init_box(config)
     a_hat = kappa_hat = None
     evaluations = 0
     trace: list[StageTrace] = []
-    best_ll = float("-inf")
 
-    for stage in range(n_stages):
+    for stage in range(len(lik.depths)):
         if stage == 0:
-            a_lo, a_hi = config.a_init_range
-            k_lo, k_hi = klo_init, khi_init
+            info = FisherMatrix(0.0, 0.0, 0.0)  # no stage seen yet: the init box
+        elif kappa_fixed is None:
+            info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, stage)
         else:
-            eps_a, eps_k = _box_errors(a_hat, kappa_hat, lik, stage)
-            if eps_a is not None:
-                c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
-                a_lo = max(0.0, a_hat - c_box * eps_a)
-                a_hi = min(1.0, a_hat + c_box * eps_a)
-            else:
-                a_lo, a_hi = config.a_init_range
-            if eps_k is not None:
-                c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
-                k_lo = max(kappa_hat - c_box * eps_k, _KAPPA_GRID_FLOOR)
-                k_hi = max(kappa_hat + c_box * eps_k, 2 * _KAPPA_GRID_FLOOR)
-            else:
-                k_lo, k_hi = klo_init, khi_init
+            # kappa is held fixed, so only the a-information sizes the box
+            info = FisherMatrix(_fisher_prefix(a_hat, kappa_fixed, lik, stage).i11, 0.0, 0.0)
+        eps_a, eps_k = info.errors()
+        c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
+        if math.isfinite(eps_a):
+            a_lo = max(0.0, a_hat - c_box * eps_a)
+            a_hi = min(1.0, a_hat + c_box * eps_a)
+        else:
+            a_lo, a_hi = config.a_init_range
+        if eps_k is not None:
+            k_lo = max(kappa_hat - c_box * eps_k, _KAPPA_GRID_FLOOR)
+            k_hi = max(kappa_hat + c_box * eps_k, 2 * _KAPPA_GRID_FLOOR)
+        else:
+            k_lo, k_hi = klo_init, khi_init
 
         a_grid = np.linspace(a_lo, a_hi, div)
-        if kappa_identifiable:
+        if kappa_fixed is None:
             k_grid = np.geomspace(k_lo, k_hi, div)
         else:
-            k_lo = k_hi = kappa_mid
-            k_grid = np.asarray([kappa_mid])
+            k_lo = k_hi = kappa_fixed
+            k_grid = np.asarray([kappa_fixed])
         if stage > 0:
-            a_grid = _snap(a_grid, a_hat)
-            if kappa_identifiable:
-                k_grid = _snap(k_grid, kappa_hat)
+            a_grid, ia_prev = _snap(a_grid, a_hat)
+            k_grid, ik_prev = _snap(k_grid, kappa_hat)
 
         ll = lik.grid(stage + 1, a_grid, k_grid)
         evaluations += ll.size
         flat = int(np.argmax(ll))  # first max in a-major order: smallest a, then kappa
         ia, ik = np.unravel_index(flat, ll.shape)
-        carried_ll = float("nan")
-        if stage > 0:
-            ia_prev = int(np.argmin(np.abs(a_grid - a_hat)))
-            ik_prev = int(np.argmin(np.abs(k_grid - kappa_hat)))
-            carried_ll = float(ll[ia_prev, ik_prev])
+        carried_ll = float(ll[ia_prev, ik_prev]) if stage > 0 else float("nan")
         a_hat, kappa_hat = float(a_grid[ia]), float(k_grid[ik])
         best_ll = float(ll[ia, ik])
         trace.append(
@@ -357,27 +323,49 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
                 carried_ll=carried_ll,
             )
         )
+    return a_hat, kappa_hat, best_ll, evaluations, trace
 
-    point = amplitude_point(
-        min(max(a_hat, _A_INSET), 1.0 - _A_INSET), max(kappa_hat, _KAPPA_GRID_FLOOR)
-    )
-    schedule = data.schedule()
-    info = fisher_matrix(point, schedule)
-    beta: float | None
-    try:
-        beta = anomality(point, schedule)
-        anomalous = beta > ANOMALY_THRESHOLD
-    except DegenerateScheduleError:
-        beta = None
-        anomalous = False
+
+def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> EstimateResult:
+    """Adaptive constant grid-search MLE of (a, kappa).
+
+    Stage 0 searches the full init box; stage k restricts to the confidence
+    box around the stage k-1 estimate.  Ties break toward smaller a, then
+    smaller kappa.  If no stage has m > 0, kappa is unidentifiable: it is
+    fixed at the log-midpoint of kappa_init_range and flagged.  Data whose
+    hit counts are all 0, or all equal to the shots, raise
+    DegenerateDataError: its likelihood peaks on the parameter boundary.
+    """
+    config = config or MleConfig()
+    n_stages = len(data.stages)
+    if n_stages > config.max_stages:
+        raise ConfigError(f"data has {n_stages} stages, config allows {config.max_stages}")
+    if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
+        raise DegenerateDataError(
+            "all stages are classical with saturated hit counts; the estimate "
+            "lies on the amplitude boundary"
+        )
+    if all(h == 0 for h in data.hits) or data.hits == data.shots:
+        raise DegenerateDataError(
+            "no stage has both hits and misses; the estimate lies on the "
+            "parameter boundary"
+        )
+    div = config.divisions_per_stage
+    kappa_identifiable = any(m > 0 for m in data.depths)
+    kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_kappa_init_box(config)))
+    lik = _StageLikelihood(data, div, div if kappa_identifiable else 1)
+    a_hat, kappa_hat, best_ll, evaluations, trace = _search(lik, config, kappa_fixed)
+
+    info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, n_stages)
+    beta = info.beta
     return EstimateResult(
         a_hat=a_hat,
-        kappa_hat=kappa_hat if kappa_identifiable else kappa_mid,
+        kappa_hat=kappa_hat,
         log_likelihood_at_max=best_ll,
         fisher_at_estimate=info,
         likelihood_evaluations=evaluations,
         stage_trace=tuple(trace),
-        anomalous=anomalous,
+        anomalous=beta is not None and beta > ANOMALY_THRESHOLD,
         anomality=beta,
         kappa_identifiable=kappa_identifiable,
     )
@@ -390,25 +378,5 @@ def mle_profile_1d(
     if kappa_fixed < 0.0:
         raise ConfigError(f"kappa_fixed={kappa_fixed} must be >= 0")
     config = config or MleConfig()
-    div = config.divisions_per_stage
-    k_grid = np.asarray([float(kappa_fixed)])
-    lik = _StageLikelihood(data, div, 1)
-    a_hat = None
-    for stage in range(len(data.stages)):
-        if stage == 0:
-            a_lo, a_hi = config.a_init_range
-        else:
-            info = _fisher_prefix(a_hat, kappa_fixed, lik, stage)
-            if info.i11 <= 0.0:
-                a_lo, a_hi = config.a_init_range
-            else:
-                eps_a = 1.0 / math.sqrt(info.i11)
-                c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
-                a_lo = max(0.0, a_hat - c_box * eps_a)
-                a_hi = min(1.0, a_hat + c_box * eps_a)
-        a_grid = np.linspace(a_lo, a_hi, div)
-        if stage > 0:
-            a_grid = _snap(a_grid, a_hat)
-        ll = lik.grid(stage + 1, a_grid, k_grid)
-        a_hat = float(a_grid[int(np.argmax(ll[:, 0]))])
-    return a_hat
+    lik = _StageLikelihood(data, config.divisions_per_stage, 1)
+    return _search(lik, config, float(kappa_fixed))[0]

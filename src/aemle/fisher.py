@@ -33,6 +33,7 @@ from .model import (
     Schedule,
     ScheduleKind,
     amplitude_point,
+    capped_depths,
     explicit_schedule,
 )
 
@@ -62,6 +63,29 @@ class FisherMatrix:
     @property
     def det(self) -> float:
         return self.i11 * self.i22 - self.i12 * self.i12
+
+    @property
+    def beta(self) -> float | None:
+        """Anomality min(i12^2 / (i11 i22), 1); None unless i11, i22 > 0."""
+        if self.i22 <= 0.0 or self.i11 <= 0.0:
+            return None
+        return min(self.i12 * self.i12 / (self.i11 * self.i22), 1.0)
+
+    def errors(self) -> tuple[float, float | None]:
+        """Cramer-Rao errors (eps_a, eps_kappa), the square roots of the
+        inverse's diagonal.
+
+        The inverse is not trusted when kappa carries no information (i22 = 0)
+        or the determinant is below _DET_RTOL * i11 * i22; eps_a then falls
+        back to the one-parameter bound 1/sqrt(i11) (infinite at i11 = 0) and
+        eps_kappa is None.
+        """
+        det = self.det
+        if self.i22 > 0.0 and det > _DET_RTOL * self.i11 * self.i22:
+            return math.sqrt(self.i22 / det), math.sqrt(self.i11 / det)
+        if self.i11 <= 0.0:
+            return math.inf, None
+        return 1.0 / math.sqrt(self.i11), None
 
 
 @dataclass(frozen=True)
@@ -104,12 +128,15 @@ def _element_sums(
     return i11, i12, i22
 
 
+def _fisher_at(point: AmplitudePoint, depths, shots) -> FisherMatrix:
+    """Fisher matrix at one point for stage depth and shot sequences."""
+    i11, i12, i22 = _element_sums(np.asarray([point.a]), point.kappa, depths, shots)
+    return FisherMatrix(i11=float(i11[0]), i12=float(i12[0]), i22=float(i22[0]))
+
+
 def fisher_matrix(point: AmplitudePoint, schedule: Schedule) -> FisherMatrix:
     """Closed-form Fisher matrix for the two-parameter model at this point."""
-    i11, i12, i22 = _element_sums(
-        np.asarray([point.a]), point.kappa, np.asarray(schedule.depths), np.asarray(schedule.shots)
-    )
-    return FisherMatrix(i11=float(i11[0]), i12=float(i12[0]), i22=float(i22[0]))
+    return _fisher_at(point, schedule.depths, schedule.shots)
 
 
 def cr_lower_bound(point: AmplitudePoint, schedule: Schedule) -> CrBoundResult:
@@ -122,13 +149,10 @@ def cr_lower_bound(point: AmplitudePoint, schedule: Schedule) -> CrBoundResult:
     info = fisher_matrix(point, schedule)
     if info.i11 <= 0.0:
         raise DegenerateScheduleError("schedule carries no information about a")
-    det = info.det
-    if info.i22 > 0.0 and det > _DET_RTOL * info.i11 * info.i22:
-        return CrBoundResult(
-            epsilon_min=math.sqrt(info.i22 / det), identifiable=True, fallback_used=False
-        )
+    eps_a, eps_kappa = info.errors()
+    identifiable = eps_kappa is not None
     return CrBoundResult(
-        epsilon_min=1.0 / math.sqrt(info.i11), identifiable=False, fallback_used=True
+        epsilon_min=eps_a, identifiable=identifiable, fallback_used=not identifiable
     )
 
 
@@ -171,12 +195,12 @@ def max_grover_depth(kappa: float) -> int:
 
 def anomality(point: AmplitudePoint, schedule: Schedule) -> float:
     """beta = i12^2 / (i11 i22) in [0, 1]; beta = 1 iff the matrix is singular."""
-    info = fisher_matrix(point, schedule)
-    if info.i22 <= 0.0 or info.i11 <= 0.0:
+    beta = fisher_matrix(point, schedule).beta
+    if beta is None:
         raise DegenerateScheduleError(
             "anomality needs at least one stage with m > 0 and nonzero shots"
         )
-    return min(info.i12 * info.i12 / (info.i11 * info.i22), 1.0)
+    return beta
 
 
 def nuisance_inflation(point: AmplitudePoint, schedule: Schedule, c: float) -> float:
@@ -188,15 +212,15 @@ def nuisance_inflation(point: AmplitudePoint, schedule: Schedule, c: float) -> f
     if c < 0.0:
         raise DomainError(f"c={c} must be >= 0")
     info = fisher_matrix(point, schedule)
-    if info.i22 <= 0.0 or info.i11 <= 0.0:
+    if info.beta is None:
         raise DegenerateScheduleError(
             "nuisance inflation needs at least one stage with m > 0 and nonzero shots"
         )
     det = info.det
     if det <= 0.0:
         raise DegenerateScheduleError("Fisher matrix is singular; inflation undefined")
-    beta = info.i12 * info.i12 / (info.i11 * info.i22)
-    return info.i22 / det * (1.0 + (c - 1.0) * beta)
+    # det > 0 keeps beta below 1, so the clamp in FisherMatrix.beta is inert
+    return info.i22 / det * (1.0 + (c - 1.0) * info.beta)
 
 
 def saturated_schedule(
@@ -204,34 +228,8 @@ def saturated_schedule(
 ) -> Schedule:
     """Maximal schedule with depths <= m-bar(kappa): the usual depth ladder of
     the kind, truncated below m-bar, with a final stage at m-bar itself."""
-    if isinstance(kind, str):
-        kind = ScheduleKind(kind.lower())
     mbar = max_grover_depth(kappa)
-    if kind is ScheduleKind.CLASSICAL:
-        return explicit_schedule([(0, shots)])
-    if mbar < 1:
-        return explicit_schedule([(0, shots)])
-    if kind is ScheduleKind.EIS:
-        base = 2.0
-    elif kind is ScheduleKind.POWER_BASE:
-        if r is None or r <= 1.0:
-            raise DomainError(f"power-base ladder requires r > 1, got {r}")
-        base = float(r)
-    elif kind is ScheduleKind.LIS:
-        return explicit_schedule([(m, shots) for m in range(mbar + 1)])
-    else:
-        raise DomainError(f"no depth ladder defined for kind {kind}")
-    depths = [0]
-    k = 1
-    while True:
-        d = int(math.floor(base ** (k - 1) + 1e-9))
-        if d >= mbar:
-            break
-        if d > depths[-1]:
-            depths.append(d)
-        k += 1
-    depths.append(mbar)
-    return explicit_schedule([(m, shots) for m in depths])
+    return explicit_schedule((m, shots) for m in capped_depths(kind, mbar, r))
 
 
 def required_noise_for_error(
@@ -281,14 +279,3 @@ def classical_bound(a: float, n_queries: int) -> float:
     if not (0.0 < a < 1.0):
         raise SingularPointError("classical bound undefined at a in {0, 1}")
     return math.sqrt(a * (1.0 - a) / n_queries)
-
-
-def eis_schedule_to_depth(mbar: int, shots: int, cap: int | None = None) -> Schedule:
-    """Plain EIS schedule truncated at the last dyadic depth <= mbar."""
-    if mbar < 1:
-        return explicit_schedule([(0, shots)])
-    M = int(math.floor(math.log2(mbar))) + 1
-    if cap is not None:
-        M = min(M, cap)
-    depths = [0] + [2 ** (k - 1) for k in range(1, M + 1)]
-    return explicit_schedule([(m, shots) for m in depths])

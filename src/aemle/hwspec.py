@@ -15,6 +15,7 @@ from enum import Enum
 
 from .errors import ConfigError, DomainError
 from .fisher import max_grover_depth, required_noise_for_error
+from .model import ScheduleKind, capped_depths
 
 # Reference target amplitude for the kappa-bar scan when no override is given.
 _REFERENCE_AMPLITUDE = 0.375
@@ -110,19 +111,6 @@ def _gate_error_budget(kappa_bar: float, N_s: int, N_d: int, ratio: float) -> fl
     return 0.5 * (lo + hi)
 
 
-def _time_ladder(m_bar: int) -> list[int]:
-    """Doubling depth ladder 1, 2, 4, ... with the last stage capped at m_bar."""
-    if m_bar < 1:
-        return [0]
-    depths = []
-    d = 1
-    while d < m_bar:
-        depths.append(d)
-        d *= 2
-    depths.append(m_bar)
-    return depths
-
-
 def total_execution_time(
     assumptions: HardwareAssumptions,
     t_AA: float,
@@ -131,10 +119,10 @@ def total_execution_time(
     interpretation: TimeInterpretation = TimeInterpretation.PER_SHOT,
 ) -> float:
     """Wall-clock time of the full run: sum over stages of (run + readout +
-    interval) per shot, on the doubling ladder capped at m_bar."""
-    depths = _time_ladder(m_bar)
+    interval) per shot, on the doubling ladder 1, 2, 4, ... capped at m_bar
+    (a single m = 0 stage when m_bar < 1)."""
     total = 0.0
-    for m in depths:
+    for m in capped_depths(ScheduleKind.EIS, m_bar)[1:] or [0]:
         shot = t_AA * m + assumptions.t_m
         if interpretation is TimeInterpretation.PER_SHOT:
             interval = assumptions.interval_factor * shot

@@ -41,11 +41,6 @@ class IntegrandSpec:
         if np.any(f < 0.0) or np.any(f > 1.0):
             raise SpecError("values must lie in [0, 1]")
 
-    @property
-    def grid(self) -> np.ndarray:
-        size = 2**self.n
-        return (np.arange(size) + 0.5) / size
-
 
 def grid_points(n: int) -> np.ndarray:
     """Midpoints x_j = (j + 1/2)/2^n."""
@@ -92,11 +87,6 @@ def sin2_target(n: int, b: float) -> tuple[IntegrandSpec, float]:
 def target_amplitude(spec: IntegrandSpec) -> float:
     """S(f) = sum_j p(x_j) f(x_j), the amplitude to be estimated."""
     return float(np.dot(spec.probabilities, spec.values))
-
-
-BUILTIN_SPECS = {
-    "sin2": sin2_target,
-}
 
 
 def spec_to_json(spec: IntegrandSpec) -> str:

@@ -8,11 +8,12 @@ observing the good state after m amplifications, with and without noise.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ConfigError, DomainError
 
@@ -99,11 +100,37 @@ class Schedule:
         return len(self.stages)
 
 
-def _power_depth(r: float, k: int) -> int:
-    # m_k = floor(r^{k-1}); exact integer power when r is integral.
-    if float(r).is_integer():
-        return int(r) ** (k - 1)
-    return int(math.floor(r ** (k - 1) + _FLOOR_NUDGE))
+def _parse_kind(kind: ScheduleKind | str) -> ScheduleKind:
+    if isinstance(kind, str):
+        try:
+            return ScheduleKind(kind.lower())
+        except ValueError as exc:
+            raise ConfigError(f"unknown schedule kind {kind!r}") from exc
+    return kind
+
+
+def _ladder(kind: ScheduleKind, r: float | None) -> Iterator[int]:
+    """Depths m_0, m_1, ... of a generated kind, without end.
+
+    classical: m_k = 0; lis: m_k = k; eis: m_0 = 0, m_k = 2^{k-1};
+    powerbase: m_0 = 0, m_k = floor(r^{k-1}), an exact integer power when r
+    is integral (so eis is the r = 2 ladder).  The explicit kind and r <= 1
+    raise ConfigError at the first depth.
+    """
+    if kind is ScheduleKind.EXPLICIT:
+        raise ConfigError("explicit schedules are built from stage lists, not make_schedule")
+    if kind is ScheduleKind.POWER_BASE and (r is None or r <= 1.0):
+        raise ConfigError(f"power-base schedule requires r > 1, got {r}")
+    if kind is ScheduleKind.CLASSICAL:
+        yield from itertools.repeat(0)
+    elif kind is ScheduleKind.LIS:
+        yield from itertools.count()
+    else:
+        base = 2.0 if kind is ScheduleKind.EIS else float(r)
+        integral = base.is_integer()
+        yield 0
+        for j in itertools.count():
+            yield int(base) ** j if integral else int(math.floor(base**j + _FLOOR_NUDGE))
 
 
 def make_schedule(
@@ -112,34 +139,34 @@ def make_schedule(
     shots: int,
     r: float | None = None,
 ) -> Schedule:
-    """Build the standard schedules: depths for stages k = 0..M.
-
-    classical: m_k = 0; lis: m_k = k; eis: m_0 = 0, m_k = floor(2^{k-1});
-    powerbase: m_0 = 0, m_k = floor(r^{k-1}).
-    """
-    if isinstance(kind, str):
-        try:
-            kind = ScheduleKind(kind.lower())
-        except ValueError as exc:
-            raise ConfigError(f"unknown schedule kind {kind!r}") from exc
+    """The first M + 1 depths (stages k = 0..M) of the kind's ladder, each
+    with `shots` shots."""
+    kind = _parse_kind(kind)
     if M < 0:
         raise ConfigError(f"M={M} must be >= 0")
     if shots <= 0:
         raise ConfigError(f"shots={shots} must be positive")
-    if kind is ScheduleKind.CLASSICAL:
-        depths = [0] * (M + 1)
-    elif kind is ScheduleKind.LIS:
-        depths = list(range(M + 1))
-    elif kind is ScheduleKind.EIS:
-        depths = [0] + [2 ** (k - 1) for k in range(1, M + 1)]
-    elif kind is ScheduleKind.POWER_BASE:
-        if r is None or r <= 1.0:
-            raise ConfigError(f"power-base schedule requires r > 1, got {r}")
-        depths = [0] + [_power_depth(float(r), k) for k in range(1, M + 1)]
-    else:
-        raise ConfigError("explicit schedules are built from stage lists, not make_schedule")
-    stages = tuple((m, shots) for m in depths)
+    stages = tuple((m, shots) for m in itertools.islice(_ladder(kind, r), M + 1))
     return Schedule(stages=stages, kind=kind, r=float(r) if kind is ScheduleKind.POWER_BASE else None)
+
+
+def capped_depths(kind: ScheduleKind | str, m_max: int, r: float | None = None) -> list[int]:
+    """The kind's distinct ladder depths below m_max, then m_max itself.
+
+    This is the deepest ladder that stays within a depth limit; it is [0]
+    when m_max < 1 or the kind never amplifies (classical).
+    """
+    kind = _parse_kind(kind)
+    if kind is ScheduleKind.CLASSICAL or m_max < 1:
+        return [0]
+    depths = [0]
+    for m in _ladder(kind, r):
+        if m >= m_max:
+            break
+        if m > depths[-1]:
+            depths.append(m)
+    depths.append(m_max)
+    return depths
 
 
 def explicit_schedule(stages: Iterable[tuple[int, int]]) -> Schedule:

@@ -59,12 +59,7 @@ def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
 
 def sample_counts(point: AmplitudePoint, schedule: Schedule, seed: int) -> ExperimentData:
     """Draw h_k ~ Binomial(N_k, P(m_k; a, kappa)) for every stage."""
-    rng = _rng_for(seed)
-    stages = []
-    for m, n in schedule.stages:
-        p = noisy_good_prob(m, point)
-        stages.append((m, n, _binomial(rng, n, p)))
-    return ExperimentData(stages=tuple(stages))
+    return _sample_with_rng(point, schedule, _rng_for(seed))
 
 
 def _sample_with_rng(

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .fisher import (
     ANOMALY_THRESHOLD,
-    _DET_RTOL,
+    FisherMatrix,
     _element_sums,
     classical_bound,
     cr_lower_bound,
@@ -80,9 +80,7 @@ def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
 
 def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized beta over interior amplitudes; second array flags bad samples."""
-    depths = np.asarray(schedule.depths)
-    shots = np.asarray(schedule.shots)
-    i11, i12, i22 = _element_sums(a, kappa, depths, shots)
+    i11, i12, i22 = _element_sums(a, kappa, schedule.depths, schedule.shots)
     with np.errstate(invalid="ignore", divide="ignore"):
         beta = np.minimum(i12 * i12 / (i11 * i22), 1.0)
     bad = ~np.isfinite(beta) | (i11 <= 0.0) | (i22 <= 0.0)
@@ -160,7 +158,7 @@ def error_vs_queries(
             beyond = mbar is not None and max(schedule.depths) > mbar
             rows.append(
                 QueryErrorRow(
-                    kind=ScheduleKind(kind).value if isinstance(kind, str) else kind.value,
+                    kind=schedule.kind.value,
                     kappa=kappa,
                     M=M,
                     n_queries=nq,
@@ -186,8 +184,9 @@ def error_vs_kappa_contour(
 ) -> ContourGrid:
     """epsilon_min on the product grid, amplitudes down the rows.
 
-    Cells where the Fisher matrix is numerically singular fall back to the
-    one-parameter bound, matching cr_lower_bound pointwise.
+    Each cell is FisherMatrix.errors()'s eps_a, the rule cr_lower_bound
+    applies, so cells where the matrix is numerically singular fall back to
+    the one-parameter bound.
     """
     a = np.asarray(a_values, dtype=float)
     kappas = np.asarray(kappa_values, dtype=float)
@@ -195,21 +194,15 @@ def error_vs_kappa_contour(
         raise DomainError("amplitude grid must lie strictly inside (0, 1)")
     if np.any(kappas < 0.0):
         raise DomainError("kappa grid must be non-negative")
-    depths = np.asarray(schedule.depths)
-    shots = np.asarray(schedule.shots)
     columns = []
     for kappa in kappas:
-        i11, i12, i22 = _element_sums(a, float(kappa), depths, shots)
-        det = i11 * i22 - i12 * i12
-        invertible = (i22 > 0.0) & (det > _DET_RTOL * i11 * i22)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            eps = np.where(invertible, np.sqrt(i22 / np.where(det > 0, det, 1.0)), 1.0 / np.sqrt(i11))
-        columns.append(eps)
-    grid = np.stack(columns, axis=1)  # shape (len(a), len(kappas))
+        i11, i12, i22 = _element_sums(a, float(kappa), schedule.depths, schedule.shots)
+        cells = zip(i11.tolist(), i12.tolist(), i22.tolist())
+        columns.append([FisherMatrix(*cell).errors()[0] for cell in cells])
     return ContourGrid(
         a_values=tuple(float(v) for v in a),
         kappa_values=tuple(float(v) for v in kappas),
-        epsilon_min=tuple(tuple(float(v) for v in row) for row in grid),
+        epsilon_min=tuple(zip(*columns)),
     )
 
 

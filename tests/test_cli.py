@@ -134,6 +134,26 @@ def test_estimate_file_errors(tmp_path, capsys):
     assert code == 3 and "aemle:" in err
 
 
+def _stages_json(stages):
+    return json.dumps({"stages": [{"m": m, "shots": n, "hits": h} for m, n, h in stages]})
+
+
+@pytest.mark.parametrize(
+    "stages",
+    [
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0)],  # no shots at all
+        [(0, 100, 100), (1, 100, 100), (2, 100, 100)],  # every shot a hit
+        [(0, 100, 0), (1, 100, 0), (2, 100, 0)],  # every shot a miss
+    ],
+)
+def test_estimate_without_hits_and_misses_exits_3(tmp_path, capsys, stages):
+    data_file = tmp_path / "saturated.json"
+    data_file.write_text(_stages_json(stages))
+    code, out, err = run_cli(capsys, "estimate", "--data", str(data_file), "--format", "csv")
+    assert code == 3 and out == ""
+    assert "no stage has both hits and misses" in err
+
+
 def test_invalid_flag_value_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["crbound", "--a", "1.5"])
@@ -192,6 +212,38 @@ def test_hwspec_emission(capsys):
     assert table["N_d"] == 16295
     assert table["m_bar"] == 99
     assert table["t_i_rule"] == "per_shot"
+
+
+# Verbatim output of `aemle hwspec --eps 0.001 --nint 5 --format csv`: the
+# kappa-bar scan builds about 200 saturated schedules and Cramer-Rao bounds,
+# and t_total sums over the capped doubling ladder.
+HWSPEC_GOLDEN_CSV = (
+    "# aemle 0.1.0 hwspec seed=20250817 eps=0.001 nint=5 nk=100 t_s=7.1e-08"
+    " t_d=2.8000000000000002e-07 t_m=3.4999999999999999e-06 interval_factor=10"
+    " error_ratio=10 interpretation=per_shot\n"
+    "quantity,description,value\n"
+    "N_nq,qubits per integration variable,10\n"
+    "N_tnq,total data qubits,99\n"
+    "N_y,multiplier partial products,1000\n"
+    "N_s,single-qubit gates per round,12687\n"
+    "N_d,two-qubit gates per round,16295\n"
+    "kappa_bar,tolerable noise level,0.014144317864547588\n"
+    "m_bar,maximum amplification depth,35\n"
+    "eps_s,single-qubit gate error budget,8.053150839223794e-08\n"
+    "eps_d,two-qubit gate error budget,8.053150839223794e-07\n"
+    "t_AA,time per amplification round (s),0.0054633770000000002\n"
+    "t_mbar,time of the deepest circuit (s),0.191221695\n"
+    "t_total,total executing time (s),588.97899059999997\n"
+    "t_i_rule,interval-time interpretation,per_shot\n"
+    "gap_s,device eps_s over required,12417.499932192819\n"
+    "gap_d,device eps_d over required,12417.499932192819\n"
+)
+
+
+def test_hwspec_golden_is_byte_identical(capsys):
+    code, out, _ = run_cli(capsys, "hwspec", "--eps", "0.001", "--nint", "5", "--format", "csv")
+    assert code == 0
+    assert out == HWSPEC_GOLDEN_CSV
 
 
 def test_schedule_json_round_trips_through_parser(capsys):

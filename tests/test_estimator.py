@@ -93,8 +93,22 @@ def test_degenerate_data_raises_only_on_saturated_classical():
         mle_grid_adaptive(ExperimentData(stages=((0, 100, 100), (0, 40, 0))))
     # interior hits: fine
     mle_grid_adaptive(ExperimentData(stages=((0, 100, 37),)))
-    # amplified stage: fine even with saturated hits
-    mle_grid_adaptive(ExperimentData(stages=((0, 100, 0), (1, 100, 0))))
+    # amplified stages with no hit at all still pin a to the boundary
+    with pytest.raises(DegenerateDataError):
+        mle_grid_adaptive(ExperimentData(stages=((0, 100, 0), (1, 100, 0))))
+    # an amplified stage with interior hits: fine
+    mle_grid_adaptive(ExperimentData(stages=((0, 100, 0), (1, 100, 3))))
+
+
+def test_degenerate_rule_needs_hits_and_misses_somewhere():
+    # a zero-shot stage next to all-hit stages: still every hit count equals its shots
+    with pytest.raises(DegenerateDataError):
+        mle_grid_adaptive(ExperimentData(stages=((0, 0, 0), (4, 30, 30))))
+    # every stage saturated, but hits and misses both occur: a is interior
+    result = mle_grid_adaptive(ExperimentData(stages=((0, 100, 0), (1, 100, 100))))
+    assert 0.0 < result.a_hat < 1.0
+    # zero-shot stages next to informative ones do not block an estimate
+    mle_grid_adaptive(ExperimentData(stages=((0, 0, 0), (1, 100, 40), (2, 100, 70))))
 
 
 def test_classical_stage_estimates_hit_rate():
@@ -175,6 +189,24 @@ def test_profile_rejects_negative_kappa():
     data = ExperimentData(stages=((0, 10, 4),))
     with pytest.raises(ConfigError):
         mle_profile_1d(data, kappa_fixed=-0.1)
+
+
+# Verbatim mle_profile_1d estimates (as float.hex) on three seeded datasets,
+# keyed by (a, kappa, kind, M, shots, seed, kappa_fixed): any change to the
+# profile search's boxes, grids or tie-breaking shows up as a changed bit.
+PROFILE_GOLDENS = [
+    ((0.375, 0.067, "eis", 5, 100, 2, 0.067), "0x1.8ccfc78610f29p-2"),
+    ((0.2, 0.01, "lis", 8, 200, 5, 0.0), "0x1.9ee30523a70d9p-3"),
+    ((0.7, 0.03, "powerbase", 6, 150, 9, 0.02), "0x1.68bd87881932ap-1"),
+]
+
+
+@pytest.mark.parametrize("case,expected", PROFILE_GOLDENS)
+def test_profile_goldens(case, expected):
+    a, kappa, kind, M, shots, seed, kappa_fixed = case
+    r = 2.5 if kind == "powerbase" else None
+    data = sample_counts(amplitude_point(a, kappa), make_schedule(kind, M, shots, r), seed)
+    assert mle_profile_1d(data, kappa_fixed).hex() == expected
 
 
 @st.composite

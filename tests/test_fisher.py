@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from aemle import (
     ANOMALY_THRESHOLD,
+    ConfigError,
     DegenerateScheduleError,
     DomainError,
+    FisherMatrix,
     NotAchievableError,
     SingularPointError,
     amplitude_point,
@@ -228,6 +230,46 @@ def test_saturated_schedule_shape():
     assert all(n == 100 for n in sched.shots)
     lis = saturated_schedule(0.1, 50, "lis")
     assert lis.depths == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "kappa,kind,r,depths",
+    [
+        (0.005, "powerbase", 2.5, (0, 1, 2, 6, 15, 39, 97, 99)),
+        # floor(1.5^k) repeats 1; the repeat is dropped
+        (0.005, "powerbase", 1.5, (0, 1, 2, 3, 5, 7, 11, 17, 25, 38, 57, 86, 99)),
+        (0.02, "powerbase", 1.5, (0, 1, 2, 3, 5, 7, 11, 17, 24)),
+        (0.005, "classical", None, (0,)),
+    ],
+)
+def test_saturated_schedule_depth_goldens(kappa, kind, r, depths):
+    assert saturated_schedule(kappa, 100, kind, r).depths == depths
+
+
+@pytest.mark.parametrize("kind,r", [("powerbase", None), ("powerbase", 1.0), ("explicit", None),
+                                    ("nope", None)])
+def test_saturated_schedule_rejects_what_make_schedule_rejects(kind, r):
+    with pytest.raises(ConfigError):
+        saturated_schedule(0.01, 100, kind, r)
+    with pytest.raises(ConfigError):
+        make_schedule(kind, 3, 100, r)
+
+
+def test_errors_and_beta_follow_the_inverse():
+    point = amplitude_point(0.3, 0.05)
+    sched = make_schedule("eis", 5, 100)
+    info = fisher_matrix(point, sched)
+    eps_a, eps_kappa = info.errors()
+    assert eps_a == cr_lower_bound(point, sched).epsilon_min
+    assert eps_a == pytest.approx(math.sqrt(info.i22 / info.det), rel=1e-15)
+    assert eps_kappa == pytest.approx(math.sqrt(info.i11 / info.det), rel=1e-15)
+    assert info.beta == anomality(point, sched)
+    # kappa uninformative or the matrix singular: the one-parameter bound
+    assert FisherMatrix(4.0, 0.0, 0.0).errors() == (0.5, None)
+    assert FisherMatrix(4.0, 2.0, 1.0).errors() == (0.5, None)
+    assert FisherMatrix(0.0, 0.0, 0.0).errors() == (math.inf, None)
+    assert FisherMatrix(4.0, 0.0, 0.0).beta is None
+    assert FisherMatrix(4.0, 3.0, 1.0).beta == 1.0
 
 
 def test_saturated_schedule_tiny_depth_budget():

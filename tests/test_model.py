@@ -19,6 +19,7 @@ from aemle import (
     schedule_to_json,
     total_queries,
 )
+from aemle.model import capped_depths
 
 
 def test_point_derives_theta_and_p():
@@ -113,6 +114,19 @@ def test_powerbase_requires_base_above_one():
         make_schedule("powerbase", 3, 10, r=1.0)
     with pytest.raises(ConfigError):
         make_schedule("powerbase", 3, 10)
+
+
+def test_capped_depths_stop_at_the_limit():
+    assert capped_depths("eis", 35) == [0, 1, 2, 4, 8, 16, 32, 35]
+    assert capped_depths("eis", 32) == [0, 1, 2, 4, 8, 16, 32]
+    assert capped_depths("lis", 3) == [0, 1, 2, 3]
+    # make_schedule keeps the repeated floor(1.5^1) = 1; the capped ladder drops it
+    assert make_schedule("powerbase", 3, 1, r=1.5).depths == (0, 1, 1, 2)
+    assert capped_depths("powerbase", 4, r=1.5) == [0, 1, 2, 3, 4]
+    assert capped_depths("eis", 0) == [0]
+    assert capped_depths(ScheduleKind.CLASSICAL, 50) == [0]
+    with pytest.raises(ConfigError):
+        capped_depths("explicit", 10)
 
 
 def test_total_queries():
