@@ -6,6 +6,8 @@ confidence box C_eps times the per-parameter Cramer-Rao errors, and searches
 stage k's accumulated likelihood on a constant-size grid inside that box
 (a linear, kappa log-spaced).  The previous estimate is snapped onto the new
 grid so a stage can never do worse than carrying the old estimate forward.
+Datasets that share a schedule run through one stage loop together, and
+each gets the result it would get alone.
 """
 from __future__ import annotations
 
@@ -13,12 +15,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError
-from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _fisher_at
-from .model import amplitude_point
+from .errors import AemleError, ConfigError, DegenerateDataError
+from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _element_sums
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
 EPS_P = 1e-12
@@ -108,6 +110,8 @@ class MleConfig:
             raise ConfigError("chebyshev_factor_scale must be positive")
         klo, khi = self.kappa_init_range
         alo, ahi = self.a_init_range
+        if not all(math.isfinite(x) for x in (klo, khi, alo, ahi)):
+            raise ConfigError("kappa_init_range and a_init_range must be finite")
         if not (0.0 <= klo < khi):
             raise ConfigError("kappa_init_range must satisfy 0 <= low < high")
         if not (0.0 <= alo < ahi <= 1.0):
@@ -182,24 +186,28 @@ def _stage_sum(terms: np.ndarray) -> np.ndarray:
 
 
 class _StageLikelihood:
-    """Binomial log-likelihood of a dataset's leading stages on (a, kappa) grids.
+    """Binomial log-likelihoods of datasets that share one schedule, on
+    (a, kappa) grids.
 
-    The stage counts are converted to float arrays once, and one stage-first
-    (stage, a, kappa) workspace serves every grid of an estimate.
+    The schedule and every dataset's counts are converted to float arrays
+    once, and one stage-first (stage, a, kappa) workspace serves every grid
+    of every dataset.
     """
 
-    def __init__(self, data: ExperimentData, n_a: int, n_kappa: int) -> None:
-        self.depths = np.asarray(data.depths, dtype=float)
-        self.shots = np.asarray(data.shots, dtype=float)
-        self.hits = np.asarray(data.hits, dtype=float)
+    def __init__(self, datasets: Sequence[ExperimentData], n_a: int, n_kappa: int) -> None:
+        self.depths = np.asarray(datasets[0].depths, dtype=float)
+        self.shots = np.asarray(datasets[0].shots, dtype=float)
+        self.hits = np.asarray([data.hits for data in datasets], dtype=float)
         self.misses = self.shots - self.hits
         shape = (len(self.depths), n_a, n_kappa)
         self._log_p = np.empty(shape)
         self._log_q = np.empty(shape)
 
-    def grid(self, n_stages: int, a_grid: np.ndarray, kappa_grid: np.ndarray) -> np.ndarray:
-        """Sum over stages 0..n_stages-1 of h ln P + (N - h) ln(1 - P), with
-        P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
+    def grid(
+        self, t: int, n_stages: int, a_grid: np.ndarray, kappa_grid: np.ndarray
+    ) -> np.ndarray:
+        """Sum over dataset t's stages 0..n_stages-1 of h ln P + (N - h) ln(1 - P),
+        with P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
         [EPS_P, 1 - EPS_P]; shape (len(a_grid), len(kappa_grid))."""
         m = self.depths[:n_stages]
         theta = np.arcsin(np.sqrt(np.clip(a_grid, 0.0, 1.0)))
@@ -213,8 +221,8 @@ class _StageLikelihood:
         np.negative(log_p, out=log_q)
         np.log1p(log_q, out=log_q)
         np.log(log_p, out=log_p)
-        log_p *= self.hits[:n_stages, None, None]
-        log_q *= self.misses[:n_stages, None, None]
+        log_p *= self.hits[t, :n_stages, None, None]
+        log_q *= self.misses[t, :n_stages, None, None]
         log_p += log_q
         return _stage_sum(log_p)
 
@@ -222,8 +230,8 @@ class _StageLikelihood:
 def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
     """Sum of h ln P + (N - h) ln(1 - P) over stages, with P clamped to
     [1e-12, 1 - 1e-12]; always finite."""
-    grid = _StageLikelihood(data, 1, 1).grid(
-        len(data.stages), np.asarray([float(a)]), np.asarray([float(kappa)])
+    grid = _StageLikelihood([data], 1, 1).grid(
+        0, len(data.stages), np.asarray([float(a)]), np.asarray([float(kappa)])
     )
     return float(grid[0, 0])
 
@@ -234,22 +242,48 @@ def _chebyshev_factor(eps_target: float, scale: float) -> int:
     return max(3, math.ceil(math.sqrt(math.log(1.0 / eps))) * math.ceil(scale))
 
 
-def _snap(grid: np.ndarray, value: float) -> tuple[np.ndarray, int]:
-    """Replace the grid point nearest to value with value itself; returns the
-    new grid and that point's index."""
-    out = grid.copy()
-    index = int(np.argmin(np.abs(grid - value)))
-    out[index] = value
-    return out, index
+def _snap(grids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """In each row of grids, replace the point nearest to that row's value
+    with the value itself (the first nearest on ties); returns those indices."""
+    index = np.abs(grids - values[:, None]).argmin(axis=1)
+    grids[np.arange(len(grids)), index] = values
+    return index
+
+
+def _linspace(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """np.linspace(lo, hi, num) with the bits of a lone call in every column.
+
+    With array endpoints numpy switches every column to its zero-step
+    formula as soon as one column's step is zero, so columns with and
+    without a zero step are spaced apart.
+    """
+    zero = (hi - lo) / (num - 1) == 0.0
+    if np.count_nonzero(zero) in (0, len(zero)):
+        return np.linspace(lo, hi, num)
+    out = np.empty((num, len(lo)))
+    for cols in (zero, ~zero):
+        out[:, cols] = np.linspace(lo[cols], hi[cols], num)
+    return out
+
+
+def _geomspace(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """np.geomspace(lo, hi, num) for positive endpoints, with the bits of a
+    lone call in every column: numpy's 10 ** linspace(log10 lo, log10 hi)
+    with both endpoints set exactly."""
+    out = np.power(10.0, _linspace(np.log10(lo), np.log10(hi), num))
+    out[0] = lo
+    out[-1] = hi
+    return out
 
 
 def _fisher_prefix(
-    a: float, kappa: float, lik: _StageLikelihood, n_stages: int
-) -> FisherMatrix:
-    """Fisher matrix of the first n_stages stages at (a, kappa), with a inset
-    from the {0, 1} boundary where the information is singular."""
-    point = amplitude_point(min(max(a, _A_INSET), 1.0 - _A_INSET), kappa)
-    return _fisher_at(point, lik.depths[:n_stages], lik.shots[:n_stages])
+    lik: _StageLikelihood, a: np.ndarray, kappa: np.ndarray | float, n_stages: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fisher sums (i11, i12, i22) of the first n_stages stages at each
+    (a[t], kappa[t]), with a inset from the {0, 1} boundary where the
+    information is singular."""
+    a = np.minimum(np.maximum(a, _A_INSET), 1.0 - _A_INSET)
+    return _element_sums(a, kappa, lik.depths[:n_stages], lik.shots[:n_stages])
 
 
 def _kappa_init_box(config: MleConfig) -> tuple[float, float]:
@@ -258,72 +292,154 @@ def _kappa_init_box(config: MleConfig) -> tuple[float, float]:
     return max(lo, _KAPPA_GRID_FLOOR), max(hi, 2 * _KAPPA_GRID_FLOOR)
 
 
+def _box(
+    info: FisherMatrix, a_hat: float, kappa_hat: float, config: MleConfig,
+    kappa_fixed: float | None,
+) -> tuple[float, float, float, float]:
+    """Search box (a_lo, a_hi, kappa_lo, kappa_hi): C_eps Cramer-Rao errors
+    around the running estimate, clipped to the domain, or the init range
+    along an axis whose error is unknown."""
+    eps_a, eps_k = info.errors()
+    c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
+    if math.isfinite(eps_a):
+        a_lo = max(0.0, a_hat - c_box * eps_a)
+        a_hi = min(1.0, a_hat + c_box * eps_a)
+    else:
+        a_lo, a_hi = config.a_init_range
+    if kappa_fixed is not None:
+        k_lo = k_hi = kappa_fixed
+    elif eps_k is not None:
+        k_lo = max(kappa_hat - c_box * eps_k, _KAPPA_GRID_FLOOR)
+        k_hi = max(kappa_hat + c_box * eps_k, 2 * _KAPPA_GRID_FLOOR)
+    else:
+        k_lo, k_hi = _kappa_init_box(config)
+    return a_lo, a_hi, k_lo, k_hi
+
+
 def _search(
     lik: _StageLikelihood, config: MleConfig, kappa_fixed: float | None
-) -> tuple[float, float, float, int, list[StageTrace]]:
-    """The stage-by-stage box search; returns (a_hat, kappa_hat, best_ll,
-    evaluations, trace).
+) -> tuple[np.ndarray, np.ndarray, list[float], int, list[list[StageTrace]]]:
+    """The stage-by-stage box search of every dataset of lik at once; returns
+    per-dataset a_hat, kappa_hat, best_ll and trace, and the evaluation count
+    of one dataset.
 
-    kappa_fixed=None searches kappa on the log-spaced grid.  A fixed kappa is
-    searched as a one-point axis, and its a-box is sized by the
+    Each stage makes one Fisher call, one grid-spacing call per axis and one
+    snap for all datasets, sizes each dataset's box from its own
+    FisherMatrix.errors(), and evaluates the likelihood one dataset at a
+    time.  kappa_fixed=None searches kappa on the log-spaced grid.  A fixed
+    kappa is searched as a one-point axis, and its a-box is sized by the
     one-parameter error 1/sqrt(i11) at that kappa.
     """
     div = config.divisions_per_stage
-    klo_init, khi_init = _kappa_init_box(config)
-    a_hat = kappa_hat = None
+    n_data = len(lik.hits)
+    rows = np.arange(n_data)
+    a_hat = kappa_hat = np.full(n_data, math.nan)
     evaluations = 0
-    trace: list[StageTrace] = []
+    traces: list[list[StageTrace]] = [[] for _ in range(n_data)]
 
     for stage in range(len(lik.depths)):
         if stage == 0:
-            info = FisherMatrix(0.0, 0.0, 0.0)  # no stage seen yet: the init box
+            infos = [FisherMatrix(0.0, 0.0, 0.0)] * n_data  # no stage seen yet: the init box
         elif kappa_fixed is None:
-            info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, stage)
+            sums = _fisher_prefix(lik, a_hat, np.maximum(kappa_hat, _KAPPA_GRID_FLOOR), stage)
+            infos = [FisherMatrix(*fisher) for fisher in zip(*(x.tolist() for x in sums))]
         else:
             # kappa is held fixed, so only the a-information sizes the box
-            info = FisherMatrix(_fisher_prefix(a_hat, kappa_fixed, lik, stage).i11, 0.0, 0.0)
-        eps_a, eps_k = info.errors()
-        c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
-        if math.isfinite(eps_a):
-            a_lo = max(0.0, a_hat - c_box * eps_a)
-            a_hi = min(1.0, a_hat + c_box * eps_a)
-        else:
-            a_lo, a_hi = config.a_init_range
-        if eps_k is not None:
-            k_lo = max(kappa_hat - c_box * eps_k, _KAPPA_GRID_FLOOR)
-            k_hi = max(kappa_hat + c_box * eps_k, 2 * _KAPPA_GRID_FLOOR)
-        else:
-            k_lo, k_hi = klo_init, khi_init
+            i11 = _fisher_prefix(lik, a_hat, kappa_fixed, stage)[0]
+            infos = [FisherMatrix(x, 0.0, 0.0) for x in i11.tolist()]
+        boxes = [
+            _box(info, a, k, config, kappa_fixed)
+            for info, a, k in zip(infos, a_hat.tolist(), kappa_hat.tolist())
+        ]
+        box = np.asarray(boxes, dtype=float)
+        a_lo, a_hi, k_lo, k_hi = np.ascontiguousarray(box.T)
 
-        a_grid = np.linspace(a_lo, a_hi, div)
+        # (dataset, point) views of numpy's native (point, dataset) layout
+        a_grid = _linspace(a_lo, a_hi, div).T
         if kappa_fixed is None:
-            k_grid = np.geomspace(k_lo, k_hi, div)
+            k_grid = _geomspace(k_lo, k_hi, div).T
         else:
-            k_lo = k_hi = kappa_fixed
-            k_grid = np.asarray([kappa_fixed])
+            k_grid = np.full((n_data, 1), kappa_fixed)
         if stage > 0:
-            a_grid, ia_prev = _snap(a_grid, a_hat)
-            k_grid, ik_prev = _snap(k_grid, kappa_hat)
+            ia_prev = _snap(a_grid, a_hat).tolist()
+            ik_prev = _snap(k_grid, kappa_hat).tolist()
 
-        ll = lik.grid(stage + 1, a_grid, k_grid)
-        evaluations += ll.size
-        flat = int(np.argmax(ll))  # first max in a-major order: smallest a, then kappa
-        ia, ik = np.unravel_index(flat, ll.shape)
-        carried_ll = float(ll[ia_prev, ik_prev]) if stage > 0 else float("nan")
-        a_hat, kappa_hat = float(a_grid[ia]), float(k_grid[ik])
-        best_ll = float(ll[ia, ik])
-        trace.append(
-            StageTrace(
-                stage=stage,
-                a_lo=float(a_lo),
-                a_hi=float(a_hi),
-                kappa_lo=float(k_lo),
-                kappa_hi=float(k_hi),
-                best_ll=best_ll,
-                carried_ll=carried_ll,
+        evaluations += a_grid.shape[1] * k_grid.shape[1]
+        ia, ik, best_ll = [], [], []
+        for t, bounds in enumerate(box.tolist()):
+            ll = lik.grid(t, stage + 1, a_grid[t], k_grid[t])
+            # first max in a-major order: smallest a, then kappa
+            i, j = divmod(int(ll.argmax()), ll.shape[1])
+            carried_ll = float(ll[ia_prev[t], ik_prev[t]]) if stage > 0 else math.nan
+            ia.append(i)
+            ik.append(j)
+            best_ll.append(float(ll[i, j]))
+            traces[t].append(StageTrace(stage, *bounds, best_ll[t], carried_ll))
+        a_hat, kappa_hat = a_grid[rows, ia], k_grid[rows, ik]
+    return a_hat, kappa_hat, best_ll, evaluations, traces
+
+
+def _data_error(data: ExperimentData, config: MleConfig) -> AemleError | None:
+    """The error that keeps data from being estimated, or None."""
+    n_stages = len(data.stages)
+    if n_stages > config.max_stages:
+        return ConfigError(f"data has {n_stages} stages, config allows {config.max_stages}")
+    if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
+        return DegenerateDataError(
+            "all stages are classical with saturated hit counts; the estimate "
+            "lies on the amplitude boundary"
+        )
+    if all(h == 0 for h in data.hits) or data.hits == data.shots:
+        return DegenerateDataError(
+            "no stage has both hits and misses; the estimate lies on the "
+            "parameter boundary"
+        )
+    return None
+
+
+def _estimate_batch(
+    datasets: Sequence[ExperimentData], config: MleConfig
+) -> list[EstimateResult | AemleError]:
+    """mle_grid_adaptive on datasets that share one schedule (the same depths
+    and shots), in one stage loop.
+
+    A dataset that cannot be estimated gets its error in place of a result;
+    the others are estimated exactly as they would be alone.
+    """
+    depths, shots = datasets[0].depths, datasets[0].shots
+    if any(data.depths != depths or data.shots != shots for data in datasets):
+        raise ConfigError("the datasets of a batch must share one schedule")
+    errors = [_data_error(data, config) for data in datasets]
+    good = [data for data, error in zip(datasets, errors) if error is None]
+    if not good:
+        return errors
+    div = config.divisions_per_stage
+    kappa_identifiable = any(m > 0 for m in depths)
+    kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_kappa_init_box(config)))
+    lik = _StageLikelihood(good, div, div if kappa_identifiable else 1)
+    a_hat, kappa_hat, best_ll, evaluations, traces = _search(lik, config, kappa_fixed)
+
+    sums = _fisher_prefix(lik, a_hat, np.maximum(kappa_hat, _KAPPA_GRID_FLOOR), len(depths))
+    i11, i12, i22 = (x.tolist() for x in sums)
+    results = []
+    for t in range(len(good)):
+        info = FisherMatrix(i11[t], i12[t], i22[t])
+        beta = info.beta
+        results.append(
+            EstimateResult(
+                a_hat=float(a_hat[t]),
+                kappa_hat=float(kappa_hat[t]),
+                log_likelihood_at_max=best_ll[t],
+                fisher_at_estimate=info,
+                likelihood_evaluations=evaluations,
+                stage_trace=tuple(traces[t]),
+                anomalous=beta is not None and beta > ANOMALY_THRESHOLD,
+                anomality=beta,
+                kappa_identifiable=kappa_identifiable,
             )
         )
-    return a_hat, kappa_hat, best_ll, evaluations, trace
+    estimates = iter(results)
+    return [error if error is not None else next(estimates) for error in errors]
 
 
 def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> EstimateResult:
@@ -335,40 +451,12 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
     fixed at the log-midpoint of kappa_init_range and flagged.  Data whose
     hit counts are all 0, or all equal to the shots, raise
     DegenerateDataError: its likelihood peaks on the parameter boundary.
+    This is a batch of one dataset.
     """
-    config = config or MleConfig()
-    n_stages = len(data.stages)
-    if n_stages > config.max_stages:
-        raise ConfigError(f"data has {n_stages} stages, config allows {config.max_stages}")
-    if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
-        raise DegenerateDataError(
-            "all stages are classical with saturated hit counts; the estimate "
-            "lies on the amplitude boundary"
-        )
-    if all(h == 0 for h in data.hits) or data.hits == data.shots:
-        raise DegenerateDataError(
-            "no stage has both hits and misses; the estimate lies on the "
-            "parameter boundary"
-        )
-    div = config.divisions_per_stage
-    kappa_identifiable = any(m > 0 for m in data.depths)
-    kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_kappa_init_box(config)))
-    lik = _StageLikelihood(data, div, div if kappa_identifiable else 1)
-    a_hat, kappa_hat, best_ll, evaluations, trace = _search(lik, config, kappa_fixed)
-
-    info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, n_stages)
-    beta = info.beta
-    return EstimateResult(
-        a_hat=a_hat,
-        kappa_hat=kappa_hat,
-        log_likelihood_at_max=best_ll,
-        fisher_at_estimate=info,
-        likelihood_evaluations=evaluations,
-        stage_trace=tuple(trace),
-        anomalous=beta is not None and beta > ANOMALY_THRESHOLD,
-        anomality=beta,
-        kappa_identifiable=kappa_identifiable,
-    )
+    (result,) = _estimate_batch([data], config or MleConfig())
+    if isinstance(result, AemleError):
+        raise result
+    return result
 
 
 def mle_profile_1d(
@@ -378,5 +466,5 @@ def mle_profile_1d(
     if kappa_fixed < 0.0:
         raise ConfigError(f"kappa_fixed={kappa_fixed} must be >= 0")
     config = config or MleConfig()
-    lik = _StageLikelihood(data, config.divisions_per_stage, 1)
-    return _search(lik, config, float(kappa_fixed))[0]
+    lik = _StageLikelihood([data], config.divisions_per_stage, 1)
+    return float(_search(lik, config, float(kappa_fixed))[0][0])

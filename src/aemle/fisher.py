@@ -98,33 +98,37 @@ class CrBoundResult:
 
 
 def _element_sums(
-    a: np.ndarray, kappa: float, depths: np.ndarray, shots: np.ndarray
+    a: np.ndarray, kappa: np.ndarray | float, depths: np.ndarray, shots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Fisher sums for an array of amplitudes at one noise level.
+    """Vectorized Fisher sums for an array of amplitudes.
 
-    Shapes: a is (K,), depths/shots are (S,); returns three (K,) arrays.
+    Shapes: a is (K,), kappa is one noise level for all of them or (K,), one
+    per amplitude, depths/shots are (S,); returns three (K,) arrays.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    if np.any(a <= 0.0) or np.any(a >= 1.0):
+    if a.min() <= 0.0 or a.max() >= 1.0:
         raise SingularPointError("Fisher information is singular at a in {0, 1}")
     theta = np.arcsin(np.sqrt(a))[:, None]
+    kappa = np.reshape(np.asarray(kappa, dtype=float), (-1, 1))
     m = np.asarray(depths, dtype=float)[None, :]
     n = np.asarray(shots, dtype=float)[None, :]
-    x = 2.0 * (2.0 * m + 1.0) * theta
+    odd = 2.0 * m + 1.0
+    x = 2.0 * odd * theta
     sin2_x = np.sin(x) ** 2
     with np.errstate(over="ignore"):
         denom = np.expm1(2.0 * kappa * m) + sin2_x
-    if float(np.min(denom)) < _DENOM_FLOOR:
+    if denom.min() < _DENOM_FLOOR:
         raise DegenerateTermError(
             "Fisher summand denominator underflowed (kappa = 0 on a sine zero)"
         )
     # sin(2 theta_a) = 2 sqrt(a(1-a)) exactly; avoids rounding near the ends.
-    sin2_2t = (4.0 * a * (1.0 - a))[:, None]
-    sin_2t = (2.0 * np.sqrt(a * (1.0 - a)))[:, None]
+    one_minus_a = 1.0 - a
+    sin2_2t = (4.0 * a * one_minus_a)[:, None]
+    sin_2t = (2.0 * np.sqrt(a * one_minus_a))[:, None]
     with np.errstate(invalid="ignore"):
-        i11 = np.sum(n * (2.0 * m + 1.0) ** 2 / sin2_2t * 4.0 * sin2_x / denom, axis=1)
-        i12 = np.sum(n * m * (2.0 * m + 1.0) / sin_2t * np.sin(2.0 * x) / denom, axis=1)
-        i22 = np.sum(n * m**2 * np.cos(x) ** 2 / denom, axis=1)
+        i11 = (n * odd**2 / sin2_2t * 4.0 * sin2_x / denom).sum(axis=1)
+        i12 = (n * m * odd / sin_2t * np.sin(2.0 * x) / denom).sum(axis=1)
+        i22 = (n * m**2 * np.cos(x) ** 2 / denom).sum(axis=1)
     return i11, i12, i22
 
 

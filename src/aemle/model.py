@@ -20,6 +20,10 @@ from .errors import ConfigError, DomainError
 # Nudge added before flooring r**(k-1) so 2.9999999 floors to 3, not 2.
 _FLOOR_NUDGE = 1e-9
 
+# Most stages a depth-capped ladder may have: the lis ladder has one stage per
+# depth, 5e7 of them below the cap at kappa = 1e-8.
+_MAX_LADDER_STAGES = 10_000
+
 
 class ScheduleKind(Enum):
     CLASSICAL = "classical"
@@ -154,7 +158,8 @@ def capped_depths(kind: ScheduleKind | str, m_max: int, r: float | None = None) 
     """The kind's distinct ladder depths below m_max, then m_max itself.
 
     This is the deepest ladder that stays within a depth limit; it is [0]
-    when m_max < 1 or the kind never amplifies (classical).
+    when m_max < 1 or the kind never amplifies (classical).  A ladder of
+    more than _MAX_LADDER_STAGES stages raises ConfigError before it is built.
     """
     kind = _parse_kind(kind)
     if kind is ScheduleKind.CLASSICAL or m_max < 1:
@@ -164,6 +169,11 @@ def capped_depths(kind: ScheduleKind | str, m_max: int, r: float | None = None) 
         if m >= m_max:
             break
         if m > depths[-1]:
+            if len(depths) + 2 > _MAX_LADDER_STAGES:  # m and m_max still to come
+                raise ConfigError(
+                    f"the {kind.value} ladder up to depth {m_max} has more than "
+                    f"{_MAX_LADDER_STAGES} stages"
+                )
             depths.append(m)
     depths.append(m_max)
     return depths

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AemleError, ConfigError
-from .estimator import EstimateResult, ExperimentData, MleConfig, mle_grid_adaptive
+from .errors import ConfigError
+from .estimator import EstimateResult, ExperimentData, MleConfig, _estimate_batch
 from .fisher import cr_lower_bound
 from .model import (
     AmplitudePoint,
@@ -82,22 +82,6 @@ def _jackknife_rmse_stderr(sq_errors: np.ndarray) -> float:
     return float(math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2))))
 
 
-def _run_one_trial(
-    point: AmplitudePoint,
-    schedule: Schedule,
-    config: MleConfig,
-    seed: int,
-    M: int,
-    trial: int,
-) -> EstimateResult | None:
-    rng = _rng_for(seed, M, trial)
-    data = _sample_with_rng(point, schedule, rng)
-    try:
-        return mle_grid_adaptive(data, config)
-    except AemleError:
-        return None
-
-
 def run_trials(
     point: AmplitudePoint,
     kind: ScheduleKind | str,
@@ -111,9 +95,9 @@ def run_trials(
     """Estimate over seeded repetitions for each M = 1..M_max.
 
     Per M: builds the schedule, samples `trials` independent datasets,
-    estimates (a, kappa) on each, and records the RMSE of a-hat against the
-    true a with a jackknife standard error.  Trials whose estimation raises
-    are excluded and counted.
+    estimates (a, kappa) on all of them in one batched stage loop, and
+    records the RMSE of a-hat against the true a with a jackknife standard
+    error.  Trials whose estimation fails are excluded and counted.
     """
     if trials < 1:
         raise ConfigError(f"trials={trials} must be >= 1")
@@ -121,8 +105,11 @@ def run_trials(
     records = []
     for M in range(1, M_max + 1):
         schedule = make_schedule(kind, M, shots, r)
-        results = [_run_one_trial(point, schedule, config, seed, M, t) for t in range(trials)]
-        good = [res for res in results if res is not None]
+        datasets = [
+            _sample_with_rng(point, schedule, _rng_for(seed, M, t)) for t in range(trials)
+        ]
+        results = _estimate_batch(datasets, config)
+        good = [res for res in results if isinstance(res, EstimateResult)]
         failed = trials - len(good)
         sq_errors = np.asarray([(res.a_hat - point.a) ** 2 for res in good])
         rmse = float(np.sqrt(np.mean(sq_errors))) if good else float("nan")

@@ -8,6 +8,10 @@ exact covariance of the score over every possible outcome vector.
 The likelihood-grid reference is the estimator's original stage-last
 broadcast formula, kept verbatim so the stage-first kernel can be checked
 against it bit for bit.
+
+The search reference is the estimator's original one-dataset stage loop,
+kept verbatim on top of that likelihood grid, so the trial-batched search
+can be checked against it result for result.
 """
 from __future__ import annotations
 
@@ -16,6 +20,19 @@ import itertools
 import math
 
 import numpy as np
+
+from aemle.errors import ConfigError, DegenerateDataError
+from aemle.estimator import (
+    _A_INSET,
+    _KAPPA_GRID_FLOOR,
+    EstimateResult,
+    MleConfig,
+    StageTrace,
+    _chebyshev_factor,
+    _kappa_init_box,
+)
+from aemle.fisher import ANOMALY_THRESHOLD, FisherMatrix, _fisher_at
+from aemle.model import amplitude_point
 
 _H = 1e-30  # complex-step size; contributes no subtractive rounding
 
@@ -87,3 +104,145 @@ def log_likelihood_grid(depths, shots, hits, a_grid, kappa_grid):
     probs = 0.5 - 0.5 * np.exp(-kk * mm) * np.cos(2.0 * (2.0 * mm + 1.0) * theta)
     probs = np.clip(probs, 1e-12, 1.0 - 1e-12)
     return np.sum(hits * np.log(probs) + (shots - hits) * np.log1p(-probs), axis=2)
+
+
+class ReferenceLikelihood:
+    """One dataset's stage arrays and its likelihood grid through
+    log_likelihood_grid, in the interface the search reference reads."""
+
+    def __init__(self, data) -> None:
+        self.data = data
+        self.depths = np.asarray(data.depths, dtype=float)
+        self.shots = np.asarray(data.shots, dtype=float)
+
+    def grid(self, n_stages, a_grid, kappa_grid):
+        d = self.data
+        return log_likelihood_grid(
+            d.depths[:n_stages], d.shots[:n_stages], d.hits[:n_stages], a_grid, kappa_grid
+        )
+
+
+def _snap(grid: np.ndarray, value: float) -> tuple[np.ndarray, int]:
+    """Replace the grid point nearest to value with value itself; returns the
+    new grid and that point's index."""
+    out = grid.copy()
+    index = int(np.argmin(np.abs(grid - value)))
+    out[index] = value
+    return out, index
+
+
+def _fisher_prefix(a: float, kappa: float, lik, n_stages: int) -> FisherMatrix:
+    """Fisher matrix of the first n_stages stages at (a, kappa), with a inset
+    from the {0, 1} boundary where the information is singular."""
+    point = amplitude_point(min(max(a, _A_INSET), 1.0 - _A_INSET), kappa)
+    return _fisher_at(point, lik.depths[:n_stages], lik.shots[:n_stages])
+
+
+def search_reference(
+    lik, config: MleConfig, kappa_fixed: float | None
+) -> tuple[float, float, float, int, list[StageTrace]]:
+    """The stage-by-stage box search; returns (a_hat, kappa_hat, best_ll,
+    evaluations, trace).
+
+    kappa_fixed=None searches kappa on the log-spaced grid.  A fixed kappa is
+    searched as a one-point axis, and its a-box is sized by the
+    one-parameter error 1/sqrt(i11) at that kappa.
+    """
+    div = config.divisions_per_stage
+    klo_init, khi_init = _kappa_init_box(config)
+    a_hat = kappa_hat = None
+    evaluations = 0
+    trace: list[StageTrace] = []
+
+    for stage in range(len(lik.depths)):
+        if stage == 0:
+            info = FisherMatrix(0.0, 0.0, 0.0)  # no stage seen yet: the init box
+        elif kappa_fixed is None:
+            info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, stage)
+        else:
+            # kappa is held fixed, so only the a-information sizes the box
+            info = FisherMatrix(_fisher_prefix(a_hat, kappa_fixed, lik, stage).i11, 0.0, 0.0)
+        eps_a, eps_k = info.errors()
+        c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
+        if math.isfinite(eps_a):
+            a_lo = max(0.0, a_hat - c_box * eps_a)
+            a_hi = min(1.0, a_hat + c_box * eps_a)
+        else:
+            a_lo, a_hi = config.a_init_range
+        if eps_k is not None:
+            k_lo = max(kappa_hat - c_box * eps_k, _KAPPA_GRID_FLOOR)
+            k_hi = max(kappa_hat + c_box * eps_k, 2 * _KAPPA_GRID_FLOOR)
+        else:
+            k_lo, k_hi = klo_init, khi_init
+
+        a_grid = np.linspace(a_lo, a_hi, div)
+        if kappa_fixed is None:
+            k_grid = np.geomspace(k_lo, k_hi, div)
+        else:
+            k_lo = k_hi = kappa_fixed
+            k_grid = np.asarray([kappa_fixed])
+        if stage > 0:
+            a_grid, ia_prev = _snap(a_grid, a_hat)
+            k_grid, ik_prev = _snap(k_grid, kappa_hat)
+
+        ll = lik.grid(stage + 1, a_grid, k_grid)
+        evaluations += ll.size
+        flat = int(np.argmax(ll))  # first max in a-major order: smallest a, then kappa
+        ia, ik = np.unravel_index(flat, ll.shape)
+        carried_ll = float(ll[ia_prev, ik_prev]) if stage > 0 else float("nan")
+        a_hat, kappa_hat = float(a_grid[ia]), float(k_grid[ik])
+        best_ll = float(ll[ia, ik])
+        trace.append(
+            StageTrace(
+                stage=stage,
+                a_lo=float(a_lo),
+                a_hi=float(a_hi),
+                kappa_lo=float(k_lo),
+                kappa_hi=float(k_hi),
+                best_ll=best_ll,
+                carried_ll=carried_ll,
+            )
+        )
+    return a_hat, kappa_hat, best_ll, evaluations, trace
+
+
+def estimate_reference(data, config: MleConfig | None = None) -> EstimateResult:
+    """mle_grid_adaptive of one dataset through search_reference."""
+    config = config or MleConfig()
+    n_stages = len(data.stages)
+    if n_stages > config.max_stages:
+        raise ConfigError(f"data has {n_stages} stages, config allows {config.max_stages}")
+    if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
+        raise DegenerateDataError(
+            "all stages are classical with saturated hit counts; the estimate "
+            "lies on the amplitude boundary"
+        )
+    if all(h == 0 for h in data.hits) or data.hits == data.shots:
+        raise DegenerateDataError(
+            "no stage has both hits and misses; the estimate lies on the "
+            "parameter boundary"
+        )
+    kappa_identifiable = any(m > 0 for m in data.depths)
+    kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_kappa_init_box(config)))
+    lik = ReferenceLikelihood(data)
+    a_hat, kappa_hat, best_ll, evaluations, trace = search_reference(lik, config, kappa_fixed)
+
+    info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, n_stages)
+    beta = info.beta
+    return EstimateResult(
+        a_hat=a_hat,
+        kappa_hat=kappa_hat,
+        log_likelihood_at_max=best_ll,
+        fisher_at_estimate=info,
+        likelihood_evaluations=evaluations,
+        stage_trace=tuple(trace),
+        anomalous=beta is not None and beta > ANOMALY_THRESHOLD,
+        anomality=beta,
+        kappa_identifiable=kappa_identifiable,
+    )
+
+
+def profile_reference(data, kappa_fixed: float, config: MleConfig | None = None) -> float:
+    """mle_profile_1d of one dataset through search_reference."""
+    config = config or MleConfig()
+    return search_reference(ReferenceLikelihood(data), config, float(kappa_fixed))[0]

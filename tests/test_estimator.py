@@ -86,6 +86,18 @@ def test_config_validation():
         MleConfig(max_stages=0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_ranges(bad):
+    with pytest.raises(ConfigError):
+        MleConfig(kappa_init_range=(1e-6, bad))
+    with pytest.raises(ConfigError):
+        MleConfig(kappa_init_range=(bad, 2.0))
+    with pytest.raises(ConfigError):
+        MleConfig(a_init_range=(0.0, bad))
+    with pytest.raises(ConfigError):
+        MleConfig(a_init_range=(bad, 1.0))
+
+
 def test_degenerate_data_raises_only_on_saturated_classical():
     with pytest.raises(DegenerateDataError):
         mle_grid_adaptive(ExperimentData(stages=((0, 100, 0),)))
@@ -238,7 +250,7 @@ def test_stage_first_kernel_is_bit_identical_to_broadcast_formula(
     a_grid = np.linspace(min(a_box), max(a_box), div)
     k_grid = np.asarray([k_box[0]]) if profile else np.geomspace(min(k_box), max(k_box), div)
     n_stages = 1 + int(prefix * (len(data.stages) - 1))
-    got = _StageLikelihood(data, div, len(k_grid)).grid(n_stages, a_grid, k_grid)
+    got = _StageLikelihood([data], div, len(k_grid)).grid(0, n_stages, a_grid, k_grid)
     ref = log_likelihood_grid(
         data.depths[:n_stages], data.shots[:n_stages], data.hits[:n_stages], a_grid, k_grid
     )

@@ -272,6 +272,17 @@ def test_errors_and_beta_follow_the_inverse():
     assert FisherMatrix(4.0, 3.0, 1.0).beta == 1.0
 
 
+def test_lis_ladder_below_a_deep_cap_is_refused():
+    # m-bar(1e-8) is about 5e7: one lis stage per depth would be 5e7 stages
+    with pytest.raises(ConfigError):
+        saturated_schedule(1e-8, 100, "lis")
+    # the kappa scan starts at 1e-8, so the lis kind stops at its first point
+    with pytest.raises(ConfigError):
+        required_noise_for_error(0.375, 1e-3, 100, kind="lis")
+    # the eis ladder at the same depth budget has 28 stages
+    assert len(saturated_schedule(1e-8, 100, "eis")) == 28
+
+
 def test_saturated_schedule_tiny_depth_budget():
     # m-bar = 0: only the unamplified stage remains
     sched = saturated_schedule(1.5, 40)

@@ -19,7 +19,7 @@ from aemle import (
     schedule_to_json,
     total_queries,
 )
-from aemle.model import capped_depths
+from aemle.model import _MAX_LADDER_STAGES, capped_depths
 
 
 def test_point_derives_theta_and_p():
@@ -127,6 +127,17 @@ def test_capped_depths_stop_at_the_limit():
     assert capped_depths(ScheduleKind.CLASSICAL, 50) == [0]
     with pytest.raises(ConfigError):
         capped_depths("explicit", 10)
+
+
+def test_capped_depths_refuses_overlong_ladders():
+    # lis has one stage per depth: [0, 1, ..., m_max] is m_max + 1 stages
+    assert len(capped_depths("lis", _MAX_LADDER_STAGES - 1)) == _MAX_LADDER_STAGES
+    with pytest.raises(ConfigError):
+        capped_depths("lis", _MAX_LADDER_STAGES)
+    with pytest.raises(ConfigError):
+        capped_depths("lis", 50_000_000)
+    # slow geometric ladders stay well inside the limit
+    assert len(capped_depths("powerbase", 2**40, r=1.01)) < _MAX_LADDER_STAGES
 
 
 def test_total_queries():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aemle import (
+    AemleError,
     ConfigError,
     amplitude_point,
     hit_rate_curve,
@@ -57,22 +58,44 @@ def test_run_trials_record_shape():
         assert rec.epsilon_min > 0.0
 
 
+def _records_from_single_trials(point, shots, trials, seed, M):
+    """failed_trials, rmse, stderr and mean_kappa_hat of one M, with every
+    trial sampled from its (seed, M, t) stream and estimated alone."""
+    schedule = make_schedule("eis", M, shots)
+    results = []
+    for t in range(trials):
+        try:
+            results.append(
+                mle_grid_adaptive(_sample_with_rng(point, schedule, _rng_for(seed, M, t)))
+            )
+        except AemleError:
+            pass
+    sq_errors = np.asarray([(res.a_hat - point.a) ** 2 for res in results])
+    return (
+        trials - len(results),
+        float(np.sqrt(np.mean(sq_errors))),
+        _jackknife_rmse_stderr(sq_errors),
+        float(np.mean([res.kappa_hat for res in results])),
+    )
+
+
 def test_run_trials_records_follow_per_trial_streams():
     # each trial's estimate depends only on its (seed, M, t) stream: the batch
     # records equal records rebuilt from trials estimated one at a time
     point = amplitude_point(0.375, 0.067)
     batch = run_trials(point, "eis", 3, 40, trials=6, seed=10)
     for rec in batch.records:
-        schedule = make_schedule("eis", rec.M, 40)
-        results = [
-            mle_grid_adaptive(_sample_with_rng(point, schedule, _rng_for(10, rec.M, t)))
-            for t in range(6)
-        ]
-        sq_errors = np.asarray([(res.a_hat - point.a) ** 2 for res in results])
+        expected = _records_from_single_trials(point, 40, 6, 10, rec.M)
+        assert (rec.failed_trials, rec.rmse, rec.stderr, rec.mean_kappa_hat) == expected
         assert rec.failed_trials == 0
-        assert rec.rmse == float(np.sqrt(np.mean(sq_errors)))
-        assert rec.stderr == _jackknife_rmse_stderr(sq_errors)
-        assert rec.mean_kappa_hat == float(np.mean([res.kappa_hat for res in results]))
+    # few hits at a small amplitude: some datasets have no hit at all and fail
+    # the degenerate-data rule inside the batch of their M, and fail alone
+    point = amplitude_point(0.01, 0.02)
+    batch = run_trials(point, "eis", 3, 5, trials=8, seed=10)
+    for rec in batch.records:
+        expected = _records_from_single_trials(point, 5, 8, 10, rec.M)
+        assert (rec.failed_trials, rec.rmse, rec.stderr, rec.mean_kappa_hat) == expected
+    assert any(0 < rec.failed_trials < 8 for rec in batch.records)
 
 
 def test_run_trials_counts_failures():
