@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .errors import AemleError, ConfigError, DegenerateDataError
 from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _element_sums
+from .model import _integral
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
 EPS_P = 1e-12
@@ -31,14 +31,12 @@ _KAPPA_GRID_FLOOR = 1e-10
 # Inset used when evaluating Fisher information at a boundary estimate.
 _A_INSET = 1e-9
 
+# Stage-0 search box, along any axis whose Cramer-Rao error is unknown.
+_A_INIT = (0.0, 1.0)
+_KAPPA_INIT = (1e-6, 2.0)
 
-def _integral(value: object, name: str) -> int:
-    """value as an int if it is integral (2 or 2.0), else ConfigError."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name}={value!r} must be an integer")
+# Most stages a dataset may have; guards data read from files.
+_MAX_STAGES = 64
 
 
 @dataclass(frozen=True)
@@ -95,29 +93,15 @@ def data_from_json(text: str) -> ExperimentData:
 
 @dataclass(frozen=True)
 class MleConfig:
-    """Tuning knobs of the adaptive grid search."""
+    """Grid points per axis at every stage of the adaptive search (the CLI's
+    --divisions).  The rest of the search is fixed: the initial box _A_INIT x
+    _KAPPA_INIT, the box factor of _chebyshev_factor and the _MAX_STAGES cap."""
 
     divisions_per_stage: int = 64
-    chebyshev_factor_scale: float = 3.0
-    kappa_init_range: tuple[float, float] = (1e-6, 2.0)
-    a_init_range: tuple[float, float] = (0.0, 1.0)
-    max_stages: int = 64
 
     def __post_init__(self) -> None:
         if self.divisions_per_stage < 8:
             raise ConfigError("divisions_per_stage must be >= 8")
-        if self.chebyshev_factor_scale <= 0.0:
-            raise ConfigError("chebyshev_factor_scale must be positive")
-        klo, khi = self.kappa_init_range
-        alo, ahi = self.a_init_range
-        if not all(math.isfinite(x) for x in (klo, khi, alo, ahi)):
-            raise ConfigError("kappa_init_range and a_init_range must be finite")
-        if not (0.0 <= klo < khi):
-            raise ConfigError("kappa_init_range must satisfy 0 <= low < high")
-        if not (0.0 <= alo < ahi <= 1.0):
-            raise ConfigError("a_init_range must be a non-empty subrange of [0, 1]")
-        if self.max_stages < 1:
-            raise ConfigError("max_stages must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -236,10 +220,10 @@ def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
     return float(grid[0, 0])
 
 
-def _chebyshev_factor(eps_target: float, scale: float) -> int:
-    """C_eps = max(3, ceil(sqrt(ln(1/eps_target))) * scale)."""
+def _chebyshev_factor(eps_target: float) -> int:
+    """C_eps = 3 ceil(sqrt(ln(1/eps))), with eps_target clamped to [1e-300, 0.5]."""
     eps = min(max(eps_target, 1e-300), 0.5)
-    return max(3, math.ceil(math.sqrt(math.log(1.0 / eps))) * math.ceil(scale))
+    return 3 * math.ceil(math.sqrt(math.log(1.0 / eps)))
 
 
 def _snap(grids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -286,33 +270,26 @@ def _fisher_prefix(
     return _element_sums(a, kappa, lik.depths[:n_stages], lik.shots[:n_stages])
 
 
-def _kappa_init_box(config: MleConfig) -> tuple[float, float]:
-    """kappa_init_range lifted onto the positive floor of the log grid."""
-    lo, hi = config.kappa_init_range
-    return max(lo, _KAPPA_GRID_FLOOR), max(hi, 2 * _KAPPA_GRID_FLOOR)
-
-
 def _box(
-    info: FisherMatrix, a_hat: float, kappa_hat: float, config: MleConfig,
-    kappa_fixed: float | None,
+    info: FisherMatrix, a_hat: float, kappa_hat: float, kappa_fixed: float | None
 ) -> tuple[float, float, float, float]:
     """Search box (a_lo, a_hi, kappa_lo, kappa_hi): C_eps Cramer-Rao errors
     around the running estimate, clipped to the domain, or the init range
     along an axis whose error is unknown."""
     eps_a, eps_k = info.errors()
-    c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
+    c_box = _chebyshev_factor(eps_a)
     if math.isfinite(eps_a):
         a_lo = max(0.0, a_hat - c_box * eps_a)
         a_hi = min(1.0, a_hat + c_box * eps_a)
     else:
-        a_lo, a_hi = config.a_init_range
+        a_lo, a_hi = _A_INIT
     if kappa_fixed is not None:
         k_lo = k_hi = kappa_fixed
     elif eps_k is not None:
         k_lo = max(kappa_hat - c_box * eps_k, _KAPPA_GRID_FLOOR)
         k_hi = max(kappa_hat + c_box * eps_k, 2 * _KAPPA_GRID_FLOOR)
     else:
-        k_lo, k_hi = _kappa_init_box(config)
+        k_lo, k_hi = _KAPPA_INIT
     return a_lo, a_hi, k_lo, k_hi
 
 
@@ -348,7 +325,7 @@ def _search(
             i11 = _fisher_prefix(lik, a_hat, kappa_fixed, stage)[0]
             infos = [FisherMatrix(x, 0.0, 0.0) for x in i11.tolist()]
         boxes = [
-            _box(info, a, k, config, kappa_fixed)
+            _box(info, a, k, kappa_fixed)
             for info, a, k in zip(infos, a_hat.tolist(), kappa_hat.tolist())
         ]
         box = np.asarray(boxes, dtype=float)
@@ -379,11 +356,12 @@ def _search(
     return a_hat, kappa_hat, best_ll, evaluations, traces
 
 
-def _data_error(data: ExperimentData, config: MleConfig) -> AemleError | None:
-    """The error that keeps data from being estimated, or None."""
+def _data_error(data: ExperimentData) -> AemleError | None:
+    """The error that keeps data from being estimated, or None; the stage
+    cap is checked first."""
     n_stages = len(data.stages)
-    if n_stages > config.max_stages:
-        return ConfigError(f"data has {n_stages} stages, config allows {config.max_stages}")
+    if n_stages > _MAX_STAGES:
+        return ConfigError(f"data has {n_stages} stages, at most {_MAX_STAGES} are allowed")
     if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
         return DegenerateDataError(
             "all stages are classical with saturated hit counts; the estimate "
@@ -409,13 +387,13 @@ def _estimate_batch(
     depths, shots = datasets[0].depths, datasets[0].shots
     if any(data.depths != depths or data.shots != shots for data in datasets):
         raise ConfigError("the datasets of a batch must share one schedule")
-    errors = [_data_error(data, config) for data in datasets]
+    errors = [_data_error(data) for data in datasets]
     good = [data for data, error in zip(datasets, errors) if error is None]
     if not good:
         return errors
     div = config.divisions_per_stage
     kappa_identifiable = any(m > 0 for m in depths)
-    kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_kappa_init_box(config)))
+    kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_KAPPA_INIT))
     lik = _StageLikelihood(good, div, div if kappa_identifiable else 1)
     a_hat, kappa_hat, best_ll, evaluations, traces = _search(lik, config, kappa_fixed)
 
@@ -448,7 +426,7 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
     Stage 0 searches the full init box; stage k restricts to the confidence
     box around the stage k-1 estimate.  Ties break toward smaller a, then
     smaller kappa.  If no stage has m > 0, kappa is unidentifiable: it is
-    fixed at the log-midpoint of kappa_init_range and flagged.  Data whose
+    fixed at the log-midpoint of _KAPPA_INIT and flagged.  Data whose
     hit counts are all 0, or all equal to the shots, raise
     DegenerateDataError: its likelihood peaks on the parameter boundary.
     This is a batch of one dataset.
@@ -463,8 +441,10 @@ def mle_profile_1d(
     data: ExperimentData, kappa_fixed: float, config: MleConfig | None = None
 ) -> float:
     """One-dimensional grid-search MLE of a with kappa held fixed."""
-    if kappa_fixed < 0.0:
-        raise ConfigError(f"kappa_fixed={kappa_fixed} must be >= 0")
+    if not 0.0 <= kappa_fixed < math.inf:
+        raise ConfigError(f"kappa_fixed={kappa_fixed} must be finite and >= 0")
+    if len(data.stages) > _MAX_STAGES:
+        raise _data_error(data)
     config = config or MleConfig()
     lik = _StageLikelihood([data], config.divisions_per_stage, 1)
     return float(_search(lik, config, float(kappa_fixed))[0][0])

@@ -236,18 +236,13 @@ def saturated_schedule(
     return explicit_schedule((m, shots) for m in capped_depths(kind, mbar, r))
 
 
-def required_noise_for_error(
-    a: float,
-    target_eps: float,
-    shots: int,
-    kind: ScheduleKind | str = ScheduleKind.EIS,
-    r: float | None = None,
-) -> float:
+def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:
     """Largest noise level whose saturated-schedule error still meets target_eps.
 
-    For each kappa on a log grid the maximal schedule with depths <= m-bar is
-    built and eps_min evaluated at its total query count; the largest passing
-    kappa is refined by log-bisection to two significant digits.
+    For each kappa on a log grid from 1e-8 to 2 the EIS saturated schedule
+    (depths 0, 1, 2, 4, ... below m-bar, then m-bar, `shots` shots each) is
+    built and eps_min evaluated on it; the largest passing kappa is refined
+    by log-bisection to two significant digits.
     """
     if not (0.0 < target_eps < 0.5):
         raise DomainError(f"target_eps={target_eps} outside (0, 0.5)")
@@ -255,7 +250,7 @@ def required_noise_for_error(
         raise DomainError(f"shots={shots} must be positive")
 
     def error_at(kappa: float) -> float:
-        sched = saturated_schedule(kappa, shots, kind, r)
+        sched = saturated_schedule(kappa, shots)
         return cr_lower_bound(amplitude_point(a, kappa), sched).epsilon_min
 
     decades = math.log10(_KAPPA_SCAN_HI / _KAPPA_SCAN_LO)

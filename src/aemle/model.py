@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
@@ -23,6 +24,17 @@ _FLOOR_NUDGE = 1e-9
 # Most stages a depth-capped ladder may have: the lis ladder has one stage per
 # depth, 5e7 of them below the cap at kappa = 1e-8.
 _MAX_LADDER_STAGES = 10_000
+
+
+def _integral(value: object, name: str) -> int:
+    """value as an int if it is integral (2 or 2.0), else ConfigError."""
+    if type(value) is int:  # the common case, ahead of the slower ABC check
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name}={value!r} must be an integer")
 
 
 class ScheduleKind(Enum):
@@ -66,9 +78,10 @@ def amplitude_point(a: float, kappa: float = 0.0) -> AmplitudePoint:
 class Schedule:
     """Ordered stages (m_k, N_k) with the kind that generated them.
 
-    Depths must be non-decreasing.  Explicit schedules may carry zero-shot
-    stages (useful for information-content comparisons); generated kinds
-    always have positive shots.
+    Depths must be non-decreasing, and depths and shots integral (2.0 is
+    stored as 2).  Explicit schedules may carry zero-shot stages (useful for
+    information-content comparisons); generated kinds always have positive
+    shots.
     """
 
     stages: tuple[tuple[int, int], ...]
@@ -78,11 +91,15 @@ class Schedule:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ConfigError("schedule must have at least one stage")
+        stages = tuple(
+            (_integral(m, "depth m"), _integral(n, "shot count N")) for m, n in self.stages
+        )
+        object.__setattr__(self, "stages", stages)
         prev = -1
-        for m, n in self.stages:
-            if m < 0 or int(m) != m:
+        for m, n in stages:
+            if m < 0:
                 raise ConfigError(f"depth m={m} must be a non-negative integer")
-            if n < 0 or int(n) != n:
+            if n < 0:
                 raise ConfigError(f"shot count N={n} must be a non-negative integer")
             if m < prev:
                 raise ConfigError("stage depths must be non-decreasing")
@@ -181,7 +198,7 @@ def capped_depths(kind: ScheduleKind | str, m_max: int, r: float | None = None) 
 
 def explicit_schedule(stages: Iterable[tuple[int, int]]) -> Schedule:
     """Wrap an explicit (depth, shots) list as a Schedule."""
-    return Schedule(stages=tuple((int(m), int(n)) for m, n in stages))
+    return Schedule(stages=tuple(stages))
 
 
 def total_queries(schedule: Schedule) -> int:
@@ -229,7 +246,7 @@ def schedule_from_json(text: str) -> Schedule:
     try:
         doc = json.loads(text)
         kind = ScheduleKind(doc.get("kind", "explicit"))
-        stages = tuple((int(s["m"]), int(s["shots"])) for s in doc["stages"])
+        stages = tuple((s["m"], s["shots"]) for s in doc["stages"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed schedule JSON: {exc}") from exc
     r = doc.get("r")

@@ -11,7 +11,9 @@ against it bit for bit.
 
 The search reference is the estimator's original one-dataset stage loop,
 kept verbatim on top of that likelihood grid, so the trial-batched search
-can be checked against it result for result.
+can be checked against it result for result.  It writes out the search's
+fixed settings (the initial box, the box factor and the stage cap) as its
+own literals rather than importing the estimator's constants.
 """
 from __future__ import annotations
 
@@ -28,8 +30,6 @@ from aemle.estimator import (
     EstimateResult,
     MleConfig,
     StageTrace,
-    _chebyshev_factor,
-    _kappa_init_box,
 )
 from aemle.fisher import ANOMALY_THRESHOLD, FisherMatrix, _fisher_at
 from aemle.model import amplitude_point
@@ -138,6 +138,12 @@ def _fisher_prefix(a: float, kappa: float, lik, n_stages: int) -> FisherMatrix:
     return _fisher_at(point, lik.depths[:n_stages], lik.shots[:n_stages])
 
 
+def _chebyshev_factor(eps_target: float) -> int:
+    """C_eps = max(3, ceil(sqrt(ln(1/eps_target))) * 3), eps clamped to [1e-300, 0.5]."""
+    eps = min(max(eps_target, 1e-300), 0.5)
+    return max(3, math.ceil(math.sqrt(math.log(1.0 / eps))) * 3)
+
+
 def search_reference(
     lik, config: MleConfig, kappa_fixed: float | None
 ) -> tuple[float, float, float, int, list[StageTrace]]:
@@ -149,7 +155,6 @@ def search_reference(
     one-parameter error 1/sqrt(i11) at that kappa.
     """
     div = config.divisions_per_stage
-    klo_init, khi_init = _kappa_init_box(config)
     a_hat = kappa_hat = None
     evaluations = 0
     trace: list[StageTrace] = []
@@ -163,17 +168,17 @@ def search_reference(
             # kappa is held fixed, so only the a-information sizes the box
             info = FisherMatrix(_fisher_prefix(a_hat, kappa_fixed, lik, stage).i11, 0.0, 0.0)
         eps_a, eps_k = info.errors()
-        c_box = _chebyshev_factor(min(eps_a, 0.5), config.chebyshev_factor_scale)
+        c_box = _chebyshev_factor(min(eps_a, 0.5))
         if math.isfinite(eps_a):
             a_lo = max(0.0, a_hat - c_box * eps_a)
             a_hi = min(1.0, a_hat + c_box * eps_a)
         else:
-            a_lo, a_hi = config.a_init_range
+            a_lo, a_hi = 0.0, 1.0
         if eps_k is not None:
             k_lo = max(kappa_hat - c_box * eps_k, _KAPPA_GRID_FLOOR)
             k_hi = max(kappa_hat + c_box * eps_k, 2 * _KAPPA_GRID_FLOOR)
         else:
-            k_lo, k_hi = klo_init, khi_init
+            k_lo, k_hi = 1e-6, 2.0
 
         a_grid = np.linspace(a_lo, a_hi, div)
         if kappa_fixed is None:
@@ -210,8 +215,8 @@ def estimate_reference(data, config: MleConfig | None = None) -> EstimateResult:
     """mle_grid_adaptive of one dataset through search_reference."""
     config = config or MleConfig()
     n_stages = len(data.stages)
-    if n_stages > config.max_stages:
-        raise ConfigError(f"data has {n_stages} stages, config allows {config.max_stages}")
+    if n_stages > 64:
+        raise ConfigError(f"data has {n_stages} stages, at most 64 are allowed")
     if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
         raise DegenerateDataError(
             "all stages are classical with saturated hit counts; the estimate "
@@ -223,7 +228,7 @@ def estimate_reference(data, config: MleConfig | None = None) -> EstimateResult:
             "parameter boundary"
         )
     kappa_identifiable = any(m > 0 for m in data.depths)
-    kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_kappa_init_box(config)))
+    kappa_fixed = None if kappa_identifiable else math.sqrt(1e-6 * 2.0)
     lik = ReferenceLikelihood(data)
     a_hat, kappa_hat, best_ll, evaluations, trace = search_reference(lik, config, kappa_fixed)
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from aemle import (
     ConfigError,
     DomainError,
+    Schedule,
     ScheduleKind,
     amplitude_point,
     explicit_schedule,
@@ -190,3 +191,22 @@ def test_schedule_json_malformed():
         schedule_from_json('{"stages": [{"m": "x"}]}')
     with pytest.raises(ConfigError):
         schedule_from_json("[1, 2]")
+
+
+def test_schedule_rejects_non_integral_counts():
+    with pytest.raises(ConfigError):
+        schedule_from_json('{"stages": [{"m": 1.7, "shots": 100}]}')
+    with pytest.raises(ConfigError):
+        schedule_from_json('{"stages": [{"m": 1, "shots": 100.9}]}')
+    with pytest.raises(ConfigError):
+        explicit_schedule([(0, 10), (1.7, 10)])
+    for bad in (True, math.nan, math.inf, "2"):
+        with pytest.raises(ConfigError):
+            Schedule(stages=((bad, 100),))
+        with pytest.raises(ConfigError):
+            Schedule(stages=((1, bad),))
+    # integral floats are counts, stored as ints
+    sch = Schedule(stages=((2.0, 100), (3, 50.0)))
+    assert sch.stages == ((2, 100), (3, 50))
+    assert all(type(v) is int for stage in sch.stages for v in stage)
+    assert schedule_from_json('{"stages": [{"m": 2.0, "shots": 10}]}').stages == ((2, 10),)
