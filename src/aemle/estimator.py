@@ -447,4 +447,6 @@ def mle_profile_1d(
         raise _data_error(data)
     config = config or MleConfig()
     lik = _StageLikelihood([data], config.divisions_per_stage, 1)
-    return float(_search(lik, config, float(kappa_fixed))[0][0])
+    # kappa_fixed near 1e308 overflows m * -kappa to -inf; exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        return float(_search(lik, config, float(kappa_fixed))[0][0])

@@ -32,7 +32,7 @@ from .model import (
     AmplitudePoint,
     Schedule,
     ScheduleKind,
-    amplitude_point,
+    _integral,
     capped_depths,
     explicit_schedule,
 )
@@ -46,10 +46,8 @@ _DET_RTOL = 1e-12
 # Denominator guard: only reachable at kappa = 0 exactly on a sine zero.
 _DENOM_FLOOR = 1e-300
 
-# Scan range for required_noise_for_error.
-_KAPPA_SCAN_LO = 1e-8
-_KAPPA_SCAN_HI = 2.0
-_KAPPA_SCAN_PER_DECADE = 25
+# Noise levels scanned by required_noise_for_error: 1e-8 to 2, 25 per decade.
+_KAPPA_SCAN = np.geomspace(1e-8, 2.0, 208)
 
 
 @dataclass(frozen=True)
@@ -103,20 +101,23 @@ def _element_sums(
     """Vectorized Fisher sums for an array of amplitudes.
 
     Shapes: a is (K,), kappa is one noise level for all of them or (K,), one
-    per amplitude, depths/shots are (S,); returns three (K,) arrays.
+    per amplitude, depths/shots are (S,) or (K, S), row k the schedule of a[k],
+    summed as a lone (S,) call sums it; returns three (K,) arrays.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.size == 0:
+        raise DomainError("Fisher sums need at least one amplitude")
     if a.min() <= 0.0 or a.max() >= 1.0:
         raise SingularPointError("Fisher information is singular at a in {0, 1}")
     theta = np.arcsin(np.sqrt(a))[:, None]
     kappa = np.reshape(np.asarray(kappa, dtype=float), (-1, 1))
-    m = np.asarray(depths, dtype=float)[None, :]
-    n = np.asarray(shots, dtype=float)[None, :]
+    m = np.atleast_2d(np.asarray(depths, dtype=float))
+    n = np.atleast_2d(np.asarray(shots, dtype=float))
     odd = 2.0 * m + 1.0
     x = 2.0 * odd * theta
     sin2_x = np.sin(x) ** 2
     with np.errstate(over="ignore"):
-        denom = np.expm1(2.0 * kappa * m) + sin2_x
+        denom = np.expm1(2.0 * (kappa * m)) + sin2_x
     if denom.min() < _DENOM_FLOOR:
         raise DegenerateTermError(
             "Fisher summand denominator underflowed (kappa = 0 on a sine zero)"
@@ -236,41 +237,54 @@ def saturated_schedule(
     return explicit_schedule((m, shots) for m in capped_depths(kind, mbar, r))
 
 
+def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) -> list[float]:
+    """cr_lower_bound's eps_a at each kappa on its EIS saturated ladder.
+
+    Ladders of one length share one _element_sums call; zero-shot padding to
+    one length would change numpy's summation order, and so the last bits."""
+    ladders = [capped_depths(ScheduleKind.EIS, max_grover_depth(k)) for k in kappas]
+    kappas, errors = np.asarray(kappas, dtype=float), [0.0] * len(ladders)
+    for length in set(map(len, ladders)):
+        rows = [i for i, depths in enumerate(ladders) if len(depths) == length]
+        m = np.asarray([ladders[i] for i in rows], dtype=float)
+        sums = _element_sums(np.full(len(rows), a), kappas[rows], m, np.full_like(m, shots))
+        if np.any(sums[0] <= 0.0):
+            raise DegenerateScheduleError("schedule carries no information about a")
+        for i, cell in zip(rows, zip(*(v.tolist() for v in sums))):
+            errors[i] = FisherMatrix(*cell).errors()[0]
+    return errors
+
+
 def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:
     """Largest noise level whose saturated-schedule error still meets target_eps.
 
-    For each kappa on a log grid from 1e-8 to 2 the EIS saturated schedule
-    (depths 0, 1, 2, 4, ... below m-bar, then m-bar, `shots` shots each) is
-    built and eps_min evaluated on it; the largest passing kappa is refined
-    by log-bisection to two significant digits.
+    eps_min on the EIS saturated schedule (depths 0, 1, 2, 4, ... below m-bar,
+    then m-bar, `shots` shots each) is evaluated at every kappa of a log grid
+    from 1e-8 to 2 in a few batched calls; the largest passing kappa is refined
+    by log-bisection to two significant digits.  If kappa = 2 passes, the
+    unamplified stage meets the target: kappa-bar is unbounded (DomainError).
     """
     if not (0.0 < target_eps < 0.5):
         raise DomainError(f"target_eps={target_eps} outside (0, 0.5)")
     if shots <= 0:
         raise DomainError(f"shots={shots} must be positive")
-
-    def error_at(kappa: float) -> float:
-        sched = saturated_schedule(kappa, shots)
-        return cr_lower_bound(amplitude_point(a, kappa), sched).epsilon_min
-
-    decades = math.log10(_KAPPA_SCAN_HI / _KAPPA_SCAN_LO)
-    count = int(decades * _KAPPA_SCAN_PER_DECADE) + 1
-    grid = np.geomspace(_KAPPA_SCAN_LO, _KAPPA_SCAN_HI, count)
-    passing = [k for k in grid if error_at(float(k)) <= target_eps]
-    if not passing:
+    shots = _integral(shots, "shots")
+    passing = np.flatnonzero(np.asarray(_saturated_errors(a, _KAPPA_SCAN, shots)) <= target_eps)
+    if passing.size == 0:
         raise NotAchievableError(
-            f"target error {target_eps} not reachable even at kappa = {_KAPPA_SCAN_LO}"
+            f"target error {target_eps} not reachable even at kappa = {float(_KAPPA_SCAN[0])}"
         )
-    lo = max(passing)
-    idx = int(np.searchsorted(grid, lo))
-    hi = float(grid[idx + 1]) if idx + 1 < len(grid) else _KAPPA_SCAN_HI * 1.1
+    if passing[-1] == _KAPPA_SCAN.size - 1:
+        raise DomainError(f"target error {target_eps} is met without amplification; "
+                          "kappa-bar is unbounded")
+    lo, hi = float(_KAPPA_SCAN[passing[-1]]), float(_KAPPA_SCAN[passing[-1] + 1])
     while hi / lo > 1.005:  # two significant digits
         mid = math.sqrt(lo * hi)
-        if error_at(mid) <= target_eps:
+        if _saturated_errors(a, [mid], shots)[0] <= target_eps:
             lo = mid
         else:
             hi = mid
-    return float(lo)
+    return lo
 
 
 def classical_bound(a: float, n_queries: int) -> float:

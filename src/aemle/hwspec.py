@@ -4,8 +4,9 @@ Given a target accuracy and circuit-size assumptions, derives the register
 widths, gate counts per amplification round, the tolerable noise level
 kappa-bar, the per-gate error budget that achieves it, and wall-clock
 execution times.  Pure arithmetic end to end; the only iterative pieces are
-the kappa-bar scan (delegated to fisher.required_noise_for_error) and a
-bisection for the gate-error budget.
+the kappa-bar scan (fisher.required_noise_for_error, a few batched Fisher
+calls; DomainError when the unamplified stage already meets the target) and
+a bisection for the gate-error budget.
 """
 from __future__ import annotations
 

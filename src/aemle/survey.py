@@ -30,6 +30,9 @@ _EDGE_MARGIN = 1e-9
 # Depth-count cap for the default density schedule.
 _DENSITY_M_CAP = 25
 
+# Amplitudes per _element_sums call in _beta_grid: bounds its temporaries.
+_BETA_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class DensityResult:
@@ -79,11 +82,15 @@ def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
 
 
 def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized beta over interior amplitudes; second array flags bad samples."""
-    i11, i12, i22 = _element_sums(a, kappa, schedule.depths, schedule.shots)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        beta = np.minimum(i12 * i12 / (i11 * i22), 1.0)
-    bad = ~np.isfinite(beta) | (i11 <= 0.0) | (i22 <= 0.0)
+    """Vectorized beta over interior amplitudes in _BETA_BLOCK blocks (an empty
+    `a` is one empty block, refused); second array flags bad samples."""
+    beta, bad = np.empty(a.size), np.empty(a.size, dtype=bool)
+    for start in range(0, max(a.size, 1), _BETA_BLOCK):
+        rows = slice(start, start + _BETA_BLOCK)
+        i11, i12, i22 = _element_sums(a[rows], kappa, schedule.depths, schedule.shots)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            beta[rows] = np.minimum(i12 * i12 / (i11 * i22), 1.0)
+        bad[rows] = ~np.isfinite(beta[rows]) | (i11 <= 0.0) | (i22 <= 0.0)
     return beta, bad
 
 
@@ -208,7 +215,7 @@ def error_vs_kappa_contour(
 
 def anomality_trace(a_values: np.ndarray, kappa: float, schedule: Schedule) -> np.ndarray:
     """beta over an amplitude grid at fixed kappa (degenerate cells -> nan)."""
-    beta, bad = _beta_grid(np.asarray(a_values, dtype=float), kappa, schedule)
+    beta, bad = _beta_grid(np.atleast_1d(np.asarray(a_values, dtype=float)), kappa, schedule)
     out = beta.copy()
     out[bad] = np.nan
     return out

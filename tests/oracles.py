@@ -14,6 +14,10 @@ kept verbatim on top of that likelihood grid, so the trial-batched search
 can be checked against it result for result.  It writes out the search's
 fixed settings (the initial box, the box factor and the stage cap) as its
 own literals rather than importing the estimator's constants.
+
+The kappa-bar scan reference is the scan as written before it was batched:
+one saturated schedule and one cr_lower_bound call per noise level, on a
+grid and a bisection tolerance it writes out as its own literals.
 """
 from __future__ import annotations
 
@@ -31,7 +35,13 @@ from aemle.estimator import (
     MleConfig,
     StageTrace,
 )
-from aemle.fisher import ANOMALY_THRESHOLD, FisherMatrix, _fisher_at
+from aemle.fisher import (
+    ANOMALY_THRESHOLD,
+    FisherMatrix,
+    _fisher_at,
+    cr_lower_bound,
+    saturated_schedule,
+)
 from aemle.model import amplitude_point
 
 _H = 1e-30  # complex-step size; contributes no subtractive rounding
@@ -251,3 +261,32 @@ def profile_reference(data, kappa_fixed: float, config: MleConfig | None = None)
     """mle_profile_1d of one dataset through search_reference."""
     config = config or MleConfig()
     return search_reference(ReferenceLikelihood(data), config, float(kappa_fixed))[0]
+
+
+def kappa_scan_reference(a: float, target_eps: float, shots: int):
+    """(grid, eps_min at each grid point, kappa-bar) of the per-point scan:
+    25 kappa points per decade from 1e-8 to 2, then log-bisection of the
+    last passing bracket to a ratio of 1.005.  kappa-bar is None when no grid
+    point meets the target and inf when the last one (kappa = 2) does."""
+
+    def error_at(kappa: float) -> float:
+        sched = saturated_schedule(kappa, shots)
+        return cr_lower_bound(amplitude_point(a, kappa), sched).epsilon_min
+
+    grid = np.geomspace(1e-8, 2.0, int(math.log10(2.0 / 1e-8) * 25) + 1)
+    errors = [error_at(float(k)) for k in grid]
+    passing = [k for k, eps in zip(grid, errors) if eps <= target_eps]
+    if not passing:
+        return grid, errors, None
+    lo = max(passing)
+    idx = int(np.searchsorted(grid, lo))
+    if idx + 1 == len(grid):
+        return grid, errors, math.inf
+    hi = float(grid[idx + 1])
+    while hi / lo > 1.005:
+        mid = math.sqrt(lo * hi)
+        if error_at(mid) <= target_eps:
+            lo = mid
+        else:
+            hi = mid
+    return grid, errors, float(lo)

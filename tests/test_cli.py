@@ -215,8 +215,8 @@ def test_hwspec_emission(capsys):
 
 
 # Verbatim output of `aemle hwspec --eps 0.001 --nint 5 --format csv`: the
-# kappa-bar scan builds about 200 saturated schedules and Cramer-Rao bounds,
-# and t_total sums over the capped doubling ladder.
+# kappa-bar scan evaluates the Cramer-Rao bound on about 200 saturated
+# ladders, and t_total sums over the capped doubling ladder.
 HWSPEC_GOLDEN_CSV = (
     "# aemle 0.1.0 hwspec seed=20250817 eps=0.001 nint=5 nk=100 t_s=7.1e-08"
     " t_d=2.8000000000000002e-07 t_m=3.4999999999999999e-06 interval_factor=10"
@@ -244,6 +244,13 @@ def test_hwspec_golden_is_byte_identical(capsys):
     code, out, _ = run_cli(capsys, "hwspec", "--eps", "0.001", "--nint", "5", "--format", "csv")
     assert code == 0
     assert out == HWSPEC_GOLDEN_CSV
+
+
+def test_hwspec_with_no_kappa_bar_exits_3(capsys):
+    # eps = 0.3 is met without amplification (sqrt(a(1-a)/N) = 0.0484), so
+    # no noise level bounds the hardware
+    code, out, err = run_cli(capsys, "hwspec", "--eps", "0.3", "--nint", "1")
+    assert code == 3 and out == "" and "kappa-bar is unbounded" in err
 
 
 def test_schedule_json_round_trips_through_parser(capsys):

@@ -190,6 +190,15 @@ def test_profile_rejects_negative_kappa():
             mle_profile_1d(data, kappa_fixed=bad)
 
 
+def test_profile_at_the_largest_finite_kappa():
+    # at kappa near 1e308 every amplified stage's decay is exp(-inf) = 0, as
+    # at 1e300: the same estimate, with no numpy warning
+    data = sample_counts(amplitude_point(0.3, 0.01), make_schedule("eis", 4, 100), seed=1)
+    a_hat = mle_profile_1d(data, kappa_fixed=1e300)
+    assert a_hat == pytest.approx(1 / 3)
+    assert mle_profile_1d(data, kappa_fixed=1e308) == a_hat
+
+
 # Verbatim mle_profile_1d estimates (as float.hex) on three seeded datasets,
 # keyed by (a, kappa, kind, M, shots, seed, kappa_fixed): any change to the
 # profile search's boxes, grids or tie-breaking shows up as a changed bit.

@@ -28,7 +28,9 @@ from aemle import (
     total_queries,
 )
 
-from oracles import fisher_enumerated
+from aemle.fisher import _element_sums, _saturated_errors
+
+from oracles import fisher_enumerated, kappa_scan_reference
 
 POINTS = [(0.12, 0.0), (0.3, 0.05), (0.5, 0.31), (0.62, 0.05), (0.85, 0.31)]
 
@@ -305,3 +307,48 @@ def test_required_noise_domain_and_reachability():
         required_noise_for_error(0.375, 1e-4, 0)
     with pytest.raises(NotAchievableError):
         required_noise_for_error(0.375, 2e-11, 100)
+    # at or above the unamplified error sqrt(a(1-a)/N) = 0.0484 every noise
+    # level meets the target, so no kappa-bar exists
+    for eps in (0.049, 0.3, 0.45):
+        with pytest.raises(DomainError, match="unbounded"):
+            required_noise_for_error(0.375, eps, 100)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(0.01, 0.99),
+    log_eps=st.floats(-7.0, math.log10(0.45)),
+    shots=st.integers(1, 20_000),
+)
+def test_kappa_scan_is_bit_identical_to_per_point_scan(a, log_eps, shots):
+    eps = 10.0**log_eps
+    grid, errors, kappa_bar = kappa_scan_reference(a, eps, shots)
+    assert len(grid) == 208
+    assert _saturated_errors(a, grid, shots) == errors
+    if kappa_bar is None:
+        with pytest.raises(NotAchievableError):
+            required_noise_for_error(a, eps, shots)
+    elif kappa_bar == math.inf:
+        with pytest.raises(DomainError, match="unbounded"):
+            required_noise_for_error(a, eps, shots)
+    else:
+        assert required_noise_for_error(a, eps, shots) == kappa_bar
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 6), n_stages=st.integers(1, 40))
+def test_batched_schedule_rows_equal_lone_calls(data, n_rows, n_stages):
+    def rows(elements):
+        return np.asarray(data.draw(st.lists(
+            st.lists(elements, min_size=n_stages, max_size=n_stages),
+            min_size=n_rows, max_size=n_rows)), dtype=float)
+
+    depths = np.sort(rows(st.integers(0, 2**20)), axis=1)
+    shots = rows(st.integers(0, 10_000))
+    a = data.draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=n_rows, max_size=n_rows))
+    kappa = data.draw(st.lists(st.floats(1e-9, 3.0), min_size=n_rows, max_size=n_rows))
+    batched = _element_sums(np.asarray(a), np.asarray(kappa), depths, shots)
+    for k in range(n_rows):
+        lone = _element_sums(np.asarray([a[k]]), kappa[k], depths[k], shots[k])
+        for got, want in zip(batched, lone):
+            np.testing.assert_array_equal(got[k : k + 1], want)

@@ -18,6 +18,7 @@ from aemle import (
     error_vs_queries,
     make_schedule,
     max_grover_depth,
+    survey,
 )
 
 A_ANOMALOUS = math.sin(math.pi / 8) ** 2
@@ -120,6 +121,24 @@ def test_contour_rejects_bad_grids():
         error_vs_kappa_contour(np.asarray([0.0, 0.5]), np.asarray([0.01]), sched)
     with pytest.raises(DomainError):
         error_vs_kappa_contour(np.asarray([0.5]), np.asarray([-0.1]), sched)
+    with pytest.raises(DomainError):
+        error_vs_kappa_contour(np.asarray([]), np.asarray([0.01]), sched)
+
+
+def test_trace_rejects_empty_grid():
+    with pytest.raises(DomainError):
+        anomality_trace(np.asarray([]), 0.01, make_schedule("eis", 3, 10))
+
+
+@pytest.mark.parametrize("size", [4095, 4096, 4097, 10_001])
+def test_blocked_beta_grid_equals_one_call(monkeypatch, size):
+    a = np.random.default_rng(size).random(size)
+    sched = default_density_schedule(1e-4)
+    blocked = survey._beta_grid(a, 1e-4, sched)
+    monkeypatch.setattr(survey, "_BETA_BLOCK", size)
+    whole = survey._beta_grid(a, 1e-4, sched)
+    for got, want in zip(blocked, whole):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_anomalous_row_insensitive_to_noise():
