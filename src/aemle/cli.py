@@ -56,15 +56,19 @@ def _fmt(value: object) -> str:
 
 
 def _resolved_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(_SEED_ENV)
-    if env is not None:
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get(_SEED_ENV)
+        if env is None:
+            return DEFAULT_SEED
+        source = _SEED_ENV
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{_SEED_ENV}={env!r} is not an integer") from exc
-    return DEFAULT_SEED
+    if seed < 0:  # numpy's SeedSequence takes only non-negative entropy
+        raise ConfigError(f"{source}={seed} must be a non-negative integer")
+    return seed
 
 
 def _emit(

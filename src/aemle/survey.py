@@ -4,11 +4,14 @@ Three studies built on the Fisher machinery: the linear density of anomalous
 target amplitudes (fraction of a in [0,1] with beta above a threshold), error
 bound versus total query count for classical and exponential schedules, and
 the error bound on an (a, kappa) grid.  All sweeps are vectorized over the
-amplitude axis and seeded where sampling is involved.
+amplitude axis and seeded where sampling is involved.  The beta sweep runs its
+amplitude blocks on a thread per core (numpy's sin/cos release the interpreter
+lock); each block writes only its own slice, so any core count gives the same bits.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,7 @@ from .fisher import (
     cr_lower_bound,
     max_grover_depth,
 )
-from .model import Schedule, ScheduleKind, amplitude_point, make_schedule, total_queries
+from .model import Schedule, ScheduleKind, _integral, amplitude_point, make_schedule, total_queries
 
 # Samples closer than this to a = 0 or a = 1 are excluded (singular Fisher).
 _EDGE_MARGIN = 1e-9
@@ -30,7 +33,7 @@ _EDGE_MARGIN = 1e-9
 # Depth-count cap for the default density schedule.
 _DENSITY_M_CAP = 25
 
-# Amplitudes per _element_sums call in _beta_grid: bounds its temporaries.
+# Amplitudes in flight across _beta_grid's workers (bounds their temporaries).
 _BETA_BLOCK = 4096
 
 
@@ -82,15 +85,23 @@ def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
 
 
 def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized beta over interior amplitudes in _BETA_BLOCK blocks (an empty
-    `a` is one empty block, refused); second array flags bad samples."""
+    """Vectorized beta over interior amplitudes in _BETA_BLOCK // workers
+    blocks (an empty `a` is one empty block, refused), read in block order so
+    the first failing block's error is raised; second array flags bad samples."""
+    from concurrent.futures import ThreadPoolExecutor  # lazy: imports logging
+    workers = os.cpu_count() or 1
+    block = max(_BETA_BLOCK // workers, 1)
     beta, bad = np.empty(a.size), np.empty(a.size, dtype=bool)
-    for start in range(0, max(a.size, 1), _BETA_BLOCK):
-        rows = slice(start, start + _BETA_BLOCK)
+
+    def fill(start: int) -> None:
+        rows = slice(start, start + block)
         i11, i12, i22 = _element_sums(a[rows], kappa, schedule.depths, schedule.shots)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):  # per thread
             beta[rows] = np.minimum(i12 * i12 / (i11 * i22), 1.0)
         bad[rows] = ~np.isfinite(beta[rows]) | (i11 <= 0.0) | (i22 <= 0.0)
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, range(0, max(a.size, 1), block)))
     return beta, bad
 
 
@@ -107,10 +118,13 @@ def anomaly_density(
     with a degenerate Fisher matrix (counted in `skipped`), and reports the
     anomalous fraction with its binomial standard error.
     """
+    samples = _integral(samples, "samples")
     if samples < 1000:
         raise ConfigError(f"samples={samples} must be >= 1000 for a stable density")
     if not (0.0 < threshold < 1.0):
         raise ConfigError(f"threshold={threshold} outside (0, 1)")
+    if not math.isfinite(kappa):
+        raise DomainError(f"anomaly density needs a finite kappa, got {kappa}")
     if kappa <= 0.0:
         raise DomainError("anomaly density needs kappa > 0 (beta -> 0 for all a at kappa = 0)")
     if schedule is None:

@@ -175,6 +175,29 @@ def test_seed_resolution(capsys, monkeypatch):
     assert code == 2
 
 
+SEEDED_COMMANDS = [
+    ["density", "--kappa", "0.1", "--samples", "1000"],
+    ["trials", "--a", "0.3", "--kappa", "0.05", "--M", "1", "--trials", "2"],
+    ["estimate", "--simulate", "--a", "0.3", "--kappa", "0.05", "--M", "2"],
+    ["hitcurve", "--a", "0.2", "--max-depth", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_exits_2(capsys, monkeypatch, argv, source):
+    # numpy's SeedSequence refuses negative entropy with a bare ValueError
+    if source == "flag":
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert "--seed=-1" in err
+    else:
+        monkeypatch.setenv("AEMLE_SEED", "-5")
+        code, out, err = run_cli(capsys, *argv)
+        assert "AEMLE_SEED=-5" in err
+    assert code == 2 and out == ""
+    assert "non-negative" in err
+
+
 def test_density_emission(capsys):
     code, out, _ = run_cli(
         capsys, "density", "--kappa", "0.1", "--samples", "1000", "--format", "csv"

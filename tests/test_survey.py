@@ -1,5 +1,7 @@
 """Density of anomalous targets, query-error curves, and the noise contour."""
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from aemle import (
     ConfigError,
     DomainError,
+    SingularPointError,
     amplitude_point,
     anomality_trace,
     anomalous_segment_count,
@@ -63,6 +66,31 @@ def test_density_validation():
         anomaly_density(1e-2, 5000, threshold=1.5, seed=1)
     with pytest.raises(DomainError):
         anomaly_density(0.0, 5000, seed=1)
+    with pytest.raises(ConfigError, match="samples=2000.5 must be an integer"):
+        anomaly_density(1e-2, 2000.5, seed=1)
+    # an integral float is the count it spells, as in Schedule and ExperimentData
+    assert anomaly_density(1e-2, 5000.0, seed=1) == anomaly_density(1e-2, 5000, seed=1)
+    for kappa in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite kappa"):
+            anomaly_density(kappa, 5000, seed=1)
+
+
+# float.hex of (density_percent, stderr_percent) and skipped from
+# anomaly_density(kappa, 20_000) at the default seed, captured from the serial
+# sweep before the blocks ran on threads: the core count must not move a bit.
+DENSITY_GOLDEN = {
+    1e-6: ("0x1.08f5c28f5c28fp+1", "0x1.9c5ef2a66de2fp-4", 0),
+    1e-3: ("0x1.f47ae147ae148p+0", "0x1.90fcda39d274ap-4", 0),
+    1e-1: ("0x0.0p+0", "0x0.0p+0", 0),
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(DENSITY_GOLDEN))
+def test_density_golden(kappa):
+    result = anomaly_density(kappa, 20_000)
+    got = (result.density_percent.hex(), result.stderr_percent.hex(), result.skipped)
+    assert got == DENSITY_GOLDEN[kappa]
+    assert result.samples == 20_000
 
 
 def test_segment_counts_scale_inversely_with_noise():
@@ -134,11 +162,31 @@ def test_trace_rejects_empty_grid():
 def test_blocked_beta_grid_equals_one_call(monkeypatch, size):
     a = np.random.default_rng(size).random(size)
     sched = default_density_schedule(1e-4)
-    blocked = survey._beta_grid(a, 1e-4, sched)
-    monkeypatch.setattr(survey, "_BETA_BLOCK", size)
-    whole = survey._beta_grid(a, 1e-4, sched)
-    for got, want in zip(blocked, whole):
-        np.testing.assert_array_equal(got, want)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "cpu_count", lambda: 1)
+        patch.setattr(survey, "_BETA_BLOCK", size)
+        whole = survey._beta_grid(a, 1e-4, sched)
+    # None is what os.cpu_count returns when it cannot tell; 8 workers on
+    # fewer cores with a 1 us switch interval interleave the block writes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (None, 1, 2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            blocked = survey._beta_grid(a, 1e-4, sched)
+            for got, want in zip(blocked, whole):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_trace_raises_for_a_singular_point_in_a_late_block(monkeypatch, cores):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    a = np.linspace(0.01, 0.99, 3 * survey._BETA_BLOCK)
+    a[-2] = 0.0
+    with pytest.raises(SingularPointError):
+        anomality_trace(a, 1e-3, default_density_schedule(1e-3))
 
 
 def test_anomalous_row_insensitive_to_noise():
