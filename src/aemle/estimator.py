@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AemleError, ConfigError, DegenerateDataError
+from .errors import AemleError, ConfigError, DegenerateDataError, DomainError
 from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _element_sums
 from .model import _integral
 
@@ -169,20 +169,48 @@ def _stage_sum(terms: np.ndarray) -> np.ndarray:
     return total + 0.0
 
 
+def _weigh(p: np.ndarray, q: np.ndarray, weights: Sequence[tuple[float, float]]) -> None:
+    """Turn P in p into h ln P + (N - h) ln(1 - P), with P clamped to
+    [EPS_P, 1 - EPS_P]; weights holds (h, N - h) for each leading-axis row
+    and q is scratch of p's shape.
+
+    Each row is scaled by its two Python floats: numpy buffers a broadcast
+    (rows, 1, 1) operand, which costs more than the row loop.
+    """
+    np.clip(p, EPS_P, 1.0 - EPS_P, out=p)
+    np.negative(p, out=q)
+    np.log1p(q, out=q)
+    np.log(p, out=p)
+    for row_p, row_q, (hits, misses) in zip(p, q, weights):
+        row_p *= hits
+        row_q *= misses
+    p += q
+
+
 class _StageLikelihood:
     """Binomial log-likelihoods of datasets that share one schedule, on
     (a, kappa) grids.
 
-    The schedule and every dataset's counts are converted to float arrays
-    once, and one stage-first (stage, a, kappa) workspace serves every grid
-    of every dataset.
+    The schedule and every dataset's counts are converted once, and one
+    stage-first (stage, a, kappa) workspace serves every grid of every
+    dataset.  The m = 0 stages lead (depths are non-decreasing) and, as
+    e^{-kappa 0} = 1 at every finite kappa, their terms are computed on an
+    (a,) column and copied along the kappa axis.  The other stages form
+    cos(2(2m+1) theta_a) x e^{-kappa m} / 2 with einsum, which skips the
+    buffering of numpy's broadcast multiply.  Every value keeps the bits of
+    the broadcast formula (einsum may drop a zero's sign; 1/2 - 0 erases it).
     """
 
     def __init__(self, datasets: Sequence[ExperimentData], n_a: int, n_kappa: int) -> None:
         self.depths = np.asarray(datasets[0].depths, dtype=float)
         self.shots = np.asarray(datasets[0].shots, dtype=float)
-        self.hits = np.asarray([data.hits for data in datasets], dtype=float)
-        self.misses = self.shots - self.hits
+        # (h, N - h) of each stage of each dataset
+        self.weights = [
+            [(float(h), float(n) - float(h)) for n, h in zip(data.shots, data.hits)]
+            for data in datasets
+        ]
+        self._freq = 2.0 * (2.0 * self.depths + 1.0)
+        self._n_flat = int(np.count_nonzero(self.depths == 0.0))
         shape = (len(self.depths), n_a, n_kappa)
         self._log_p = np.empty(shape)
         self._log_q = np.empty(shape)
@@ -192,28 +220,34 @@ class _StageLikelihood:
     ) -> np.ndarray:
         """Sum over dataset t's stages 0..n_stages-1 of h ln P + (N - h) ln(1 - P),
         with P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
-        [EPS_P, 1 - EPS_P]; shape (len(a_grid), len(kappa_grid))."""
-        m = self.depths[:n_stages]
+        [EPS_P, 1 - EPS_P]; shape (len(a_grid), len(kappa_grid)).  kappa
+        must be finite."""
         theta = np.arcsin(np.sqrt(np.clip(a_grid, 0.0, 1.0)))
-        half_decay = 0.5 * np.exp(np.multiply.outer(m, -kappa_grid))
-        osc = np.cos(np.multiply.outer(2.0 * (2.0 * m + 1.0), theta))
+        osc = np.cos(np.multiply.outer(self._freq[:n_stages], theta))
+        weights = self.weights[t]
         log_p = self._log_p[:n_stages]
-        log_q = self._log_q[:n_stages]
-        np.multiply(osc[:, :, None], half_decay[:, None, :], out=log_p)
-        np.subtract(0.5, log_p, out=log_p)
-        np.clip(log_p, EPS_P, 1.0 - EPS_P, out=log_p)
-        np.negative(log_p, out=log_q)
-        np.log1p(log_q, out=log_q)
-        np.log(log_p, out=log_p)
-        log_p *= self.hits[t, :n_stages, None, None]
-        log_q *= self.misses[t, :n_stages, None, None]
-        log_p += log_q
+        n_flat = min(self._n_flat, n_stages)
+        if n_flat:
+            flat = 0.5 - osc[:n_flat] * 0.5
+            _weigh(flat, np.empty_like(flat), weights[:n_flat])
+            log_p[:n_flat] = flat[:, :, None]
+        if n_flat < n_stages:
+            rest = log_p[n_flat:]
+            half_decay = 0.5 * np.exp(np.multiply.outer(self.depths[n_flat:n_stages], -kappa_grid))
+            np.einsum("sa,sk->sak", osc[n_flat:], half_decay, out=rest)
+            np.subtract(0.5, rest, out=rest)
+            _weigh(rest, self._log_q[n_flat:n_stages], weights[n_flat:n_stages])
         return _stage_sum(log_p)
 
 
 def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
     """Sum of h ln P + (N - h) ln(1 - P) over stages, with P clamped to
-    [1e-12, 1 - 1e-12]; always finite."""
+    [1e-12, 1 - 1e-12]; always finite.  a outside [0, 1] and a kappa that
+    is negative or not finite raise DomainError."""
+    if not 0.0 <= a <= 1.0:
+        raise DomainError(f"a={a} outside [0, 1]")
+    if not 0.0 <= kappa < math.inf:
+        raise DomainError(f"kappa={kappa} must be finite and >= 0")
     grid = _StageLikelihood([data], 1, 1).grid(
         0, len(data.stages), np.asarray([float(a)]), np.asarray([float(kappa)])
     )
@@ -237,16 +271,20 @@ def _snap(grids: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _linspace(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
     """np.linspace(lo, hi, num) with the bits of a lone call in every column.
 
-    With array endpoints numpy switches every column to its zero-step
-    formula as soon as one column's step is zero, so columns with and
-    without a zero step are spaced apart.
+    This is numpy's own formula, arange * step + lo with the last point set
+    to hi, and arange / (num - 1) * (hi - lo) + lo in a column whose step is
+    zero.  numpy itself, given array endpoints, switches every column to the
+    zero-step form as soon as one column's step is zero.
     """
-    zero = (hi - lo) / (num - 1) == 0.0
-    if np.count_nonzero(zero) in (0, len(zero)):
-        return np.linspace(lo, hi, num)
-    out = np.empty((num, len(lo)))
-    for cols in (zero, ~zero):
-        out[:, cols] = np.linspace(lo[cols], hi[cols], num)
+    delta = hi - lo
+    step = delta / (num - 1)
+    index = np.arange(num, dtype=float)[:, None]
+    out = index * step
+    zero = step == 0.0
+    if zero.any():
+        out[:, zero] = index / (num - 1) * delta[zero]
+    out += lo
+    out[-1] = hi
     return out
 
 
@@ -308,7 +346,7 @@ def _search(
     one-parameter error 1/sqrt(i11) at that kappa.
     """
     div = config.divisions_per_stage
-    n_data = len(lik.hits)
+    n_data = len(lik.weights)
     rows = np.arange(n_data)
     a_hat = kappa_hat = np.full(n_data, math.nan)
     evaluations = 0

@@ -84,6 +84,12 @@ def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
     return make_schedule(ScheduleKind.EIS, M, shots)
 
 
+def _check_kappa(kappa: float) -> None:
+    """The kappa check the beta sweeps share: a NaN or infinite kappa has no beta."""
+    if not math.isfinite(kappa):
+        raise DomainError(f"the beta sweep needs a finite kappa, got {kappa}")
+
+
 def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized beta over interior amplitudes in _BETA_BLOCK // workers
     blocks (an empty `a` is one empty block, refused), read in block order so
@@ -123,8 +129,7 @@ def anomaly_density(
         raise ConfigError(f"samples={samples} must be >= 1000 for a stable density")
     if not (0.0 < threshold < 1.0):
         raise ConfigError(f"threshold={threshold} outside (0, 1)")
-    if not math.isfinite(kappa):
-        raise DomainError(f"anomaly density needs a finite kappa, got {kappa}")
+    _check_kappa(kappa)
     if kappa <= 0.0:
         raise DomainError("anomaly density needs kappa > 0 (beta -> 0 for all a at kappa = 0)")
     if schedule is None:
@@ -229,6 +234,7 @@ def error_vs_kappa_contour(
 
 def anomality_trace(a_values: np.ndarray, kappa: float, schedule: Schedule) -> np.ndarray:
     """beta over an amplitude grid at fixed kappa (degenerate cells -> nan)."""
+    _check_kappa(kappa)
     beta, bad = _beta_grid(np.atleast_1d(np.asarray(a_values, dtype=float)), kappa, schedule)
     out = beta.copy()
     out[bad] = np.nan
@@ -247,6 +253,8 @@ def anomalous_segment_count(
     Measured on a uniform interior grid of `grid_size` midpoints; a segment
     is a maximal run of consecutive grid points above the threshold.
     """
+    _check_kappa(kappa)
+    grid_size = _integral(grid_size, "grid_size")
     if grid_size < 2:
         raise ConfigError(f"grid_size={grid_size} must be >= 2")
     if schedule is None:

@@ -11,6 +11,7 @@ from oracles import log_likelihood_grid
 from aemle import (
     ConfigError,
     DegenerateDataError,
+    DomainError,
     ExperimentData,
     MleConfig,
     amplitude_point,
@@ -49,6 +50,17 @@ def test_log_likelihood_finite_at_extremes():
     assert math.isfinite(log_likelihood(data, 0.0, 0.0))
     assert math.isfinite(log_likelihood(data, 1.0, 0.0))
     assert math.isfinite(log_likelihood(data, 0.5, 10.0))
+
+
+@pytest.mark.parametrize(
+    "a,kappa",
+    [(math.nan, 0.1), (0.3, math.nan), (0.3, math.inf), (math.inf, 0.1),
+     (0.3, -1.0), (2.0, 0.1), (-1e-300, 0.1)],
+)
+def test_log_likelihood_rejects_points_outside_the_domain(a, kappa):
+    data = ExperimentData(stages=((0, 50, 10), (1, 50, 20)))
+    with pytest.raises(DomainError):
+        log_likelihood(data, a, kappa)
 
 
 def test_data_validation():
@@ -220,11 +232,16 @@ def test_profile_goldens(case, expected):
 @st.composite
 def stage_counts(draw):
     """Random staged counts: up to 64 stages, depths up to 2**10, shots up to
-    1e4, with saturated hit counts (h = 0 or h = N) drawn often."""
+    1e4, with saturated hit counts (h = 0 or h = N) drawn often.  The leading
+    run of m = 0 stages, which the kernel computes without kappa, has any
+    length: none (the first depth is >= 1), some stages, or every stage (a
+    classical schedule)."""
     n_stages = draw(st.integers(1, 64))
-    depths = sorted(draw(st.lists(st.integers(0, 2**10), min_size=n_stages, max_size=n_stages)))
+    n_zero = draw(st.integers(0, n_stages))
+    tail = draw(st.lists(st.integers(1, 2**10), min_size=n_stages - n_zero,
+                         max_size=n_stages - n_zero))
     stages = []
-    for m in depths:
+    for m in [0] * n_zero + sorted(tail):
         n = draw(st.integers(0, 10_000))
         h = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
         stages.append((m, n, h))
@@ -237,21 +254,25 @@ def stage_counts(draw):
     profile=st.booleans(),
     a_box=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     k_box=st.tuples(st.floats(1e-10, 2.0), st.floats(1e-10, 2.0)),
+    profile_kappa=st.one_of(st.just(0.0), st.floats(1e-10, 2.0)),
     prefix=st.floats(0.0, 1.0),
 )
 @settings(max_examples=150, deadline=None)
 def test_stage_first_kernel_is_bit_identical_to_broadcast_formula(
-    data, div, profile, a_box, k_box, prefix
+    data, div, profile, a_box, k_box, profile_kappa, prefix
 ):
     a_grid = np.linspace(min(a_box), max(a_box), div)
-    k_grid = np.asarray([k_box[0]]) if profile else np.geomspace(min(k_box), max(k_box), div)
+    k_grid = np.asarray([profile_kappa]) if profile else np.geomspace(min(k_box), max(k_box), div)
     n_stages = 1 + int(prefix * (len(data.stages) - 1))
-    got = _StageLikelihood([data], div, len(k_grid)).grid(0, n_stages, a_grid, k_grid)
-    ref = log_likelihood_grid(
-        data.depths[:n_stages], data.shots[:n_stages], data.hits[:n_stages], a_grid, k_grid
-    )
-    assert np.array_equal(got, ref)
-    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    lik = _StageLikelihood([data], div, len(k_grid))
+    # a stage prefix, then every stage on the same workspace
+    for stages in (n_stages, len(data.stages)):
+        got = lik.grid(0, stages, a_grid, k_grid)
+        ref = log_likelihood_grid(
+            data.depths[:stages], data.shots[:stages], data.hits[:stages], a_grid, k_grid
+        )
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 @pytest.mark.parametrize("n_stages", [*range(1, 65), 129, 200, 300])

@@ -158,6 +158,25 @@ def test_trace_rejects_empty_grid():
         anomality_trace(np.asarray([]), 0.01, make_schedule("eis", 3, 10))
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_beta_sweeps_refuse_a_non_finite_kappa(kappa):
+    with pytest.raises(DomainError, match="finite kappa"):
+        anomality_trace(np.asarray([0.3]), kappa, make_schedule("eis", 3, 10))
+    with pytest.raises(DomainError, match="finite kappa"):
+        anomalous_segment_count(kappa)
+    with pytest.raises(DomainError, match="finite kappa"):
+        anomaly_density(kappa, 5000, seed=1)
+
+
+def test_segment_count_grid_size_is_integral():
+    with pytest.raises(ConfigError, match="grid_size=10.5 must be an integer"):
+        anomalous_segment_count(1e-2, grid_size=10.5)
+    # an integral float is the count it spells
+    assert anomalous_segment_count(1e-2, grid_size=2e4) == anomalous_segment_count(
+        1e-2, grid_size=20_000
+    )
+
+
 @pytest.mark.parametrize("size", [4095, 4096, 4097, 10_001])
 def test_blocked_beta_grid_equals_one_call(monkeypatch, size):
     a = np.random.default_rng(size).random(size)
