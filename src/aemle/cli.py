@@ -153,7 +153,6 @@ def cmd_crbound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     _check(parser, 0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
     _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
     _check(parser, args.M >= 1, f"--M must be >= 1, got {args.M}")
-    _check(parser, args.shots >= 1, f"--shots must be >= 1, got {args.shots}")
     point = amplitude_point(args.a, args.kappa)
     mbar = max_grover_depth(args.kappa) if args.kappa > 0.0 else None
     params: dict[str, object] = {
@@ -225,7 +224,6 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
 def cmd_trials(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     _check(parser, 0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
     _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
-    _check(parser, args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     seed = _resolved_seed(args)
     batch = run_trials(
         amplitude_point(args.a, args.kappa),
@@ -262,9 +260,6 @@ def cmd_trials(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
 
 def cmd_density(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     _check(parser, args.kappa > 0.0, f"--kappa must be > 0, got {args.kappa}")
-    _check(parser, args.samples >= 1000, f"--samples must be >= 1000, got {args.samples}")
-    _check(parser, 0.0 < args.threshold < 1.0,
-           f"--threshold must be inside (0, 1), got {args.threshold}")
     seed = _resolved_seed(args)
     if args.M is not None:
         schedule = make_schedule(ScheduleKind.EIS, args.M, args.shots)
@@ -321,8 +316,6 @@ def cmd_contour(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 
 
 def cmd_hwspec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    _check(parser, 0.0 < args.eps < 1.0, f"--eps must be inside (0, 1), got {args.eps}")
-    _check(parser, args.nint >= 1, f"--nint must be >= 1, got {args.nint}")
     assumptions = HardwareAssumptions(
         epsilon_target=args.eps,
         N_int=args.nint,
@@ -361,7 +354,6 @@ def cmd_hwspec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
 def cmd_hitcurve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     _check(parser, 0.0 <= args.a <= 1.0, f"--a must be in [0, 1], got {args.a}")
     _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
-    _check(parser, args.shots >= 1, f"--shots must be >= 1, got {args.shots}")
     if args.depths is not None:
         try:
             depths = [int(tok) for tok in args.depths.split(",") if tok.strip() != ""]

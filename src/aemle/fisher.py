@@ -92,7 +92,6 @@ class CrBoundResult:
 
     epsilon_min: float
     identifiable: bool
-    fallback_used: bool
 
 
 def _element_sums(
@@ -155,33 +154,7 @@ def cr_lower_bound(point: AmplitudePoint, schedule: Schedule) -> CrBoundResult:
     if info.i11 <= 0.0:
         raise DegenerateScheduleError("schedule carries no information about a")
     eps_a, eps_kappa = info.errors()
-    identifiable = eps_kappa is not None
-    return CrBoundResult(
-        epsilon_min=eps_a, identifiable=identifiable, fallback_used=not identifiable
-    )
-
-
-def saturation_floor(point: AmplitudePoint, schedule: Schedule) -> float:
-    """Noise-induced floor on eps_min: the bound chain eps_min >= this value.
-
-    Sum of 4 N (2m+1)^2 / sin^2(2 theta_a) * e^{-2 kappa m} / (1 - e^{-2 kappa m})
-    over stages with m > 0 (the ratio is undefined at m = 0), inverted and
-    square-rooted.  Defined only under noise.
-    """
-    if point.kappa <= 0.0:
-        raise DomainError("saturation floor is defined only for kappa > 0")
-    if not (0.0 < point.a < 1.0):
-        raise SingularPointError("Fisher information is singular at a in {0, 1}")
-    m = np.asarray(schedule.depths, dtype=float)
-    n = np.asarray(schedule.shots, dtype=float)
-    keep = m > 0
-    if not np.any(keep):
-        raise DegenerateScheduleError("saturation floor needs at least one stage with m > 0")
-    m, n = m[keep], n[keep]
-    sin2_2t = 4.0 * point.a * (1.0 - point.a)
-    decay = np.exp(-2.0 * point.kappa * m)
-    terms = 4.0 * n * (2.0 * m + 1.0) ** 2 / sin2_2t * decay / (1.0 - decay)
-    return 1.0 / math.sqrt(float(np.sum(terms)))
+    return CrBoundResult(epsilon_min=eps_a, identifiable=eps_kappa is not None)
 
 
 def max_grover_depth(kappa: float) -> int:

@@ -11,7 +11,7 @@ a bisection for the gate-error budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import ConfigError, DomainError
@@ -52,6 +52,10 @@ class HardwareAssumptions:
     kappa_bar_override: float | None = None
 
     def __post_init__(self) -> None:
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{item.name}={value} must be finite")
         if not (0.0 < self.epsilon_target < 1.0):
             raise ConfigError(f"epsilon_target={self.epsilon_target} outside (0, 1)")
         if self.N_int < 1:
@@ -196,12 +200,8 @@ def kappa_from_gate_errors(gates: list[tuple[float, int]]) -> float:
 
 @dataclass(frozen=True)
 class GateErrorGap:
-    """Required versus available gate errors, as improvement factors."""
+    """Device over required gate errors: the factor each must improve by."""
 
-    required_eps_s: float
-    required_eps_d: float
-    device_eps_s: float
-    device_eps_d: float
     gap_s: float
     gap_d: float
 
@@ -210,16 +210,10 @@ def gate_error_gap(
     report: HardwareReport, device_eps_s: float = 1.0e-3, device_eps_d: float = 1.0e-2
 ) -> GateErrorGap:
     """Factor by which device gate errors must improve to meet the budget."""
-    if device_eps_s <= 0.0 or device_eps_d <= 0.0:
-        raise DomainError("device gate errors must be positive")
-    return GateErrorGap(
-        required_eps_s=report.eps_s,
-        required_eps_d=report.eps_d,
-        device_eps_s=device_eps_s,
-        device_eps_d=device_eps_d,
-        gap_s=device_eps_s / report.eps_s,
-        gap_d=device_eps_d / report.eps_d,
-    )
+    for error in (device_eps_s, device_eps_d):
+        if not (0.0 < error < math.inf):
+            raise DomainError(f"device gate error {error} must be positive and finite")
+    return GateErrorGap(gap_s=device_eps_s / report.eps_s, gap_d=device_eps_d / report.eps_d)
 
 
 def report_rows(report: HardwareReport) -> list[tuple[str, str, object]]:
@@ -239,13 +233,3 @@ def report_rows(report: HardwareReport) -> list[tuple[str, str, object]]:
         ("t_total", "total executing time (s)", report.t_total),
         ("t_i_rule", "interval-time interpretation", report.interpretation.value),
     ]
-
-
-def with_interpretation(
-    assumptions: HardwareAssumptions, report: HardwareReport, interpretation: TimeInterpretation
-) -> HardwareReport:
-    """Same report with t_total recomputed under the other interval rule."""
-    t_total = total_execution_time(
-        assumptions, report.t_AA, report.t_mbar, report.m_bar, interpretation
-    )
-    return replace(report, t_total=t_total, interpretation=interpretation)

@@ -4,7 +4,8 @@ The unknown is the pair (a, kappa): a target amplitude a = sin^2(theta_a) and a
 depolarizing noise level kappa = -ln p, where p is the survival probability per
 amplification step.  A schedule lists the amplification depths m_k and shot
 counts N_k of the staged experiment; the forward model gives the probability of
-observing the good state after m amplifications, with and without noise.
+observing the good state after m amplifications (kappa = 0 is the noiseless
+case).
 """
 from __future__ import annotations
 
@@ -206,28 +207,14 @@ def total_queries(schedule: Schedule) -> int:
     return sum(n * (2 * m + 1) for m, n in schedule.stages)
 
 
-def ideal_good_prob(m: int, point: AmplitudePoint) -> float:
-    """Noiseless good-state probability sin^2((2m+1) theta_a) after m amplifications."""
-    return math.sin((2 * m + 1) * point.theta) ** 2
-
-
 def noisy_good_prob(m: int, point: AmplitudePoint) -> float:
     """Depolarized good-state probability 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a).
 
-    Equals e^{-kappa m} * ideal + (1 - e^{-kappa m})/2: the surviving branch
-    plus the maximally mixed remainder, which lands on the good state with
-    probability 1/2.
+    Equals e^{-kappa m} sin^2((2m+1) theta_a) + (1 - e^{-kappa m})/2: the
+    surviving noiseless branch plus the maximally mixed remainder, which lands
+    on the good state with probability 1/2.
     """
     return 0.5 - 0.5 * math.exp(-point.kappa * m) * math.cos(2.0 * (2 * m + 1) * point.theta)
-
-
-def modified_amplitude(a: float, phi: float) -> float:
-    """Rescaled target a * sin^2(phi), used to move off an anomalous amplitude."""
-    if not (0.0 <= a <= 1.0):
-        raise DomainError(f"amplitude a={a} outside [0, 1]")
-    if not (0.0 <= phi <= math.pi / 2):
-        raise DomainError(f"phi={phi} outside [0, pi/2]")
-    return a * math.sin(phi) ** 2
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -239,15 +226,3 @@ def schedule_to_json(schedule: Schedule) -> str:
     if schedule.r is not None:
         doc["r"] = schedule.r
     return json.dumps(doc)
-
-
-def schedule_from_json(text: str) -> Schedule:
-    """Parse the JSON produced by schedule_to_json."""
-    try:
-        doc = json.loads(text)
-        kind = ScheduleKind(doc.get("kind", "explicit"))
-        stages = tuple((s["m"], s["shots"]) for s in doc["stages"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed schedule JSON: {exc}") from exc
-    r = doc.get("r")
-    return Schedule(stages=stages, kind=kind, r=float(r) if r is not None else None)

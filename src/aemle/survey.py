@@ -84,12 +84,6 @@ def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
     return make_schedule(ScheduleKind.EIS, M, shots)
 
 
-def _check_kappa(kappa: float) -> None:
-    """The kappa check the beta sweeps share: a NaN or infinite kappa has no beta."""
-    if not math.isfinite(kappa):
-        raise DomainError(f"the beta sweep needs a finite kappa, got {kappa}")
-
-
 def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized beta over interior amplitudes in _BETA_BLOCK // workers
     blocks (an empty `a` is one empty block, refused), read in block order so
@@ -129,7 +123,8 @@ def anomaly_density(
         raise ConfigError(f"samples={samples} must be >= 1000 for a stable density")
     if not (0.0 < threshold < 1.0):
         raise ConfigError(f"threshold={threshold} outside (0, 1)")
-    _check_kappa(kappa)
+    if not math.isfinite(kappa):
+        raise DomainError(f"the beta sweep needs a finite kappa, got {kappa}")
     if kappa <= 0.0:
         raise DomainError("anomaly density needs kappa > 0 (beta -> 0 for all a at kappa = 0)")
     if schedule is None:
@@ -216,10 +211,11 @@ def error_vs_kappa_contour(
     """
     a = np.asarray(a_values, dtype=float)
     kappas = np.asarray(kappa_values, dtype=float)
-    if np.any(a <= 0.0) or np.any(a >= 1.0):
+    # written as "all inside" so that a NaN fails it
+    if not np.all((a > 0.0) & (a < 1.0)):
         raise DomainError("amplitude grid must lie strictly inside (0, 1)")
-    if np.any(kappas < 0.0):
-        raise DomainError("kappa grid must be non-negative")
+    if not np.all((kappas >= 0.0) & np.isfinite(kappas)):
+        raise DomainError("kappa grid must be finite and non-negative")
     columns = []
     for kappa in kappas:
         i11, i12, i22 = _element_sums(a, float(kappa), schedule.depths, schedule.shots)
@@ -230,37 +226,3 @@ def error_vs_kappa_contour(
         kappa_values=tuple(float(v) for v in kappas),
         epsilon_min=tuple(zip(*columns)),
     )
-
-
-def anomality_trace(a_values: np.ndarray, kappa: float, schedule: Schedule) -> np.ndarray:
-    """beta over an amplitude grid at fixed kappa (degenerate cells -> nan)."""
-    _check_kappa(kappa)
-    beta, bad = _beta_grid(np.atleast_1d(np.asarray(a_values, dtype=float)), kappa, schedule)
-    out = beta.copy()
-    out[bad] = np.nan
-    return out
-
-
-def anomalous_segment_count(
-    kappa: float,
-    threshold: float = ANOMALY_THRESHOLD,
-    grid_size: int = 200_000,
-    schedule: Schedule | None = None,
-    shots: int = 100,
-) -> int:
-    """Number of maximal a-intervals with beta above the threshold.
-
-    Measured on a uniform interior grid of `grid_size` midpoints; a segment
-    is a maximal run of consecutive grid points above the threshold.
-    """
-    _check_kappa(kappa)
-    grid_size = _integral(grid_size, "grid_size")
-    if grid_size < 2:
-        raise ConfigError(f"grid_size={grid_size} must be >= 2")
-    if schedule is None:
-        schedule = default_density_schedule(kappa, shots)
-    a = (np.arange(grid_size) + 0.5) / grid_size
-    beta, bad = _beta_grid(a, kappa, schedule)
-    above = (beta > threshold) & ~bad
-    starts = int(np.count_nonzero(above[1:] & ~above[:-1])) + int(above[0])
-    return starts

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, SpecError
-from .integrate import IntegrandSpec
+from aemle import DomainError, IntegrandSpec, SpecError
 
 MAX_QUBITS = 12
 

@@ -15,11 +15,9 @@ from aemle import (
     amplitude_point,
     anomality,
     anomaly_density,
-    build_A,
     classical_bound,
     compute_spec,
     cr_lower_bound,
-    depolarized_good_prob,
     explicit_schedule,
     fisher_matrix,
     kappa_from_gate_errors,
@@ -37,6 +35,7 @@ from aemle import (
     total_queries,
 )
 
+from circuitsim import build_A, depolarized_good_prob
 from conftest import check
 from oracles import all_small_schedules, fisher_enumerated
 

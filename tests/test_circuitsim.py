@@ -4,18 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from aemle import (
-    DomainError,
+from aemle import DomainError, amplitude_point, noisy_good_prob, sin2_target
+
+from circuitsim import (
     amplified_state,
-    amplitude_point,
     build_A,
     build_Q,
     depolarize,
     depolarized_good_prob,
     good_state_probability,
-    ideal_good_prob,
     initial_state,
-    sin2_target,
 )
 
 
@@ -63,7 +61,7 @@ def test_amplification_rotates_amplitude(spec_n2):
     pt = amplitude_point(s)
     for m in range(8):
         got = good_state_probability(amplified_state(A, m))
-        assert got == pytest.approx(ideal_good_prob(m, pt), abs=1e-12)
+        assert got == pytest.approx(noisy_good_prob(m, pt), abs=1e-12)
 
 
 def test_depolarized_prob_pure_limit(spec_n2):
@@ -71,7 +69,7 @@ def test_depolarized_prob_pure_limit(spec_n2):
     A = build_A(spec)
     for m in (0, 3, 7):
         assert depolarized_good_prob(A, m, 1.0) == pytest.approx(
-            ideal_good_prob(m, amplitude_point(s)), abs=1e-12
+            noisy_good_prob(m, amplitude_point(s)), abs=1e-12
         )
 
 

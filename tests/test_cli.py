@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from aemle import schedule_from_json
 from aemle.cli import main
 
 
@@ -154,12 +153,38 @@ def test_estimate_without_hits_and_misses_exits_3(tmp_path, capsys, stages):
     assert "no stage has both hits and misses" in err
 
 
-def test_invalid_flag_value_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["crbound", "--a", "1.5"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--a" in err
+# (id, argv, text stderr must hold): a flag the CLI checks itself, the flags
+# the library checks with the same exit code, and non-finite hardware inputs
+INVALID_FLAGS = [
+    ("crbound-a", ["crbound", "--a", "1.5"], "--a"),
+    ("crbound-shots", ["crbound", "--a", "0.3", "--shots", "0"], "shots=0"),
+    ("hitcurve-shots", ["hitcurve", "--a", "0.3", "--shots", "0"], "shots=0"),
+    ("trials-trials", ["trials", "--a", "0.3", "--trials", "0"], "trials=0"),
+    ("density-samples", ["density", "--kappa", "0.01", "--samples", "10"], "samples=10"),
+    ("density-threshold", ["density", "--kappa", "0.01", "--threshold", "1.5"], "threshold=1.5"),
+    ("hwspec-eps", ["hwspec", "--eps", "0", "--nint", "1"], "epsilon_target=0.0"),
+    ("hwspec-nint", ["hwspec", "--eps", "1e-3", "--nint", "0"], "N_int=0"),
+    ("hwspec-ts-nan", ["hwspec", "--eps", "1e-3", "--nint", "1", "--ts", "nan"], "t_s=nan"),
+    ("hwspec-error-ratio-inf", ["hwspec", "--eps", "1e-3", "--nint", "5", "--error-ratio", "inf"],
+     "error_ratio=inf"),
+    ("hwspec-kappa-bar-nan", ["hwspec", "--eps", "1e-3", "--nint", "1", "--kappa-bar", "nan"],
+     "kappa_bar_override=nan"),
+    ("hwspec-kappa-bar-inf", ["hwspec", "--eps", "1e-3", "--nint", "1", "--kappa-bar", "inf"],
+     "kappa_bar_override=inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,named", [case[1:] for case in INVALID_FLAGS], ids=[case[0] for case in INVALID_FLAGS]
+)
+def test_invalid_flag_value_exits_2(capsys, argv, named):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert named in captured.err
 
 
 def test_seed_resolution(capsys, monkeypatch):
@@ -282,9 +307,9 @@ def test_schedule_json_round_trips_through_parser(capsys):
         "--format", "json"
     )
     assert code == 0
-    sched = schedule_from_json(out)
-    assert sched.depths == (0, 1, 2, 6, 15)
-    assert sched.r == 2.5
+    doc = json.loads(out)
+    assert doc["kind"] == "powerbase" and doc["r"] == 2.5
+    assert doc["stages"] == [{"m": m, "shots": 100} for m in (0, 1, 2, 6, 15)]
 
 
 def test_output_file(tmp_path, capsys):

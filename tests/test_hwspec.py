@@ -1,5 +1,6 @@
 """Hardware-requirement calculator: closed-form rows, budgets, and times."""
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from aemle import (
     max_grover_depth,
     total_execution_time,
 )
-from aemle.hwspec import report_rows, with_interpretation
+from aemle.hwspec import report_rows
 
 REFERENCE = HardwareAssumptions(epsilon_target=0.001, N_int=5, kappa_bar_override=0.005)
 
@@ -59,9 +60,12 @@ def test_execution_times(reference_report):
 
 
 def test_per_mbar_interpretation(reference_report):
-    rep = with_interpretation(REFERENCE, reference_report, TimeInterpretation.PER_MBAR)
+    rep = compute_spec(REFERENCE, TimeInterpretation.PER_MBAR)
     assert rep.t_total == pytest.approx(4450.4977, rel=1e-6)
     assert rep.interpretation is TimeInterpretation.PER_MBAR
+    # only the total-time sum reads the interval rule
+    assert replace(rep, t_total=reference_report.t_total,
+                   interpretation=TimeInterpretation.PER_SHOT) == reference_report
 
 
 def test_time_closed_form_without_intervals():
@@ -113,14 +117,20 @@ def test_scan_sourced_noise_level():
 
 
 def test_gate_error_gap(reference_report):
+    # the defaults are the device errors 1e-3 (single-qubit) and 1e-2 (two-qubit)
     gap = gate_error_gap(reference_report)
-    assert gap.device_eps_s == 1.0e-3 and gap.device_eps_d == 1.0e-2
     assert gap.gap_d == pytest.approx(1.0e-2 / reference_report.eps_d, rel=1e-12)
     assert gap.gap_s == pytest.approx(1.0e-3 / reference_report.eps_s, rel=1e-12)
     # both gaps are about 4.5 orders of magnitude
     assert 1e4 < gap.gap_s < 1e5
     with pytest.raises(DomainError):
         gate_error_gap(reference_report, device_eps_s=0.0)
+    # a NaN passes a "<= 0" check and would give nan gaps
+    for device in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            gate_error_gap(reference_report, device_eps_s=device)
+        with pytest.raises(DomainError, match="finite"):
+            gate_error_gap(reference_report, device_eps_d=device)
 
 
 def test_kappa_from_gate_errors_reference_circuits():
@@ -149,6 +159,21 @@ def test_assumption_validation():
         HardwareAssumptions(epsilon_target=0.001, N_int=5, t_s=-1.0)
     with pytest.raises(ConfigError):
         HardwareAssumptions(epsilon_target=0.001, N_int=5, kappa_bar_override=-0.1)
+
+
+FLOAT_ASSUMPTIONS = [
+    "epsilon_target", "t_s", "t_d", "t_m", "interval_factor", "error_ratio",
+    "reference_amplitude", "kappa_bar_override",
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", FLOAT_ASSUMPTIONS)
+def test_assumptions_reject_non_finite_values(name, value):
+    # a NaN passes every "<= 0" check, and an infinite ratio or time would
+    # reach the report as a nan row or a ZeroDivisionError
+    with pytest.raises(ConfigError, match=f"{name}={value} must be finite"):
+        HardwareAssumptions(**{"epsilon_target": 0.001, "N_int": 5, name: value})
 
 
 def test_report_rows_cover_every_quantity(reference_report):

@@ -1,19 +1,11 @@
-"""Integrand discretization and the built-in estimation targets."""
+"""Integrand specifications and the built-in estimation targets."""
 import math
 
 import numpy as np
 import pytest
 
-from aemle import (
-    IntegrandSpec,
-    SpecError,
-    discretize,
-    grid_points,
-    sin2_target,
-    spec_from_json,
-    spec_to_json,
-    target_amplitude,
-)
+from aemle import IntegrandSpec, SpecError, sin2_target
+from aemle.integrate import grid_points
 
 # Midpoint sums computed at 40-digit precision and rounded.
 S_N1_B2PI5 = 0.375  # exact: (sin^2(pi/10) + sin^2(3 pi/10))/2
@@ -40,28 +32,6 @@ def test_sin2_target_rejects_nonpositive_n():
         sin2_target(0, 1.0)
 
 
-def test_discretize_uniform_density_matches_sin2():
-    spec, s = sin2_target(2, 2 * math.pi / 5)
-    quad = discretize(lambda x: 1.0, lambda x: math.sin(2 * math.pi / 5 * x) ** 2, 2)
-    assert np.allclose(quad.probabilities, spec.probabilities, atol=1e-14)
-    assert target_amplitude(quad) == pytest.approx(s, abs=1e-14)
-
-
-def test_discretize_nonuniform_density():
-    # q(x) = 2x integrates to 1 on [0,1]; cell masses are exact polynomials
-    quad = discretize(lambda x: 2.0 * x, lambda x: 0.5, 3)
-    xs = grid_points(3)
-    half = 0.5 / 8
-    exact = ((xs + half) ** 2 - (xs - half) ** 2)
-    assert np.allclose(quad.probabilities, exact, atol=1e-14)
-    assert target_amplitude(quad) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_discretize_rejects_unnormalized_density():
-    with pytest.raises(SpecError):
-        discretize(lambda x: 2.0, lambda x: 0.5, 2)
-
-
 def test_spec_validation():
     with pytest.raises(SpecError):
         IntegrandSpec(n=1, probabilities=(0.5, 0.5, 0.0), values=(0.1, 0.2, 0.3))
@@ -71,11 +41,3 @@ def test_spec_validation():
         IntegrandSpec(n=1, probabilities=(-0.1, 1.1), values=(0.1, 0.2))
     with pytest.raises(SpecError):
         IntegrandSpec(n=1, probabilities=(0.5, 0.5), values=(0.1, 1.2))
-
-
-def test_spec_json_round_trip():
-    spec, _ = sin2_target(2, 2 * math.pi / 5)
-    back = spec_from_json(spec_to_json(spec))
-    assert back == spec
-    with pytest.raises(SpecError):
-        spec_from_json('{"n": 1, "p": [1.0]}')

@@ -12,11 +12,8 @@ from aemle import (
     ScheduleKind,
     amplitude_point,
     explicit_schedule,
-    ideal_good_prob,
     make_schedule,
-    modified_amplitude,
     noisy_good_prob,
-    schedule_from_json,
     schedule_to_json,
     total_queries,
 )
@@ -41,16 +38,22 @@ def test_point_rejects_bad_kappa(kappa):
         amplitude_point(0.5, kappa)
 
 
+def _ideal(m, pt):
+    # noiseless good-state probability sin^2((2m+1) theta_a)
+    return math.sin((2 * m + 1) * pt.theta) ** 2
+
+
 def test_ideal_prob_endpoints():
-    assert ideal_good_prob(0, amplitude_point(0.0)) == 0.0
-    assert ideal_good_prob(0, amplitude_point(1.0)) == pytest.approx(1.0, abs=1e-15)
-    assert ideal_good_prob(0, amplitude_point(0.375)) == pytest.approx(0.375, abs=1e-15)
+    # kappa = 0 is the noiseless model
+    assert noisy_good_prob(0, amplitude_point(0.0)) == 0.0
+    assert noisy_good_prob(0, amplitude_point(1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert noisy_good_prob(0, amplitude_point(0.375)) == pytest.approx(0.375, abs=1e-15)
 
 
 def test_noiseless_limit_equals_ideal():
     pt = amplitude_point(0.375, 0.0)
     for m in range(10):
-        assert noisy_good_prob(m, pt) == pytest.approx(ideal_good_prob(m, pt), abs=1e-15)
+        assert noisy_good_prob(m, pt) == pytest.approx(_ideal(m, pt), abs=1e-15)
 
 
 @given(
@@ -62,7 +65,7 @@ def test_mixture_identity(a, kappa, m):
     # P = survival * ideal + (1 - survival)/2, survival = e^{-kappa m}
     pt = amplitude_point(a, kappa)
     survival = math.exp(-kappa * m)
-    mixed = survival * ideal_good_prob(m, pt) + (1.0 - survival) / 2.0
+    mixed = survival * _ideal(m, pt) + (1.0 - survival) / 2.0
     assert noisy_good_prob(m, pt) == pytest.approx(mixed, abs=1e-12)
 
 
@@ -167,37 +170,24 @@ def test_unknown_kind_rejected():
         make_schedule("quadratic", 3, 10)
 
 
-def test_modified_amplitude():
-    assert modified_amplitude(0.8, math.pi / 2) == pytest.approx(0.8, abs=1e-15)
-    assert modified_amplitude(0.8, 0.0) == 0.0
-    assert modified_amplitude(0.5, math.pi / 4) == pytest.approx(0.25, abs=1e-15)
-    with pytest.raises(DomainError):
-        modified_amplitude(0.5, 2.0)
-
-
 def test_schedule_json_round_trip():
     sch = make_schedule("powerbase", 4, 25, r=2.5)
     doc = json.loads(schedule_to_json(sch))
     assert doc["kind"] == "powerbase"
     assert doc["stages"][0] == {"m": 0, "shots": 25}
-    back = schedule_from_json(schedule_to_json(sch))
-    assert back.stages == sch.stages
-    assert back.kind is sch.kind
-    assert back.r == sch.r
-
-
-def test_schedule_json_malformed():
-    with pytest.raises(ConfigError):
-        schedule_from_json('{"stages": [{"m": "x"}]}')
-    with pytest.raises(ConfigError):
-        schedule_from_json("[1, 2]")
+    back = Schedule(
+        stages=tuple((s["m"], s["shots"]) for s in doc["stages"]),
+        kind=ScheduleKind(doc["kind"]),
+        r=doc["r"],
+    )
+    assert back == sch
 
 
 def test_schedule_rejects_non_integral_counts():
     with pytest.raises(ConfigError):
-        schedule_from_json('{"stages": [{"m": 1.7, "shots": 100}]}')
+        explicit_schedule([(1.7, 100)])
     with pytest.raises(ConfigError):
-        schedule_from_json('{"stages": [{"m": 1, "shots": 100.9}]}')
+        explicit_schedule([(1, 100.9)])
     with pytest.raises(ConfigError):
         explicit_schedule([(0, 10), (1.7, 10)])
     for bad in (True, math.nan, math.inf, "2"):
@@ -209,4 +199,3 @@ def test_schedule_rejects_non_integral_counts():
     sch = Schedule(stages=((2.0, 100), (3, 50.0)))
     assert sch.stages == ((2, 100), (3, 50))
     assert all(type(v) is int for stage in sch.stages for v in stage)
-    assert schedule_from_json('{"stages": [{"m": 2.0, "shots": 10}]}').stages == ((2, 10),)

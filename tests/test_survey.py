@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from aemle import (
+    ANOMALY_THRESHOLD,
     ConfigError,
     DomainError,
     SingularPointError,
     amplitude_point,
-    anomality_trace,
-    anomalous_segment_count,
     anomaly_density,
     classical_bound,
     cr_lower_bound,
@@ -93,9 +92,17 @@ def test_density_golden(kappa):
     assert result.samples == 20_000
 
 
+def _segment_count(kappa):
+    # maximal runs of beta above the threshold on 200,000 interior midpoints
+    a = (np.arange(200_000) + 0.5) / 200_000
+    beta, bad = survey._beta_grid(a, kappa, default_density_schedule(kappa))
+    above = (beta > ANOMALY_THRESHOLD) & ~bad
+    return int(np.count_nonzero(above[1:] & ~above[:-1])) + int(above[0])
+
+
 def test_segment_counts_scale_inversely_with_noise():
-    high = anomalous_segment_count(1e-2)
-    low = anomalous_segment_count(1e-3)
+    high = _segment_count(1e-2)
+    low = _segment_count(1e-3)
     assert high == 4
     assert low == 64
     assert 5.0 <= low / high <= 20.0
@@ -151,30 +158,21 @@ def test_contour_rejects_bad_grids():
         error_vs_kappa_contour(np.asarray([0.5]), np.asarray([-0.1]), sched)
     with pytest.raises(DomainError):
         error_vs_kappa_contour(np.asarray([]), np.asarray([0.01]), sched)
+    # a NaN passes a "some point outside" test, and kappa = inf would give nan cells
+    for a, kappa in ([math.nan], [0.01]), ([0.5], [math.nan]), ([0.5], [0.01, math.inf]):
+        with pytest.raises(DomainError):
+            error_vs_kappa_contour(np.asarray(a), np.asarray(kappa), sched)
 
 
 def test_trace_rejects_empty_grid():
     with pytest.raises(DomainError):
-        anomality_trace(np.asarray([]), 0.01, make_schedule("eis", 3, 10))
+        survey._beta_grid(np.asarray([]), 0.01, make_schedule("eis", 3, 10))
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
 def test_beta_sweeps_refuse_a_non_finite_kappa(kappa):
     with pytest.raises(DomainError, match="finite kappa"):
-        anomality_trace(np.asarray([0.3]), kappa, make_schedule("eis", 3, 10))
-    with pytest.raises(DomainError, match="finite kappa"):
-        anomalous_segment_count(kappa)
-    with pytest.raises(DomainError, match="finite kappa"):
         anomaly_density(kappa, 5000, seed=1)
-
-
-def test_segment_count_grid_size_is_integral():
-    with pytest.raises(ConfigError, match="grid_size=10.5 must be an integer"):
-        anomalous_segment_count(1e-2, grid_size=10.5)
-    # an integral float is the count it spells
-    assert anomalous_segment_count(1e-2, grid_size=2e4) == anomalous_segment_count(
-        1e-2, grid_size=20_000
-    )
 
 
 @pytest.mark.parametrize("size", [4095, 4096, 4097, 10_001])
@@ -205,7 +203,7 @@ def test_trace_raises_for_a_singular_point_in_a_late_block(monkeypatch, cores):
     a = np.linspace(0.01, 0.99, 3 * survey._BETA_BLOCK)
     a[-2] = 0.0
     with pytest.raises(SingularPointError):
-        anomality_trace(a, 1e-3, default_density_schedule(1e-3))
+        survey._beta_grid(a, 1e-3, default_density_schedule(1e-3))
 
 
 def test_anomalous_row_insensitive_to_noise():
@@ -235,7 +233,8 @@ def test_error_spikes_sit_on_anomalous_targets():
     a = np.linspace(0.005, 0.995, 2000)
     grid = error_vs_kappa_contour(a, np.asarray([kappa]), sched)
     eps = np.asarray([row[0] for row in grid.epsilon_min])
-    beta = anomality_trace(a, kappa, sched)
+    beta, bad = survey._beta_grid(a, kappa, sched)
+    assert not bad.any()
     median = float(np.median(eps))
     spikes = [
         i
@@ -244,7 +243,7 @@ def test_error_spikes_sit_on_anomalous_targets():
     ]
     assert len(spikes) >= 2
     for i in spikes:
-        assert np.nanmax(beta[max(0, i - 1) : i + 2]) > 0.9
+        assert beta[max(0, i - 1) : i + 2].max() > ANOMALY_THRESHOLD
     # the two strongest spikes are the conjugate anomalous pair
     tops = sorted(spikes, key=lambda i: eps[i], reverse=True)[:2]
     located = sorted(a[i] for i in tops)
