@@ -300,7 +300,8 @@ def cmd_contour(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
            "--a-points and --kappa-points must be >= 2")
     schedule = make_schedule(args.kind, args.M, args.shots, args.r)
     a_grid = np.linspace(args.a_min, args.a_max, args.a_points)
-    k_grid = np.geomspace(args.kappa_min, args.kappa_max, args.kappa_points)
+    with np.errstate(all="ignore"):  # a non-finite end is the library's DomainError
+        k_grid = np.geomspace(args.kappa_min, args.kappa_max, args.kappa_points)
     grid = error_vs_kappa_contour(a_grid, k_grid, schedule)
     params: dict[str, object] = {
         "seed": _resolved_seed(args),

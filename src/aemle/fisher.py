@@ -94,14 +94,15 @@ class CrBoundResult:
     identifiable: bool
 
 
-def _element_sums(
+def _element_terms(
     a: np.ndarray, kappa: np.ndarray | float, depths: np.ndarray, shots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Fisher sums for an array of amplitudes.
+    """Per-stage Fisher summands: three (K, S) arrays, whose row sums are
+    _element_sums.
 
-    Shapes: a is (K,), kappa is one noise level for all of them or (K,), one
-    per amplitude, depths/shots are (S,) or (K, S), row k the schedule of a[k],
-    summed as a lone (S,) call sums it; returns three (K,) arrays.
+    Shapes: a is (K,), or (1,) for one amplitude in every row; kappa is one
+    noise level for all rows or (K,), one per row; depths/shots are (S,) or
+    (K, S), row k the schedule of row k.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.size == 0:
@@ -126,10 +127,18 @@ def _element_sums(
     sin2_2t = (4.0 * a * one_minus_a)[:, None]
     sin_2t = (2.0 * np.sqrt(a * one_minus_a))[:, None]
     with np.errstate(invalid="ignore"):
-        i11 = (n * odd**2 / sin2_2t * 4.0 * sin2_x / denom).sum(axis=1)
-        i12 = (n * m * odd / sin_2t * np.sin(2.0 * x) / denom).sum(axis=1)
-        i22 = (n * m**2 * np.cos(x) ** 2 / denom).sum(axis=1)
-    return i11, i12, i22
+        t11 = n * odd**2 / sin2_2t * 4.0 * sin2_x / denom
+        t12 = n * m * odd / sin_2t * np.sin(2.0 * x) / denom
+        t22 = n * m**2 * np.cos(x) ** 2 / denom
+    return t11, t12, t22
+
+
+def _element_sums(
+    a: np.ndarray, kappa: np.ndarray | float, depths: np.ndarray, shots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized Fisher sums: three (K,) arrays, the row sums of
+    _element_terms, row k summed as a lone (S,) call sums it."""
+    return tuple(t.sum(axis=1) for t in _element_terms(a, kappa, depths, shots))
 
 
 def _fisher_at(point: AmplitudePoint, depths, shots) -> FisherMatrix:
@@ -213,19 +222,23 @@ def saturated_schedule(
 def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) -> list[float]:
     """cr_lower_bound's eps_a at each kappa on its EIS saturated ladder.
 
-    Ladders of one length share one _element_sums call; zero-shot padding to
-    one length would change numpy's summation order, and so the last bits."""
-    ladders = [capped_depths(ScheduleKind.EIS, max_grover_depth(k)) for k in kappas]
-    kappas, errors = np.asarray(kappas, dtype=float), [0.0] * len(ladders)
-    for length in set(map(len, ladders)):
-        rows = [i for i, depths in enumerate(ladders) if len(depths) == length]
-        m = np.asarray([ladders[i] for i in rows], dtype=float)
-        sums = _element_sums(np.full(len(rows), a), kappas[rows], m, np.full_like(m, shots))
-        if np.any(sums[0] <= 0.0):
-            raise DegenerateScheduleError("schedule carries no information about a")
-        for i, cell in zip(rows, zip(*(v.tolist() for v in sums))):
-            errors[i] = FisherMatrix(*cell).errors()[0]
-    return errors
+    One _element_terms pass covers every (kappa, stage) cell, ladder after
+    ladder, so a run of equal-length ladders sums as one (rows, L) block, as a
+    lone call would; zero-shot padding would change that order, and the bits."""
+    mbars = np.asarray([max_grover_depth(k) for k in kappas])
+    top = np.asarray(capped_depths(ScheduleKind.EIS, int(mbars.max())), dtype=float)
+    lengths = np.searchsorted(top, mbars) + 1  # the depths below m-bar, then m-bar
+    offsets = np.concatenate(([0], np.cumsum(lengths)))  # ladder k is cells offsets[k:k+2]
+    depths = top[np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)]
+    depths[offsets[1:] - 1] = mbars
+    kappa = np.repeat(np.asarray(kappas, dtype=float), lengths)
+    terms = _element_terms(np.asarray([float(a)]), kappa, depths[:, None], float(shots))
+    runs = np.flatnonzero(np.diff(lengths, prepend=0, append=0)).tolist()  # run starts, then K
+    i11, i12, i22 = (np.concatenate([t[offsets[i]:offsets[j]].reshape(-1, lengths[i]).sum(axis=1)
+                                     for i, j in zip(runs, runs[1:])]) for t in terms)
+    if np.any(i11 <= 0.0):
+        raise DegenerateScheduleError("schedule carries no information about a")
+    return [FisherMatrix(*cell).errors()[0] for cell in zip(i11.tolist(), i12.tolist(), i22.tolist())]
 
 
 def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:
@@ -233,7 +246,7 @@ def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:
 
     eps_min on the EIS saturated schedule (depths 0, 1, 2, 4, ... below m-bar,
     then m-bar, `shots` shots each) is evaluated at every kappa of a log grid
-    from 1e-8 to 2 in a few batched calls; the largest passing kappa is refined
+    from 1e-8 to 2 in one elementwise pass; the largest passing kappa is refined
     by log-bisection to two significant digits.  If kappa = 2 passes, the
     unamplified stage meets the target: kappa-bar is unbounded (DomainError).
     """

@@ -4,8 +4,8 @@ Given a target accuracy and circuit-size assumptions, derives the register
 widths, gate counts per amplification round, the tolerable noise level
 kappa-bar, the per-gate error budget that achieves it, and wall-clock
 execution times.  Pure arithmetic end to end; the only iterative pieces are
-the kappa-bar scan (fisher.required_noise_for_error, a few batched Fisher
-calls; DomainError when the unamplified stage already meets the target) and
+the kappa-bar scan (fisher.required_noise_for_error, one elementwise Fisher
+pass; DomainError when the unamplified stage already meets the target) and
 a bisection for the gate-error budget.
 """
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import ConfigError, DomainError
 from .fisher import max_grover_depth, required_noise_for_error
-from .model import ScheduleKind, capped_depths
+from .model import ScheduleKind, _integral, capped_depths
 
 # Reference target amplitude for the kappa-bar scan when no override is given.
 _REFERENCE_AMPLITUDE = 0.375
@@ -58,10 +58,10 @@ class HardwareAssumptions:
                 raise ConfigError(f"{item.name}={value} must be finite")
         if not (0.0 < self.epsilon_target < 1.0):
             raise ConfigError(f"epsilon_target={self.epsilon_target} outside (0, 1)")
-        if self.N_int < 1:
-            raise ConfigError(f"N_int={self.N_int} must be >= 1")
-        if self.N_k < 1:
-            raise ConfigError(f"N_k={self.N_k} must be >= 1")
+        for name in ("N_int", "N_k"):  # 3.0 is stored as 3, 2.5 is refused
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
         for name in ("t_s", "t_d", "t_m", "error_ratio"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name}={getattr(self, name)} must be positive")

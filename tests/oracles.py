@@ -263,18 +263,19 @@ def profile_reference(data, kappa_fixed: float, config: MleConfig | None = None)
     return search_reference(ReferenceLikelihood(data), config, float(kappa_fixed))[0]
 
 
+def saturated_error_reference(a: float, kappa: float, shots: int) -> float:
+    """eps_min of one saturated EIS schedule, built and bounded on its own."""
+    sched = saturated_schedule(kappa, shots)
+    return cr_lower_bound(amplitude_point(a, kappa), sched).epsilon_min
+
+
 def kappa_scan_reference(a: float, target_eps: float, shots: int):
     """(grid, eps_min at each grid point, kappa-bar) of the per-point scan:
     25 kappa points per decade from 1e-8 to 2, then log-bisection of the
     last passing bracket to a ratio of 1.005.  kappa-bar is None when no grid
     point meets the target and inf when the last one (kappa = 2) does."""
-
-    def error_at(kappa: float) -> float:
-        sched = saturated_schedule(kappa, shots)
-        return cr_lower_bound(amplitude_point(a, kappa), sched).epsilon_min
-
     grid = np.geomspace(1e-8, 2.0, int(math.log10(2.0 / 1e-8) * 25) + 1)
-    errors = [error_at(float(k)) for k in grid]
+    errors = [saturated_error_reference(a, float(k), shots) for k in grid]
     passing = [k for k, eps in zip(grid, errors) if eps <= target_eps]
     if not passing:
         return grid, errors, None
@@ -285,7 +286,7 @@ def kappa_scan_reference(a: float, target_eps: float, shots: int):
     hi = float(grid[idx + 1])
     while hi / lo > 1.005:
         mid = math.sqrt(lo * hi)
-        if error_at(mid) <= target_eps:
+        if saturated_error_reference(a, mid, shots) <= target_eps:
             lo = mid
         else:
             hi = mid

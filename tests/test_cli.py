@@ -246,6 +246,10 @@ def test_contour_emission(capsys):
     assert header_cols[0] == "a"
     assert len(header_cols) == 4 and header_cols[1].startswith("kappa=")
     assert len(lines) == 2 + 3
+    # a non-finite axis end reaches the library's check without a numpy warning
+    code, out, err = run_cli(capsys, "contour", "--kappa-max", "inf")
+    assert code == 3 and out == ""
+    assert err == "aemle: kappa grid must be finite and non-negative\n"
 
 
 def test_hwspec_emission(capsys):

@@ -29,7 +29,7 @@ from aemle import (
 
 from aemle.fisher import _element_sums, _saturated_errors
 
-from oracles import fisher_enumerated, kappa_scan_reference
+from oracles import fisher_enumerated, kappa_scan_reference, saturated_error_reference
 
 POINTS = [(0.12, 0.0), (0.3, 0.05), (0.5, 0.31), (0.62, 0.05), (0.85, 0.31)]
 
@@ -311,6 +311,148 @@ def test_required_noise_domain_and_reachability():
             required_noise_for_error(0.375, eps, 100)
 
 
+# "kappa-bar eps" as float.hex at target eps = 1e-2, 1e-4, 1e-6, eps being
+# the scan's error at kappa-bar itself; an exception class where the call
+# raises.  kappa-bar keeps the summands' bits only through the bisection's
+# comparisons, and the per-point oracle calls the same summands as the scan,
+# so the error column is what catches a change in _element_sums' rounding.
+# The bits are numpy's AVX-512 loops': on its AVX2 loops 10 of 24 rows differ.
+KAPPA_BAR_HEX = {
+    (0.01, 1): (
+        "0x1.943347d6f1574p-5 0x1.477b95ad1a924p-7",
+        "0x1.9f2c93a2aa08ep-11 0x1.7c37bf7711f21p-14",
+        "0x1.f138cc591312dp-18 0x1.cd3c97206d473p-21",
+    ),
+    (0.01, 7): (
+        "0x1.320632ab7ef50p-3 0x1.479da66f0b8bap-7",
+        "0x1.db2f0187a6083p-10 0x1.95ef17017f4a5p-14",
+        "0x1.02b33b30c787ap-16 0x1.ac981dd658bc5p-21",
+    ),
+    (0.01, 100): (
+        DomainError,
+        "0x1.b33dc8463e9e3p-8 0x1.83916408a0e35p-14",
+        "0x1.0f5f268facd34p-14 0x1.c169dde5bd44ap-21",
+    ),
+    (0.01, 12345): (
+        DomainError,
+        "0x1.8633f24bb5956p-4 0x1.a195d4607a222p-14",
+        "0x1.c6061d6078ce2p-11 0x1.e676ff5c70c26p-21",
+    ),
+    (0.2, 1): (
+        "0x1.ec6f45ed3a468p-7 0x1.1d9840cdd48c4p-7",
+        "0x1.c15e310b5638ap-13 0x1.a3667a9c81385p-14",
+        "0x1.d8a378d576abcp-20 0x1.066e0ad63e0f8p-20",
+    ),
+    (0.2, 7): (
+        "0x1.1eba27a36c7f9p-5 0x1.fb31e1745aaeap-8",
+        "0x1.8cafc4a529dadp-12 0x1.8fded457da887p-14",
+        "0x1.fe9e6c36b64bdp-19 0x1.9bace041e73eep-21",
+    ),
+    (0.2, 100): (
+        "0x1.3afbb9d48e4c6p-3 0x1.354b21aed9ae7p-7",
+        "0x1.f48448f6c7930p-10 0x1.7d922d1a5f0c0p-14",
+        "0x1.e163e526b1518p-17 0x1.0032ade76c8dcp-20",
+    ),
+    (0.2, 12345): (
+        DomainError,
+        "0x1.059938deea843p-6 0x1.8a52a4fe5cc18p-14",
+        "0x1.cbdca8eefd32cp-13 0x1.052a13357c44fp-20",
+    ),
+    (0.375, 1): (
+        "0x1.cf7b235383d2fp-7 0x1.3adc5fa2e4e49p-7",
+        "0x1.017a3fa7dd001p-13 0x1.9232c41b89372p-14",
+        "0x1.947180375d7a0p-20 0x1.dfbe84dbf533bp-21",
+    ),
+    (0.375, 7): (
+        "0x1.da030ff7683cfp-6 0x1.0cf425d9f9131p-7",
+        "0x1.278b8885669b0p-12 0x1.81500671edbacp-14",
+        "0x1.88b282d5fb426p-19 0x1.cbcb50f699d4dp-21",
+    ),
+    (0.375, 100): (
+        "0x1.e1b1f53f3d3d4p-4 0x1.33945eb23f469p-7",
+        "0x1.87a68ac4bc98bp-10 0x1.a2989f3a442f5p-14",
+        "0x1.d667a92ae26fep-17 0x1.ef88722285847p-21",
+    ),
+    (0.375, 12345): (
+        DomainError,
+        "0x1.cf7b235383d2fp-7 0x1.6abacac183345p-14",
+        "0x1.36988c36c3ee2p-13 0x1.073196944d730p-20",
+    ),
+    (0.5, 1): (
+        "0x1.ad01c33293e86p-8 0x1.0df58ed6f2d5dp-7",
+        "0x1.59ce118139847p-14 0x1.778f3f734fbadp-14",
+        "0x1.62637989a5877p-21 0x1.ea23320de3084p-21",
+    ),
+    (0.5, 7): (
+        "0x1.2c75f0b3a5dadp-6 0x1.03f799a92d1dbp-7",
+        "0x1.9061eb92ade9dp-13 0x1.89a565e77d31fp-14",
+        "0x1.ed8b868011784p-20 0x1.a27f16bf5eb87p-21",
+    ),
+    (0.5, 100): (
+        "0x1.f01a6da866ef4p-5 0x1.da16768e91718p-8",
+        "0x1.adcd4c7a29346p-11 0x1.8ad11dd247360p-14",
+        "0x1.88367f0251e15p-17 0x1.074a4ee42718ap-20",
+    ),
+    (0.5, 12345): (
+        DomainError,
+        "0x1.4411cff0c3660p-7 0x1.a326a48604212p-14",
+        "0x1.99fc4b7d19eb3p-14 0x1.060258fe5679ap-20",
+    ),
+    (0.7, 1): (
+        "0x1.69a0193078adep-7 0x1.ed89176b2a0cep-8",
+        "0x1.1c04d87dd7ffap-13 0x1.816bc12451352p-14",
+        "0x1.0bb40b0423760p-20 0x1.a3552cdc13687p-21",
+    ),
+    (0.7, 7): (
+        "0x1.1eba27a36c7f9p-5 0x1.11890c5947c9cp-7",
+        "0x1.0f09735ed84b5p-12 0x1.35951ee84904bp-14",
+        "0x1.94319e7322a47p-19 0x1.823e93af261bbp-21",
+    ),
+    (0.7, 100): (
+        "0x1.3afbb9d48e4c6p-3 0x1.34731400cbfe2p-7",
+        "0x1.d5bb0204a73c0p-10 0x1.92fdd2baf720cp-14",
+        "0x1.f997dc6efec17p-17 0x1.f74d17195d895p-21",
+    ),
+    (0.7, 12345): (
+        DomainError,
+        "0x1.ec6f45ed3a468p-7 0x1.9d0e11393893cp-14",
+        "0x1.1c04d87dd7ffap-13 0x1.bc04610a319bep-21",
+    ),
+    (0.99, 1): (
+        "0x1.943347d6f1574p-5 0x1.477b95ad1a92fp-7",
+        "0x1.9f2c93a2aa08ep-11 0x1.7c37bf771216ep-14",
+        "0x1.f138cc591312dp-18 0x1.cd3c972085253p-21",
+    ),
+    (0.99, 7): (
+        "0x1.320632ab7ef50p-3 0x1.479da66f0b8dbp-7",
+        "0x1.db2f0187a6083p-10 0x1.95ef17017f608p-14",
+        "0x1.02b33b30c787ap-16 0x1.ac981dd646388p-21",
+    ),
+    (0.99, 100): (
+        DomainError,
+        "0x1.b33dc8463e9e3p-8 0x1.83916408a0eb2p-14",
+        "0x1.0f5f268facd34p-14 0x1.c169dde5be2c1p-21",
+    ),
+    (0.99, 12345): (
+        DomainError,
+        "0x1.8633f24bb5956p-4 0x1.a195d4607a20cp-14",
+        "0x1.c6061d6078ce2p-11 0x1.e676ff5c707f8p-21",
+    ),
+}
+
+
+@pytest.mark.parametrize("a,shots", list(KAPPA_BAR_HEX))
+def test_kappa_bar_hex_table(a, shots):
+    for eps, want in zip((1e-2, 1e-4, 1e-6), KAPPA_BAR_HEX[a, shots]):
+        if isinstance(want, str):
+            kappa_bar = required_noise_for_error(a, eps, shots)
+            got = _saturated_errors(a, [kappa_bar], shots)[0]
+            assert f"{kappa_bar.hex()} {got.hex()}" == want
+        else:
+            with pytest.raises(want):
+                required_noise_for_error(a, eps, shots)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     a=st.floats(0.01, 0.99),
@@ -330,6 +472,22 @@ def test_kappa_scan_is_bit_identical_to_per_point_scan(a, log_eps, shots):
             required_noise_for_error(a, eps, shots)
     else:
         assert required_noise_for_error(a, eps, shots) == kappa_bar
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    a=st.floats(0.01, 0.99),
+    shots=st.integers(1, 20_000),
+    values=st.lists(st.floats(1e-8, 3.0), min_size=1, max_size=50),
+)
+def test_scan_on_any_kappa_list_matches_per_point_bounds(data, a, shots, values):
+    # unsorted, with repeats, and up to kappa = 3 (m-bar = 0 above ln 1.5): one
+    # length's ladders need not be adjacent, and a [0] ladder may sit anywhere
+    picks = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=50))
+    kappas = [values[i] for i in picks]
+    want = [saturated_error_reference(a, k, shots) for k in kappas]
+    assert _saturated_errors(a, kappas, shots) == want
 
 
 @settings(max_examples=60, deadline=None)

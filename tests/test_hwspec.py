@@ -159,6 +159,14 @@ def test_assumption_validation():
         HardwareAssumptions(epsilon_target=0.001, N_int=5, t_s=-1.0)
     with pytest.raises(ConfigError):
         HardwareAssumptions(epsilon_target=0.001, N_int=5, kappa_bar_override=-0.1)
+    # the counts are integers: an integral float is stored as an int, a
+    # fractional one would size registers and shot totals from a fraction
+    whole = HardwareAssumptions(epsilon_target=0.001, N_int=3.0, N_k=100.0)
+    assert (whole.N_int, whole.N_k) == (3, 100) and type(whole.N_int) is type(whole.N_k) is int
+    with pytest.raises(ConfigError, match="N_int=2.5"):
+        HardwareAssumptions(epsilon_target=0.001, N_int=2.5)
+    with pytest.raises(ConfigError, match="N_k=100.5"):
+        HardwareAssumptions(epsilon_target=0.001, N_int=5, N_k=100.5)
 
 
 FLOAT_ASSUMPTIONS = [
