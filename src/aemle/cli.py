@@ -419,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--simulate", action="store_true", help="sample data from --a/--kappa first")
     sub.add_argument("--a", type=float, default=None, help="true amplitude for --simulate")
     sub.add_argument("--kappa", type=float, default=None, help="true noise level for --simulate")
-    sub.add_argument("--divisions", type=int, default=64, help="grid divisions per stage (default 64)")
+    sub.add_argument("--divisions", type=int, default=32,
+                     help="grid points per axis at each search stage (default 32)")
     sub.set_defaults(func=cmd_estimate)
 
     sub = subs.add_parser("trials", help="seeded repeated-estimation accuracy sweep")
@@ -428,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--a", type=float, required=True, help="true amplitude in (0, 1)")
     sub.add_argument("--kappa", type=float, default=0.0, help="true noise level (default 0)")
     sub.add_argument("--trials", type=int, default=100, help="repetitions per M (default 100)")
-    sub.add_argument("--divisions", type=int, default=64, help="grid divisions per stage (default 64)")
+    sub.add_argument("--divisions", type=int, default=32,
+                     help="grid points per axis at each search stage (default 32)")
     sub.set_defaults(func=cmd_trials)
 
     sub = subs.add_parser("density", help="fraction of anomalous target amplitudes")

@@ -6,8 +6,10 @@ confidence box C_eps times the per-parameter Cramer-Rao errors, and searches
 stage k's accumulated likelihood on a constant-size grid inside that box
 (a linear, kappa log-spaced).  The previous estimate is snapped onto the new
 grid so a stage can never do worse than carrying the old estimate forward.
-Datasets that share a schedule run through one stage loop together, and
-each gets the result it would get alone.
+After the last stage a final zoom of a few shrinking linear grids around
+the estimate polishes it, moving it only to a strictly better point.
+Datasets that share a schedule run through one stage loop and zoom
+together, and each gets the result it would get alone.
 """
 from __future__ import annotations
 
@@ -37,6 +39,12 @@ _KAPPA_INIT = (1e-6, 2.0)
 
 # Most stages a dataset may have; guards data read from files.
 _MAX_STAGES = 64
+
+# The final zoom: rounds, linear grid points per axis, and datasets per
+# kernel call.
+_ZOOM_ROUNDS = 4
+_ZOOM_POINTS = 17
+_ZOOM_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -95,9 +103,11 @@ def data_from_json(text: str) -> ExperimentData:
 class MleConfig:
     """Grid points per axis at every stage of the adaptive search (the CLI's
     --divisions).  The rest of the search is fixed: the initial box _A_INIT x
-    _KAPPA_INIT, the box factor of _chebyshev_factor and the _MAX_STAGES cap."""
+    _KAPPA_INIT, the box factor of _chebyshev_factor, the _MAX_STAGES cap and
+    the final zoom (_ZOOM_ROUNDS rounds of _ZOOM_POINTS per axis), which adds
+    the same evaluations to every estimate."""
 
-    divisions_per_stage: int = 64
+    divisions_per_stage: int = 32
 
     def __post_init__(self) -> None:
         if self.divisions_per_stage < 8:
@@ -169,21 +179,17 @@ def _stage_sum(terms: np.ndarray) -> np.ndarray:
     return total + 0.0
 
 
-def _weigh(p: np.ndarray, q: np.ndarray, weights: Sequence[tuple[float, float]]) -> None:
+def _weigh(p: np.ndarray, q: np.ndarray, hits: np.ndarray, misses: np.ndarray) -> None:
     """Turn P in p into h ln P + (N - h) ln(1 - P), with P clamped to
-    [EPS_P, 1 - EPS_P]; weights holds (h, N - h) for each leading-axis row
-    and q is scratch of p's shape.
-
-    Each row is scaled by its two Python floats: numpy buffers a broadcast
-    (rows, 1, 1) operand, which costs more than the row loop.
-    """
-    np.clip(p, EPS_P, 1.0 - EPS_P, out=p)
+    [EPS_P, 1 - EPS_P]; hits and misses hold h and N - h, broadcast against
+    p, and q is scratch of p's shape."""
+    np.maximum(p, EPS_P, out=p)
+    np.minimum(p, 1.0 - EPS_P, out=p)
     np.negative(p, out=q)
     np.log1p(q, out=q)
     np.log(p, out=p)
-    for row_p, row_q, (hits, misses) in zip(p, q, weights):
-        row_p *= hits
-        row_q *= misses
+    p *= hits
+    q *= misses
     p += q
 
 
@@ -192,51 +198,64 @@ class _StageLikelihood:
     (a, kappa) grids.
 
     The schedule and every dataset's counts are converted once, and one
-    stage-first (stage, a, kappa) workspace serves every grid of every
-    dataset.  The m = 0 stages lead (depths are non-decreasing) and, as
-    e^{-kappa 0} = 1 at every finite kappa, their terms are computed on an
-    (a,) column and copied along the kappa axis.  The other stages form
-    cos(2(2m+1) theta_a) x e^{-kappa m} / 2 with einsum, which skips the
-    buffering of numpy's broadcast multiply.  Every value keeps the bits of
-    the broadcast formula (einsum may drop a zero's sign; 1/2 - 0 erases it).
+    stage-first (stage, dataset, a, kappa) workspace, grown to the largest
+    call, serves every grid of every dataset.  The m = 0 stages lead (depths
+    are non-decreasing) and, as e^{-kappa 0} = 1 at every finite kappa,
+    their terms are computed on (dataset, a) columns and copied along the
+    kappa axis.  The other stages form cos(2(2m+1) theta_a) x e^{-kappa m} / 2
+    with einsum, which skips the buffering of numpy's broadcast multiply.
+    Every value is elementwise, so a dataset's grid has the same bits in any
+    call, and keeps the bits of the broadcast formula (einsum may drop a
+    zero's sign; 1/2 - 0 erases it).
     """
 
-    def __init__(self, datasets: Sequence[ExperimentData], n_a: int, n_kappa: int) -> None:
+    def __init__(self, datasets: Sequence[ExperimentData]) -> None:
         self.depths = np.asarray(datasets[0].depths, dtype=float)
         self.shots = np.asarray(datasets[0].shots, dtype=float)
-        # (h, N - h) of each stage of each dataset
-        self.weights = [
-            [(float(h), float(n) - float(h)) for n, h in zip(data.shots, data.hits)]
-            for data in datasets
-        ]
+        self.n_data = len(datasets)
+        # (stage, dataset, 1, 1) hit and miss counts
+        self._hits = np.asarray([data.hits for data in datasets], dtype=float).T[:, :, None, None]
+        self._misses = self.shots[:, None, None, None] - self._hits
         self._freq = 2.0 * (2.0 * self.depths + 1.0)
         self._n_flat = int(np.count_nonzero(self.depths == 0.0))
-        shape = (len(self.depths), n_a, n_kappa)
-        self._log_p = np.empty(shape)
-        self._log_q = np.empty(shape)
+        self._log_p = self._log_q = np.empty(0)
 
     def grid(
-        self, t: int, n_stages: int, a_grid: np.ndarray, kappa_grid: np.ndarray
+        self,
+        rows: slice | Sequence[int],
+        n_stages: int,
+        a_grids: np.ndarray,
+        kappa_grids: np.ndarray,
     ) -> np.ndarray:
-        """Sum over dataset t's stages 0..n_stages-1 of h ln P + (N - h) ln(1 - P),
-        with P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
-        [EPS_P, 1 - EPS_P]; shape (len(a_grid), len(kappa_grid)).  kappa
-        must be finite."""
-        theta = np.arcsin(np.sqrt(np.clip(a_grid, 0.0, 1.0)))
+        """Sum over stages 0..n_stages-1 of h ln P + (N - h) ln(1 - P), with
+        P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
+        [EPS_P, 1 - EPS_P], for each dataset of rows on its own grid: row r
+        of a_grids (n_a points) and of kappa_grids (n_k points); shape
+        (len(rows), n_a, n_k).  kappa must be finite."""
+        n_rows, n_a = a_grids.shape
+        n_k = kappa_grids.shape[1]
+        size = n_stages * n_rows * n_a * n_k
+        if self._log_p.size < size:
+            self._log_p, self._log_q = np.empty(size), np.empty(size)
+        shape = (n_stages, n_rows, n_a, n_k)
+        log_p = self._log_p[:size].reshape(shape)
+        log_q = self._log_q[:size].reshape(shape)
+        hits = self._hits[:n_stages, rows]
+        misses = self._misses[:n_stages, rows]
+        theta = np.arcsin(np.sqrt(np.minimum(np.maximum(a_grids, 0.0), 1.0)))
         osc = np.cos(np.multiply.outer(self._freq[:n_stages], theta))
-        weights = self.weights[t]
-        log_p = self._log_p[:n_stages]
         n_flat = min(self._n_flat, n_stages)
         if n_flat:
             flat = 0.5 - osc[:n_flat] * 0.5
-            _weigh(flat, np.empty_like(flat), weights[:n_flat])
-            log_p[:n_flat] = flat[:, :, None]
+            _weigh(flat, np.empty_like(flat), hits[:n_flat, :, :, 0], misses[:n_flat, :, :, 0])
+            log_p[:n_flat] = flat[..., None]
         if n_flat < n_stages:
             rest = log_p[n_flat:]
-            half_decay = 0.5 * np.exp(np.multiply.outer(self.depths[n_flat:n_stages], -kappa_grid))
-            np.einsum("sa,sk->sak", osc[n_flat:], half_decay, out=rest)
+            half_decay = np.exp(np.multiply.outer(self.depths[n_flat:n_stages], -kappa_grids))
+            half_decay *= 0.5
+            np.einsum("sra,srk->srak", osc[n_flat:], half_decay, out=rest)
             np.subtract(0.5, rest, out=rest)
-            _weigh(rest, self._log_q[n_flat:n_stages], weights[n_flat:n_stages])
+            _weigh(rest, log_q[n_flat:], hits[n_flat:], misses[n_flat:])
         return _stage_sum(log_p)
 
 
@@ -248,10 +267,9 @@ def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
         raise DomainError(f"a={a} outside [0, 1]")
     if not 0.0 <= kappa < math.inf:
         raise DomainError(f"kappa={kappa} must be finite and >= 0")
-    grid = _StageLikelihood([data], 1, 1).grid(
-        0, len(data.stages), np.asarray([float(a)]), np.asarray([float(kappa)])
-    )
-    return float(grid[0, 0])
+    point = np.asarray([[float(a), float(kappa)]])
+    grid = _StageLikelihood([data]).grid(slice(0, 1), len(data.stages), point[:, :1], point[:, 1:])
+    return float(grid[0, 0, 0])
 
 
 def _chebyshev_factor(eps_target: float) -> int:
@@ -334,9 +352,9 @@ def _box(
 def _search(
     lik: _StageLikelihood, config: MleConfig, kappa_fixed: float | None
 ) -> tuple[np.ndarray, np.ndarray, list[float], int, list[list[StageTrace]]]:
-    """The stage-by-stage box search of every dataset of lik at once; returns
-    per-dataset a_hat, kappa_hat, best_ll and trace, and the evaluation count
-    of one dataset.
+    """The stage-by-stage box search of every dataset of lik at once, then
+    the final _zoom; returns per-dataset a_hat, kappa_hat, best_ll and
+    trace, and the evaluation count of one dataset.
 
     Each stage makes one Fisher call, one grid-spacing call per axis and one
     snap for all datasets, sizes each dataset's box from its own
@@ -346,7 +364,7 @@ def _search(
     one-parameter error 1/sqrt(i11) at that kappa.
     """
     div = config.divisions_per_stage
-    n_data = len(lik.weights)
+    n_data = lik.n_data
     rows = np.arange(n_data)
     a_hat = kappa_hat = np.full(n_data, math.nan)
     evaluations = 0
@@ -382,7 +400,7 @@ def _search(
         evaluations += a_grid.shape[1] * k_grid.shape[1]
         ia, ik, best_ll = [], [], []
         for t, bounds in enumerate(box.tolist()):
-            ll = lik.grid(t, stage + 1, a_grid[t], k_grid[t])
+            ll = lik.grid(slice(t, t + 1), stage + 1, a_grid[t : t + 1], k_grid[t : t + 1])[0]
             # first max in a-major order: smallest a, then kappa
             i, j = divmod(int(ll.argmax()), ll.shape[1])
             carried_ll = float(ll[ia_prev[t], ik_prev[t]]) if stage > 0 else math.nan
@@ -391,7 +409,71 @@ def _search(
             best_ll.append(float(ll[i, j]))
             traces[t].append(StageTrace(stage, *bounds, best_ll[t], carried_ll))
         a_hat, kappa_hat = a_grid[rows, ia], k_grid[rows, ik]
-    return a_hat, kappa_hat, best_ll, evaluations, traces
+    a_step = (a_hi - a_lo) / (div - 1)
+    a_hat, kappa_hat, best_ll = _zoom(
+        lik, a_hat, kappa_hat, np.asarray(best_ll), a_step, kappa_fixed
+    )
+    evaluations += _ZOOM_ROUNDS * _ZOOM_POINTS * (_ZOOM_POINTS if kappa_fixed is None else 1)
+    return a_hat, kappa_hat, best_ll.tolist(), evaluations, traces
+
+
+def _zoom(
+    lik: _StageLikelihood,
+    a_hat: np.ndarray,
+    kappa_hat: np.ndarray,
+    best_ll: np.ndarray,
+    a_step: np.ndarray,
+    kappa_fixed: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Polish each dataset's search estimate on every stage; returns the new
+    a_hat, kappa_hat and best_ll.
+
+    _ZOOM_ROUNDS rounds of a linear grid, _ZOOM_POINTS per axis (a only when
+    kappa is fixed).  The first window is a_hat +- 2 a_step (the last
+    stage's a-spacing) by kappa_hat +- kappa_hat / 2, clipped to [0, 1] and
+    to _KAPPA_GRID_FLOOR.  A point replaces the estimate only if its
+    likelihood is strictly higher (the first max in a-major order).  Each
+    round centres on the best point so far and quarters each half-width,
+    except along an axis where the estimate just moved to the window's edge:
+    there the window keeps its size, so it can follow a ridge.  Datasets run
+    _ZOOM_BLOCK to a kernel call.
+    """
+    a_hat, kappa_hat, best_ll = a_hat.copy(), kappa_hat.copy(), best_ll.copy()
+    n_axes = 1 if kappa_fixed is not None else 2
+    last = _ZOOM_POINTS - 1
+    for start in range(0, len(a_hat), _ZOOM_BLOCK):
+        rows = slice(start, start + _ZOOM_BLOCK)
+        # (axis, dataset) centres and half-widths, a first, then kappa
+        centre = np.stack([a_hat[rows], kappa_hat[rows]])[:n_axes]
+        half = np.stack([2.0 * a_step[rows], 0.5 * kappa_hat[rows]])[:n_axes]
+        floor = np.asarray([[0.0], [_KAPPA_GRID_FLOOR]])[:n_axes]
+        ceiling = np.asarray([[1.0], [math.inf]])[:n_axes]
+        ll_c = best_ll[rows]
+        n_rows = len(ll_c)
+        block = np.arange(n_rows)
+        axes = np.arange(n_axes)[:, None]
+        k_fixed = np.full((n_rows, 1), kappa_fixed)
+        for _ in range(_ZOOM_ROUNDS):
+            lo = np.maximum(centre - half, floor)
+            hi = np.minimum(centre + half, ceiling)
+            grids = _linspace(lo.ravel(), hi.ravel(), _ZOOM_POINTS).T
+            a_grid = grids[:n_rows]
+            k_grid = grids[n_rows:] if n_axes == 2 else k_fixed
+            ll = lik.grid(rows, len(lik.depths), a_grid, k_grid).reshape(n_rows, -1)
+            flat = ll.argmax(axis=1)
+            top = ll[block, flat]
+            moved = top > ll_c
+            index = np.stack(np.divmod(flat, k_grid.shape[1]))[:n_axes]
+            points = grids.reshape(n_axes, n_rows, -1)[axes, block, index]
+            centre = np.where(moved, points, centre)
+            ll_c = np.where(moved, top, ll_c)
+            at_edge = moved & ((index == 0) | (index == last))
+            half = np.where(at_edge, half, half / 4.0)
+        a_hat[rows] = centre[0]
+        if n_axes == 2:
+            kappa_hat[rows] = centre[1]
+        best_ll[rows] = ll_c
+    return a_hat, kappa_hat, best_ll
 
 
 def _data_error(data: ExperimentData) -> AemleError | None:
@@ -429,10 +511,9 @@ def _estimate_batch(
     good = [data for data, error in zip(datasets, errors) if error is None]
     if not good:
         return errors
-    div = config.divisions_per_stage
     kappa_identifiable = any(m > 0 for m in depths)
     kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_KAPPA_INIT))
-    lik = _StageLikelihood(good, div, div if kappa_identifiable else 1)
+    lik = _StageLikelihood(good)
     a_hat, kappa_hat, best_ll, evaluations, traces = _search(lik, config, kappa_fixed)
 
     sums = _fisher_prefix(lik, a_hat, np.maximum(kappa_hat, _KAPPA_GRID_FLOOR), len(depths))
@@ -462,12 +543,12 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
     """Adaptive constant grid-search MLE of (a, kappa).
 
     Stage 0 searches the full init box; stage k restricts to the confidence
-    box around the stage k-1 estimate.  Ties break toward smaller a, then
-    smaller kappa.  If no stage has m > 0, kappa is unidentifiable: it is
-    fixed at the log-midpoint of _KAPPA_INIT and flagged.  Data whose
-    hit counts are all 0, or all equal to the shots, raise
-    DegenerateDataError: its likelihood peaks on the parameter boundary.
-    This is a batch of one dataset.
+    box around the stage k-1 estimate; the final zoom polishes the last
+    stage's estimate.  Ties break toward smaller a, then smaller kappa.  If
+    no stage has m > 0, kappa is unidentifiable: it is fixed at the
+    log-midpoint of _KAPPA_INIT and flagged.  Data whose hit counts are all
+    0, or all equal to the shots, raise DegenerateDataError: its likelihood
+    peaks on the parameter boundary.  This is a batch of one dataset.
     """
     (result,) = _estimate_batch([data], config or MleConfig())
     if isinstance(result, AemleError):
@@ -478,13 +559,14 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
 def mle_profile_1d(
     data: ExperimentData, kappa_fixed: float, config: MleConfig | None = None
 ) -> float:
-    """One-dimensional grid-search MLE of a with kappa held fixed."""
+    """One-dimensional grid-search MLE of a with kappa held fixed: the stage
+    search and an a-only final zoom."""
     if not 0.0 <= kappa_fixed < math.inf:
         raise ConfigError(f"kappa_fixed={kappa_fixed} must be finite and >= 0")
     if len(data.stages) > _MAX_STAGES:
         raise _data_error(data)
     config = config or MleConfig()
-    lik = _StageLikelihood([data], config.divisions_per_stage, 1)
+    lik = _StageLikelihood([data])
     # kappa_fixed near 1e308 overflows m * -kappa to -inf; exp(-inf) = 0 is right
     with np.errstate(over="ignore"):
         return float(_search(lik, config, float(kappa_fixed))[0][0])

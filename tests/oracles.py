@@ -15,6 +15,11 @@ can be checked against it result for result.  It writes out the search's
 fixed settings (the initial box, the box factor and the stage cap) as its
 own literals rather than importing the estimator's constants.
 
+The brute-force MLE is a global maximum of the staged likelihood found
+without the adaptive search: a dense grid uniform in theta = arcsin(sqrt(a))
+by kappa, then a pattern search from each of the best grid peaks.  It
+shares no code with the estimator and is trusted only on shallow ladders.
+
 The kappa-bar scan reference is the scan as written before it was batched:
 one saturated schedule and one cr_lower_bound call per noise level, on a
 grid and a bisection tolerance it writes out as its own literals.
@@ -157,8 +162,8 @@ def _chebyshev_factor(eps_target: float) -> int:
 def search_reference(
     lik, config: MleConfig, kappa_fixed: float | None
 ) -> tuple[float, float, float, int, list[StageTrace]]:
-    """The stage-by-stage box search; returns (a_hat, kappa_hat, best_ll,
-    evaluations, trace).
+    """The stage-by-stage box search and the final zoom, one dataset at a
+    time; returns (a_hat, kappa_hat, best_ll, evaluations, trace).
 
     kappa_fixed=None searches kappa on the log-spaced grid.  A fixed kappa is
     searched as a one-point axis, and its a-box is sized by the
@@ -218,6 +223,29 @@ def search_reference(
                 carried_ll=carried_ll,
             )
         )
+
+    # the final zoom: 4 rounds of a 17-point linear grid per axis, starting
+    # at +-2 last-stage a-spacings by kappa-hat +-50%; each round is centred
+    # on the best point so far, and a half-width is quartered unless the
+    # round moved the estimate to that axis's first or last point
+    a_half = 2.0 * (a_hi - a_lo) / (div - 1)
+    k_half = kappa_hat / 2.0
+    for _ in range(4):
+        a_grid = np.linspace(max(0.0, a_hat - a_half), min(1.0, a_hat + a_half), 17)
+        if kappa_fixed is None:
+            k_grid = np.linspace(max(kappa_hat - k_half, _KAPPA_GRID_FLOOR), kappa_hat + k_half, 17)
+        else:
+            k_grid = np.asarray([kappa_fixed])
+        ll = lik.grid(len(lik.depths), a_grid, k_grid)
+        evaluations += ll.size
+        ia, ik = np.unravel_index(int(np.argmax(ll)), ll.shape)
+        moved = ll[ia, ik] > best_ll  # only a strictly better point moves the estimate
+        if moved:
+            a_hat, kappa_hat, best_ll = float(a_grid[ia]), float(k_grid[ik]), float(ll[ia, ik])
+        if not (moved and ia in (0, 16)):
+            a_half /= 4.0
+        if not (moved and ik in (0, 16)):
+            k_half /= 4.0
     return a_hat, kappa_hat, best_ll, evaluations, trace
 
 
@@ -261,6 +289,75 @@ def profile_reference(data, kappa_fixed: float, config: MleConfig | None = None)
     """mle_profile_1d of one dataset through search_reference."""
     config = config or MleConfig()
     return search_reference(ReferenceLikelihood(data), config, float(kappa_fixed))[0]
+
+
+def _theta_lnl(data, theta, kappa) -> np.ndarray:
+    """Log-likelihood on a (theta, kappa) grid, a = sin^2 theta."""
+    a = np.sin(np.clip(np.atleast_1d(theta), 0.0, math.pi / 2)) ** 2
+    return log_likelihood_grid(data.depths, data.shots, data.hits, a, np.atleast_1d(kappa))
+
+
+def polish(data, a: float, kappa: float, d_theta: float = 1e-3, d_kappa: float = 1e-3):
+    """(a, kappa, log-likelihood) at the top of the mode that holds (a, kappa).
+
+    A compass search in (theta, kappa), theta = arcsin(sqrt(a)): it moves to
+    the best of the eight neighbours at the current steps and halves both
+    steps only when none is better, so it follows a tilted ridge.  theta is
+    kept in [0, pi/2] and kappa >= 0.
+    """
+    theta = math.asin(math.sqrt(a))
+    value = float(_theta_lnl(data, theta, kappa)[0, 0])
+    steps = np.array([-1.0, 0.0, 1.0])
+    for _ in range(4000):
+        if d_theta < 1e-13 and d_kappa < 1e-13 * max(kappa, 1e-3):
+            break
+        cand_t = np.clip(theta + d_theta * steps, 0.0, math.pi / 2)
+        cand_k = np.maximum(kappa + d_kappa * steps, 0.0)
+        local = _theta_lnl(data, cand_t, cand_k)
+        j, l = np.unravel_index(int(np.argmax(local)), local.shape)
+        if local[j, l] > value:
+            theta, kappa, value = float(cand_t[j]), float(cand_k[l]), float(local[j, l])
+        else:
+            d_theta, d_kappa = d_theta / 2, d_kappa / 2
+    return math.sin(theta) ** 2, kappa, value
+
+
+def brute_force_mle(data, n_theta: int = 2001, n_kappa: int = 201, peaks: int = 6):
+    """(a, kappa, log-likelihood) of the global maximum over a in [0, 1] and
+    kappa in [0, 50].
+
+    The grid is uniform in theta = arcsin(sqrt(a)) (n_theta points on
+    [0, pi/2]), so its a-step is at most its theta-step, and kappa is 0 plus
+    n_kappa points log-spaced from 1e-5 to 50 (at kappa m >= 50 an amplified
+    stage carries no information).  Each of the `peaks` best grid points
+    that beat their eight neighbours is polished, one grid step at a time to
+    begin with.  The likelihood repeats in theta with period pi / (2 m + 1)
+    at depth m, so the grid is refused (ValueError) unless its a-step is
+    below 1 / (32 m_max): on a deep ladder a narrow peak can fall between
+    grid points while a wrong mode's shoulder does not.
+    """
+    m_max = max(data.depths)
+    theta_step = (math.pi / 2) / (n_theta - 1)
+    if theta_step * 32 * max(m_max, 1) > 1.0:
+        raise ValueError(f"a theta-step of {theta_step:.3g} is too coarse for depth {m_max}")
+    thetas = np.linspace(0.0, math.pi / 2, n_theta)
+    kappas = np.concatenate([[0.0], np.geomspace(1e-5, 50.0, n_kappa)])
+    ll = _theta_lnl(data, thetas, kappas)
+    padded = np.pad(ll, 1, constant_values=-np.inf)
+    neighbours = [padded[1 + di : 1 + di + ll.shape[0], 1 + dk : 1 + dk + ll.shape[1]]
+                  for di in (-1, 0, 1) for dk in (-1, 0, 1) if (di, dk) != (0, 0)]
+    is_peak = np.all([ll >= nb for nb in neighbours], axis=0)
+    order = np.argsort(np.where(is_peak, ll, -np.inf), axis=None)[::-1][:peaks]
+    best = (0.0, 0.0, -math.inf)
+    for flat in order:
+        i, k = np.unravel_index(flat, ll.shape)
+        if not is_peak[i, k]:
+            break
+        d_kappa = max(kappas[min(k + 1, n_kappa)] - kappas[k], 1e-6)
+        found = polish(data, math.sin(thetas[i]) ** 2, float(kappas[k]), theta_step, d_kappa)
+        if found[2] > best[2]:
+            best = found
+    return best
 
 
 def saturated_error_reference(a: float, kappa: float, shots: int) -> float:

@@ -1,10 +1,10 @@
 """The trial-batched search against the one-dataset reference search.
 
-`oracles.search_reference` is the stage loop as it ran one dataset at a
-time, on the stage-last likelihood formula.  A batch of datasets that share
-one schedule must give every dataset the result the reference gives it
-alone, including its stage trace and evaluation count, and a dataset that
-fails must fail alone, with the reference's error.
+`oracles.search_reference` is the stage loop and the final zoom as they
+run one dataset at a time, on the stage-last likelihood formula.  A batch
+of datasets that share one schedule must give every dataset the result the
+reference gives it alone, including its stage trace and evaluation count,
+and a dataset that fails must fail alone, with the reference's error.
 """
 import itertools
 
@@ -19,8 +19,11 @@ from aemle import (
     ConfigError,
     ExperimentData,
     MleConfig,
+    amplitude_point,
+    make_schedule,
     mle_grid_adaptive,
     mle_profile_1d,
+    sample_counts,
 )
 from aemle.estimator import _estimate_batch, _geomspace, _linspace
 from aemle.model import ScheduleKind, _ladder
@@ -118,6 +121,22 @@ def test_profile_equals_reference(schedule, data, config, kappa):
             mle_profile_1d(sample, kappa, config)
         return
     assert mle_profile_1d(sample, kappa, config).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("kind", ["eis", "classical"])
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 17])
+def test_batches_straddling_zoom_blocks_equal_reference(size, kind):
+    # the zoom runs datasets in blocks of 8; a dataset that cannot be
+    # estimated (all hits) shifts the blocks of those after it
+    schedule = make_schedule(kind, 3, 40)
+    point = amplitude_point(0.3, 0.05)
+    batch = [sample_counts(point, schedule, seed) for seed in range(size)]
+    if size > 2:
+        batch[2] = ExperimentData(stages=tuple((m, n, n) for m, n, _ in batch[2].stages))
+    expected = [_reference_or_error(data, MleConfig()) for data in batch]
+    assert [_outcome(res) for res in _estimate_batch(batch, MleConfig())] == expected
+    reversed_batch = _estimate_batch(batch[::-1], MleConfig())
+    assert [_outcome(res) for res in reversed_batch][::-1] == expected
 
 
 def test_batch_needs_one_schedule():

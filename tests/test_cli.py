@@ -40,13 +40,13 @@ def test_byte_identical_reruns(capsys):
 # or to the trial streams shows up here as a changed byte.
 TRIALS_GOLDEN_CSV = (
     "# aemle 0.1.0 trials seed=7 a=0.29999999999999999 kappa=0.050000000000000003"
-    " kind=eis shots=30 trials=8 divisions=64\n"
+    " kind=eis shots=30 trials=8 divisions=32\n"
     "M,N_q,rmse,stderr,mean_kappa_hat,failed_trials,epsilon_min\n"
-    "1,120,0.060736584087175478,0.018177858643361709,0.0363848092461602,0,"
+    "1,120,0.062331107041120187,0.017172635253624398,0.034867852070717111,0,"
     "0.08366600265340754\n"
-    "2,270,0.019234545212875171,0.0051001824688505495,0.036237766246023449,0,"
+    "2,270,0.019015512674399184,0.0052409794501871261,0.039733636167044513,0,"
     "0.021074264246132696\n"
-    "3,540,0.0065825062717875527,0.0011818780462682205,0.050904422821695744,0,"
+    "3,540,0.0067936053341688613,0.0010208389441501921,0.051576263090873355,0,"
     "0.010685398300063072\n"
 )
 
@@ -93,9 +93,10 @@ def test_estimate_golden_simulation(capsys):
     header, names, values = out.strip().split("\n")
     assert "seed=1" in header
     row = dict(zip(names.split(","), values.split(",")))
-    assert float(row["a_hat"]) == pytest.approx(0.37028565610937292, abs=1e-15)
-    assert float(row["kappa_hat"]) == pytest.approx(0.069086506089558339, abs=1e-15)
-    assert int(row["evaluations"]) == 64 * 64 * 7
+    assert float(row["a_hat"]) == pytest.approx(0.37104760708232948, abs=1e-15)
+    assert float(row["kappa_hat"]) == pytest.approx(0.085802365389018947, abs=1e-15)
+    # seven 32 x 32 stage grids and four 17 x 17 zoom rounds
+    assert int(row["evaluations"]) == 32 * 32 * 7 + 4 * 17 * 17
     assert row["anomalous"] == "false"
 
 

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import log_likelihood_grid
+from oracles import brute_force_mle, log_likelihood_grid, polish
 
 from aemle import (
     ConfigError,
@@ -131,7 +131,8 @@ def test_evaluation_count_is_linear_in_stages():
         sched = make_schedule("eis", M, 100)
         data = sample_counts(point, sched, seed=11)
         result = mle_grid_adaptive(data)
-        assert result.likelihood_evaluations == 64 * 64 * (M + 1)
+        # a 32 x 32 grid per stage, then four 17 x 17 zoom rounds
+        assert result.likelihood_evaluations == 32 * 32 * (M + 1) + 4 * 17 * 17
 
 
 def test_stage_never_loses_to_carried_estimate():
@@ -204,20 +205,114 @@ def test_profile_rejects_negative_kappa():
 
 def test_profile_at_the_largest_finite_kappa():
     # at kappa near 1e308 every amplified stage's decay is exp(-inf) = 0, as
-    # at 1e300: the same estimate, with no numpy warning
+    # at 1e300: the same estimate, with no numpy warning.  Only the m = 0
+    # stage then carries information, so the profile MLE is its hit rate
+    # h0 / N0; the last zoom round's a-spacing here is about 7e-5.
     data = sample_counts(amplitude_point(0.3, 0.01), make_schedule("eis", 4, 100), seed=1)
+    m0, n0, h0 = data.stages[0]
+    assert m0 == 0
     a_hat = mle_profile_1d(data, kappa_fixed=1e300)
-    assert a_hat == pytest.approx(1 / 3)
+    assert a_hat == pytest.approx(h0 / n0, abs=1e-4)
     assert mle_profile_1d(data, kappa_fixed=1e308) == a_hat
+
+
+# The final zoom's promise, against the brute-force MLE: the estimate tops
+# the mode it lies in, to within TOL_NATS, and when that mode holds the
+# global maximum, so does the estimate.  A dataset whose global maximum lies
+# in another mode (the oracle's polish from the estimate stops below it) is
+# the search's wrong-mode defect, pinned below, which a local zoom cannot
+# mend.  The ladders are shallow enough for the oracle (depth <= 16), with
+# 100-3,000 shots per stage.
+TOL_NATS = 0.5
+ORACLE_LADDERS = [("eis", None, 4), ("lis", None, 8), ("powerbase", 2.5, 3)]
+
+
+@given(
+    ladder=st.sampled_from(ORACLE_LADDERS),
+    depth=st.floats(0.0, 1.0),
+    log_shots=st.floats(2.0, 3.5),
+    a=st.floats(0.02, 0.98),
+    log_kappa=st.floats(math.log(1e-4), math.log(0.3)),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_estimate_tops_its_mode_against_brute_force_mle(
+    ladder, depth, log_shots, a, log_kappa, seed
+):
+    kind, r, max_M = ladder
+    schedule = make_schedule(kind, 1 + int(depth * (max_M - 1)), round(10**log_shots), r)
+    data = sample_counts(amplitude_point(a, math.exp(log_kappa)), schedule, seed)
+    # a saturated m = 0 stage is the box-collapse defect, pinned below
+    assume(0 < data.hits[0] < data.shots[0])
+    est = mle_grid_adaptive(data)
+    ll = est.log_likelihood_at_max
+    global_ll = brute_force_mle(data)[2]
+    mode_ll = polish(data, est.a_hat, est.kappa_hat)[2]
+    assert ll <= global_ll + 1e-9 * abs(global_ll)
+    assert ll >= mode_ll - TOL_NATS
+    if mode_ll >= global_ll - TOL_NATS:
+        assert ll >= global_ll - TOL_NATS
+
+
+# Two datasets on which the 64 x 64 search without a zoom stopped well below
+# the likelihood at the true point (10.94 and 6.75 nats; datasets 1530 and
+# 1477 of `scripts/run_mle_misses.py --seed 123`): the estimate must now
+# reach it, as a maximum always does, to within 0.1 nats.
+ZOOM_MENDED = [
+    (0.8466456740580067, 0.009292712117909436,
+     ((0, 7324, 6219), (1, 7324, 972), (2, 7324, 1283), (4, 7324, 5677), (8, 7324, 5169),
+      (16, 7324, 4147), (32, 7324, 2425), (64, 7324, 1645))),
+    (0.8166907988382714, 0.0943962477587193,
+     ((0, 3918, 3212), (1, 3918, 387), (2, 3918, 1511), (4, 3918, 1793), (8, 3918, 1271))),
+]
+
+
+@pytest.mark.parametrize("a,kappa,stages", ZOOM_MENDED)
+def test_estimate_reaches_the_true_point_likelihood(a, kappa, stages):
+    data = ExperimentData(stages=stages)
+    est = mle_grid_adaptive(data)
+    assert est.log_likelihood_at_max >= log_likelihood(data, a, kappa) - 0.1
+    if max(data.depths) <= 16:
+        assert est.log_likelihood_at_max >= brute_force_mle(data)[2] - 0.1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="wrong mode: the stage search settles on a local maximum 15.5 nats below "
+    "the true point, which a local zoom cannot leave",
+)
+def test_wrong_mode_on_a_13_stage_eis_dataset():
+    # dataset 1165 of `scripts/run_mle_misses.py --seed 123`: a = 0.0388,
+    # kappa = 9.4e-4, 118 shots per stage
+    data = ExperimentData(stages=(
+        (0, 118, 6), (1, 118, 39), (2, 118, 83), (4, 118, 113), (8, 118, 3), (16, 118, 8),
+        (32, 118, 8), (64, 118, 27), (128, 118, 48), (256, 118, 98), (512, 118, 66),
+        (1024, 118, 67), (2048, 118, 82),
+    ))
+    est = mle_grid_adaptive(data)
+    assert est.log_likelihood_at_max >= log_likelihood(data, 0.03879450784910759,
+                                                       0.0009427256678587151) - 0.1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="box collapse: with no hit at m = 0 the stage-0 estimate is a = 0, the "
+    "Fisher box at the inset a is 4e-5 wide, and the search stays 4.1 nats below the maximum",
+)
+def test_box_collapse_after_a_hitless_classical_stage():
+    # sampled at a = 0.0215, kappa = 0.05; the MLE is near a = 0.024, kappa = 0
+    data = ExperimentData(stages=((0, 100, 0), (1, 100, 16), (2, 100, 54)))
+    est = mle_grid_adaptive(data)
+    assert est.log_likelihood_at_max >= brute_force_mle(data)[2] - 0.1
 
 
 # Verbatim mle_profile_1d estimates (as float.hex) on three seeded datasets,
 # keyed by (a, kappa, kind, M, shots, seed, kappa_fixed): any change to the
-# profile search's boxes, grids or tie-breaking shows up as a changed bit.
+# profile search's boxes, grids, zoom or tie-breaking shows up as a changed bit.
 PROFILE_GOLDENS = [
-    ((0.375, 0.067, "eis", 5, 100, 2, 0.067), "0x1.8ccfc78610f29p-2"),
-    ((0.2, 0.01, "lis", 8, 200, 5, 0.0), "0x1.9ee30523a70d9p-3"),
-    ((0.7, 0.03, "powerbase", 6, 150, 9, 0.02), "0x1.68bd87881932ap-1"),
+    ((0.375, 0.067, "eis", 5, 100, 2, 0.067), "0x1.8cb2ef4bdd27ap-2"),
+    ((0.2, 0.01, "lis", 8, 200, 5, 0.0), "0x1.9eb360a5d4991p-3"),
+    ((0.7, 0.03, "powerbase", 6, 150, 9, 0.02), "0x1.68ce94797b534p-1"),
 ]
 
 
@@ -250,29 +345,47 @@ def stage_counts(draw):
 
 @given(
     data=stage_counts(),
+    draws=st.data(),
     div=st.integers(8, 64),
     profile=st.booleans(),
-    a_box=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-    k_box=st.tuples(st.floats(1e-10, 2.0), st.floats(1e-10, 2.0)),
     profile_kappa=st.one_of(st.just(0.0), st.floats(1e-10, 2.0)),
     prefix=st.floats(0.0, 1.0),
 )
 @settings(max_examples=150, deadline=None)
 def test_stage_first_kernel_is_bit_identical_to_broadcast_formula(
-    data, div, profile, a_box, k_box, profile_kappa, prefix
+    data, draws, div, profile, profile_kappa, prefix
 ):
-    a_grid = np.linspace(min(a_box), max(a_box), div)
-    k_grid = np.asarray([profile_kappa]) if profile else np.geomspace(min(k_box), max(k_box), div)
+    # up to four more datasets on the same schedule, every dataset on its own
+    # grid, evaluated in one call on a subset of rows in any order
+    others = draws.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=len(data.stages),
+                                          max_size=len(data.stages)), max_size=4))
+    datasets = [data] + [
+        ExperimentData(stages=tuple((m, n, round(u * n)) for (m, n, _), u in zip(data.stages, us)))
+        for us in others
+    ]
+    rows = np.asarray(draws.draw(st.permutations(range(len(datasets)))))
+    rows = rows[: draws.draw(st.integers(1, len(rows)))]
+    a_grids, k_grids = [], []
+    for _ in rows:
+        a_box = draws.draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+        k_box = draws.draw(st.tuples(st.floats(1e-10, 2.0), st.floats(1e-10, 2.0)))
+        a_grids.append(np.linspace(min(a_box), max(a_box), div))
+        k_grids.append(
+            [profile_kappa] if profile else np.geomspace(min(k_box), max(k_box), div)
+        )
+    a_grids, k_grids = np.asarray(a_grids), np.asarray(k_grids)
     n_stages = 1 + int(prefix * (len(data.stages) - 1))
-    lik = _StageLikelihood([data], div, len(k_grid))
+    lik = _StageLikelihood(datasets)
     # a stage prefix, then every stage on the same workspace
     for stages in (n_stages, len(data.stages)):
-        got = lik.grid(0, stages, a_grid, k_grid)
-        ref = log_likelihood_grid(
-            data.depths[:stages], data.shots[:stages], data.hits[:stages], a_grid, k_grid
-        )
-        assert np.array_equal(got, ref)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        got = lik.grid(rows, stages, a_grids, k_grids)
+        for row, t in enumerate(rows):
+            d = datasets[t]
+            ref = log_likelihood_grid(
+                d.depths[:stages], d.shots[:stages], d.hits[:stages], a_grids[row], k_grids[row]
+            )
+            assert np.array_equal(got[row], ref)
+            assert np.array_equal(np.signbit(got[row]), np.signbit(ref))
 
 
 @pytest.mark.parametrize("n_stages", [*range(1, 65), 129, 200, 300])
