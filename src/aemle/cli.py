@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import AemleError, ConfigError, SpecError
+from .errors import AemleError, ConfigError
 from .estimator import MleConfig, data_from_json, mle_grid_adaptive
 from .fisher import classical_bound, cr_lower_bound, max_grover_depth
 from .hwspec import (
@@ -500,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(parser, args)
-    except (ConfigError, SpecError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"aemle: {exc}", file=sys.stderr)
         return 2
     except AemleError as exc:

@@ -31,7 +31,3 @@ class DegenerateDataError(AemleError):
 
 class NotAchievableError(AemleError):
     """No noise level in the scanned range meets the error target."""
-
-
-class SpecError(AemleError):
-    """An integrand specification violates its normalization or range."""

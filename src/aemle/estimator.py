@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AemleError, ConfigError, DegenerateDataError, DomainError
-from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _element_sums
+from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _bound_rule, _element_sums
 from .model import _integral
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
@@ -327,12 +327,11 @@ def _fisher_prefix(
 
 
 def _box(
-    info: FisherMatrix, a_hat: float, kappa_hat: float, kappa_fixed: float | None
+    eps_a: float, eps_k: float, a_hat: float, kappa_hat: float, kappa_fixed: float | None
 ) -> tuple[float, float, float, float]:
-    """Search box (a_lo, a_hi, kappa_lo, kappa_hi): C_eps Cramer-Rao errors
-    around the running estimate, clipped to the domain, or the init range
-    along an axis whose error is unknown."""
-    eps_a, eps_k = info.errors()
+    """Search box (a_lo, a_hi, kappa_lo, kappa_hi): C_eps times _bound_rule's
+    errors around the running estimate, clipped to the domain, or the init
+    range along an axis whose error is unknown (eps_a inf, eps_k NaN)."""
     c_box = _chebyshev_factor(eps_a)
     if math.isfinite(eps_a):
         a_lo = max(0.0, a_hat - c_box * eps_a)
@@ -341,7 +340,7 @@ def _box(
         a_lo, a_hi = _A_INIT
     if kappa_fixed is not None:
         k_lo = k_hi = kappa_fixed
-    elif eps_k is not None:
+    elif not math.isnan(eps_k):
         k_lo = max(kappa_hat - c_box * eps_k, _KAPPA_GRID_FLOOR)
         k_hi = max(kappa_hat + c_box * eps_k, 2 * _KAPPA_GRID_FLOOR)
     else:
@@ -356,12 +355,12 @@ def _search(
     the final _zoom; returns per-dataset a_hat, kappa_hat, best_ll and
     trace, and the evaluation count of one dataset.
 
-    Each stage makes one Fisher call, one grid-spacing call per axis and one
-    snap for all datasets, sizes each dataset's box from its own
-    FisherMatrix.errors(), and evaluates the likelihood one dataset at a
-    time.  kappa_fixed=None searches kappa on the log-spaced grid.  A fixed
-    kappa is searched as a one-point axis, and its a-box is sized by the
-    one-parameter error 1/sqrt(i11) at that kappa.
+    Stage 0 searches the init box.  Each later stage makes one Fisher and
+    one _bound_rule call, one grid-spacing call per axis and one snap for
+    all datasets, sizes each dataset's box from its own errors, and
+    evaluates the likelihood one dataset at a time.  kappa_fixed=None
+    searches kappa on the log-spaced grid.  A fixed kappa is searched as a
+    one-point axis, its a-box sized by the one-parameter error 1/sqrt(i11).
     """
     div = config.divisions_per_stage
     n_data = lik.n_data
@@ -371,20 +370,18 @@ def _search(
     traces: list[list[StageTrace]] = [[] for _ in range(n_data)]
 
     for stage in range(len(lik.depths)):
-        if stage == 0:
-            infos = [FisherMatrix(0.0, 0.0, 0.0)] * n_data  # no stage seen yet: the init box
-        elif kappa_fixed is None:
-            sums = _fisher_prefix(lik, a_hat, np.maximum(kappa_hat, _KAPPA_GRID_FLOOR), stage)
-            infos = [FisherMatrix(*fisher) for fisher in zip(*(x.tolist() for x in sums))]
+        if stage == 0:  # no stage seen yet: the init box
+            eps_a, eps_k = [math.inf] * n_data, [math.nan] * n_data
         else:
-            # kappa is held fixed, so only the a-information sizes the box
-            i11 = _fisher_prefix(lik, a_hat, kappa_fixed, stage)[0]
-            infos = [FisherMatrix(x, 0.0, 0.0) for x in i11.tolist()]
-        boxes = [
-            _box(info, a, k, kappa_fixed)
-            for info, a, k in zip(infos, a_hat.tolist(), kappa_hat.tolist())
-        ]
-        box = np.asarray(boxes, dtype=float)
+            kappa = np.maximum(kappa_hat, _KAPPA_GRID_FLOOR) if kappa_fixed is None else kappa_fixed
+            i11, i12, i22 = _fisher_prefix(lik, a_hat, kappa, stage)
+            if kappa_fixed is not None:  # only the a-information sizes the box
+                i12 = i22 = np.zeros(n_data)
+            eps_a, eps_k = _bound_rule(i11, i12, i22)[:2].tolist()
+        box = np.asarray([
+            _box(e_a, e_k, a, k, kappa_fixed)
+            for e_a, e_k, a, k in zip(eps_a, eps_k, a_hat.tolist(), kappa_hat.tolist())
+        ])
         a_lo, a_hi, k_lo, k_hi = np.ascontiguousarray(box.T)
 
         # (dataset, point) views of numpy's native (point, dataset) layout
@@ -517,21 +514,20 @@ def _estimate_batch(
     a_hat, kappa_hat, best_ll, evaluations, traces = _search(lik, config, kappa_fixed)
 
     sums = _fisher_prefix(lik, a_hat, np.maximum(kappa_hat, _KAPPA_GRID_FLOOR), len(depths))
+    betas = _bound_rule(*sums)[2].tolist()
     i11, i12, i22 = (x.tolist() for x in sums)
     results = []
-    for t in range(len(good)):
-        info = FisherMatrix(i11[t], i12[t], i22[t])
-        beta = info.beta
+    for t, beta in enumerate(betas):
         results.append(
             EstimateResult(
                 a_hat=float(a_hat[t]),
                 kappa_hat=float(kappa_hat[t]),
                 log_likelihood_at_max=best_ll[t],
-                fisher_at_estimate=info,
+                fisher_at_estimate=FisherMatrix(i11[t], i12[t], i22[t]),
                 likelihood_evaluations=evaluations,
                 stage_trace=tuple(traces[t]),
-                anomalous=beta is not None and beta > ANOMALY_THRESHOLD,
-                anomality=beta,
+                anomalous=beta > ANOMALY_THRESHOLD,
+                anomality=None if math.isnan(beta) else beta,
                 kappa_identifiable=kappa_identifiable,
             )
         )

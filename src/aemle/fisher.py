@@ -34,7 +34,6 @@ from .model import (
     ScheduleKind,
     _integral,
     capped_depths,
-    explicit_schedule,
 )
 
 # Beta above this value marks a target amplitude as anomalous.
@@ -42,6 +41,9 @@ ANOMALY_THRESHOLD = 0.9
 
 # Relative determinant tolerance below which the 2x2 inverse is not trusted.
 _DET_RTOL = 1e-12
+
+# _bound_rule's (eps_a, eps_kappa, beta) column before any information is seen.
+_UNKNOWN = np.asarray([[math.inf], [math.nan], [math.nan]])
 
 # Denominator guard: only reachable at kappa = 0 exactly on a sine zero.
 _DENOM_FLOOR = 1e-300
@@ -64,26 +66,39 @@ class FisherMatrix:
 
     @property
     def beta(self) -> float | None:
-        """Anomality min(i12^2 / (i11 i22), 1); None unless i11, i22 > 0."""
-        if self.i22 <= 0.0 or self.i11 <= 0.0:
-            return None
-        return min(self.i12 * self.i12 / (self.i11 * self.i22), 1.0)
+        """_bound_rule's anomality beta, None unless i11, i22 > 0."""
+        beta = _bound_rule([self.i11], [self.i12], [self.i22])[2].item()
+        return None if math.isnan(beta) else beta
 
     def errors(self) -> tuple[float, float | None]:
-        """Cramer-Rao errors (eps_a, eps_kappa), the square roots of the
-        inverse's diagonal.
+        """_bound_rule's (eps_a, eps_kappa), eps_kappa None if not trusted."""
+        eps_a, eps_kappa, _ = _bound_rule([self.i11], [self.i12], [self.i22])[:, 0].tolist()
+        return eps_a, None if math.isnan(eps_kappa) else eps_kappa
 
-        The inverse is not trusted when kappa carries no information (i22 = 0)
-        or the determinant is below _DET_RTOL * i11 * i22; eps_a then falls
-        back to the one-parameter bound 1/sqrt(i11) (infinite at i11 = 0) and
-        eps_kappa is None.
-        """
-        det = self.det
-        if self.i22 > 0.0 and det > _DET_RTOL * self.i11 * self.i22:
-            return math.sqrt(self.i22 / det), math.sqrt(self.i11 / det)
-        if self.i11 <= 0.0:
-            return math.inf, None
-        return 1.0 / math.sqrt(self.i11), None
+
+def _bound_rule(i11, i12, i22) -> np.ndarray:
+    """Rows eps_a = sqrt(i22/det), eps_kappa = sqrt(i11/det) and beta =
+    min(i12^2 / (i11 i22), 1) of a (3, n) array, for (n,) Fisher sums.
+    Where kappa carries no information (i22 = 0) or det <= _DET_RTOL i11 i22
+    the inverse is not trusted: eps_a falls back to 1/sqrt(i11) (inf at
+    i11 <= 0), eps_kappa is NaN.  beta is NaN unless i11, i22 > 0.  Only
+    correctly rounded operations, so every numpy loop gives scalar bits."""
+    i11, i12, i22 = (np.asarray(x, dtype=float) for x in (i11, i12, i22))
+    diag, off = i11 * i22, i12 * i12
+    det = diag - off
+    kappa_informed = i22 > 0.0
+    trusted = kappa_informed & (det > _DET_RTOL * i11 * i22)
+    informed = ~(i11 <= 0.0)  # a NaN i11 gives NaN, as 1/sqrt(NaN) does
+    out = _UNKNOWN.repeat(len(det), axis=1)
+    eps_a, eps_kappa, beta = out[0], out[1], out[2]
+    np.sqrt(i11, out=eps_a, where=informed)
+    np.divide(1.0, eps_a, out=eps_a, where=informed)
+    np.divide(i22, det, out=eps_a, where=trusted)
+    np.divide(i11, det, out=eps_kappa, where=trusted)
+    np.sqrt(out[:2], out=out[:2], where=trusted)
+    np.divide(off, diag, out=beta, where=informed & kappa_informed)
+    np.minimum(beta, 1.0, out=beta)
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,15 +225,6 @@ def nuisance_inflation(point: AmplitudePoint, schedule: Schedule, c: float) -> f
     return info.i22 / det * (1.0 + (c - 1.0) * info.beta)
 
 
-def saturated_schedule(
-    kappa: float, shots: int, kind: ScheduleKind | str = ScheduleKind.EIS, r: float | None = None
-) -> Schedule:
-    """Maximal schedule with depths <= m-bar(kappa): the usual depth ladder of
-    the kind, truncated below m-bar, with a final stage at m-bar itself."""
-    mbar = max_grover_depth(kappa)
-    return explicit_schedule((m, shots) for m in capped_depths(kind, mbar, r))
-
-
 def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) -> list[float]:
     """cr_lower_bound's eps_a at each kappa on its EIS saturated ladder.
 
@@ -238,7 +244,7 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
                                      for i, j in zip(runs, runs[1:])]) for t in terms)
     if np.any(i11 <= 0.0):
         raise DegenerateScheduleError("schedule carries no information about a")
-    return [FisherMatrix(*cell).errors()[0] for cell in zip(i11.tolist(), i12.tolist(), i22.tolist())]
+    return _bound_rule(i11, i12, i22)[0].tolist()
 
 
 def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:

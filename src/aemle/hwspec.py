@@ -93,14 +93,14 @@ class HardwareReport:
 
 
 def _gate_error_budget(kappa_bar: float, N_s: int, N_d: int, ratio: float) -> float:
-    """Solve -N_s ln(1 - e/ratio) - N_d ln(1 - e) = kappa_bar for e by bisection.
+    """Bisect for e with kappa_from_gate_errors([(e / ratio, N_s), (e, N_d)]) = kappa_bar.
 
     The left side is 0 at e = 0 and strictly increasing, so the root is
     unique; the bracket is grown until it straddles.
     """
 
     def decay(e: float) -> float:
-        return -N_s * math.log1p(-e / ratio) - N_d * math.log1p(-e)
+        return kappa_from_gate_errors([(e / ratio, N_s), (e, N_d)])
 
     lo, hi = 0.0, min(0.5, kappa_bar / (N_s / ratio + N_d) * 4.0)
     while decay(hi) < kappa_bar:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .fisher import (
     ANOMALY_THRESHOLD,
-    FisherMatrix,
+    _bound_rule,
     _element_sums,
     classical_bound,
     cr_lower_bound,
@@ -84,25 +84,23 @@ def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
     return make_schedule(ScheduleKind.EIS, M, shots)
 
 
-def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
+def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> np.ndarray:
     """Vectorized beta over interior amplitudes in _BETA_BLOCK // workers
     blocks (an empty `a` is one empty block, refused), read in block order so
-    the first failing block's error is raised; second array flags bad samples."""
+    the first failing block's error is raised; NaN marks a degenerate sample."""
     from concurrent.futures import ThreadPoolExecutor  # lazy: imports logging
     workers = os.cpu_count() or 1
     block = max(_BETA_BLOCK // workers, 1)
-    beta, bad = np.empty(a.size), np.empty(a.size, dtype=bool)
+    beta = np.empty(a.size)
 
     def fill(start: int) -> None:
         rows = slice(start, start + block)
-        i11, i12, i22 = _element_sums(a[rows], kappa, schedule.depths, schedule.shots)
-        with np.errstate(invalid="ignore", divide="ignore"):  # per thread
-            beta[rows] = np.minimum(i12 * i12 / (i11 * i22), 1.0)
-        bad[rows] = ~np.isfinite(beta[rows]) | (i11 <= 0.0) | (i22 <= 0.0)
+        sums = _element_sums(a[rows], kappa, schedule.depths, schedule.shots)
+        beta[rows] = _bound_rule(*sums)[2]
 
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(fill, range(0, max(a.size, 1), block)))
-    return beta, bad
+    return beta
 
 
 def anomaly_density(
@@ -133,7 +131,8 @@ def anomaly_density(
     a = rng.random(samples)
     edge = (a < _EDGE_MARGIN) | (a > 1.0 - _EDGE_MARGIN)
     interior = a[~edge]
-    beta, bad = _beta_grid(interior, kappa, schedule)
+    beta = _beta_grid(interior, kappa, schedule)
+    bad = np.isnan(beta)
     used = int(interior.size - np.count_nonzero(bad))
     skipped = samples - used
     if used == 0:
@@ -205,24 +204,24 @@ def error_vs_kappa_contour(
 ) -> ContourGrid:
     """epsilon_min on the product grid, amplitudes down the rows.
 
-    Each cell is FisherMatrix.errors()'s eps_a, the rule cr_lower_bound
-    applies, so cells where the matrix is numerically singular fall back to
-    the one-parameter bound.
+    One Fisher call covers every (a, kappa) cell, and each cell is the eps_a
+    of _bound_rule, the rule cr_lower_bound applies, so cells where the
+    matrix is numerically singular fall back to the one-parameter bound.
     """
     a = np.asarray(a_values, dtype=float)
     kappas = np.asarray(kappa_values, dtype=float)
+    if a.size == 0 or kappas.size == 0:
+        raise DomainError("contour grids must not be empty")
     # written as "all inside" so that a NaN fails it
     if not np.all((a > 0.0) & (a < 1.0)):
         raise DomainError("amplitude grid must lie strictly inside (0, 1)")
     if not np.all((kappas >= 0.0) & np.isfinite(kappas)):
         raise DomainError("kappa grid must be finite and non-negative")
-    columns = []
-    for kappa in kappas:
-        i11, i12, i22 = _element_sums(a, float(kappa), schedule.depths, schedule.shots)
-        cells = zip(i11.tolist(), i12.tolist(), i22.tolist())
-        columns.append([FisherMatrix(*cell).errors()[0] for cell in cells])
+    cells = _element_sums(np.repeat(a, kappas.size), np.tile(kappas, a.size),
+                          schedule.depths, schedule.shots)
+    eps = _bound_rule(*cells)[0].reshape(a.size, kappas.size)
     return ContourGrid(
         a_values=tuple(float(v) for v in a),
         kappa_values=tuple(float(v) for v in kappas),
-        epsilon_min=tuple(zip(*columns)),
+        epsilon_min=tuple(map(tuple, eps.tolist())),
     )

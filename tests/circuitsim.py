@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from aemle import DomainError, IntegrandSpec, SpecError
+from aemle import DomainError
+
+from integrate import IntegrandSpec, SpecError
 
 MAX_QUBITS = 12
 

@@ -5,7 +5,8 @@ x_j = (j + 1/2)/2^n into S(f) = sum_j p(x_j) f(x_j), where p(x_j) is the cell
 integral of the density q (uniform in sin2_target, the built-in target).
 S(f) is the amplitude fed to estimation; the discretization error against the
 continuum integral is deliberately not corrected, since estimation accuracy is
-measured against S(f) itself.
+measured against S(f) itself.  The circuit oracle and the acceptance suite
+build their targets here; the library itself takes the amplitude as a number.
 """
 from __future__ import annotations
 
@@ -13,7 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
+from aemle.errors import AemleError
+
+
+class SpecError(AemleError):
+    """An integrand specification violates its normalization or range."""
 
 
 @dataclass(frozen=True)

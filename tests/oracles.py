@@ -21,8 +21,13 @@ by kappa, then a pattern search from each of the best grid peaks.  It
 shares no code with the estimator and is trusted only on shallow ladders.
 
 The kappa-bar scan reference is the scan as written before it was batched:
-one saturated schedule and one cr_lower_bound call per noise level, on a
-grid and a bisection tolerance it writes out as its own literals.
+one saturated schedule, its Fisher matrix and the scalar 2x2 rule per noise
+level, on a grid and a bisection tolerance it writes out as its own literals.
+
+The 2x2 rule reference is the library's scalar Cramer-Rao inverse and
+anomality as written before they became one elementwise array rule, with
+the determinant tolerance as its own literal; the search, estimate and scan
+references use it, so none of them runs the rule they check.
 """
 from __future__ import annotations
 
@@ -44,10 +49,16 @@ from aemle.fisher import (
     ANOMALY_THRESHOLD,
     FisherMatrix,
     _fisher_at,
-    cr_lower_bound,
-    saturated_schedule,
+    fisher_matrix,
+    max_grover_depth,
 )
-from aemle.model import amplitude_point
+from aemle.model import (
+    Schedule,
+    ScheduleKind,
+    amplitude_point,
+    capped_depths,
+    explicit_schedule,
+)
 
 _H = 1e-30  # complex-step size; contributes no subtractive rounding
 
@@ -153,10 +164,34 @@ def _fisher_prefix(a: float, kappa: float, lik, n_stages: int) -> FisherMatrix:
     return _fisher_at(point, lik.depths[:n_stages], lik.shots[:n_stages])
 
 
+def errors_reference(i11: float, i12: float, i22: float) -> tuple[float, float | None]:
+    """Cramer-Rao errors (eps_a, eps_kappa), the square roots of the 2x2
+    inverse's diagonal.
+
+    The inverse is not trusted when kappa carries no information (i22 = 0)
+    or the determinant is below 1e-12 * i11 * i22; eps_a then falls back to
+    the one-parameter bound 1/sqrt(i11) (infinite at i11 = 0) and eps_kappa
+    is None.
+    """
+    det = i11 * i22 - i12 * i12
+    if i22 > 0.0 and det > 1e-12 * i11 * i22:
+        return math.sqrt(i22 / det), math.sqrt(i11 / det)
+    if i11 <= 0.0:
+        return math.inf, None
+    return 1.0 / math.sqrt(i11), None
+
+
+def beta_reference(i11: float, i12: float, i22: float) -> float | None:
+    """Anomality min(i12^2 / (i11 i22), 1); None unless i11, i22 > 0."""
+    if i22 <= 0.0 or i11 <= 0.0:
+        return None
+    return min(i12 * i12 / (i11 * i22), 1.0)
+
+
 def _chebyshev_factor(eps_target: float) -> int:
-    """C_eps = max(3, ceil(sqrt(ln(1/eps_target))) * 3), eps clamped to [1e-300, 0.5]."""
+    """C_eps = 3 ceil(sqrt(ln(1/eps))), with eps_target clamped to [1e-300, 0.5]."""
     eps = min(max(eps_target, 1e-300), 0.5)
-    return max(3, math.ceil(math.sqrt(math.log(1.0 / eps))) * 3)
+    return 3 * math.ceil(math.sqrt(math.log(1.0 / eps)))
 
 
 def search_reference(
@@ -182,8 +217,8 @@ def search_reference(
         else:
             # kappa is held fixed, so only the a-information sizes the box
             info = FisherMatrix(_fisher_prefix(a_hat, kappa_fixed, lik, stage).i11, 0.0, 0.0)
-        eps_a, eps_k = info.errors()
-        c_box = _chebyshev_factor(min(eps_a, 0.5))
+        eps_a, eps_k = errors_reference(info.i11, info.i12, info.i22)
+        c_box = _chebyshev_factor(eps_a)
         if math.isfinite(eps_a):
             a_lo = max(0.0, a_hat - c_box * eps_a)
             a_hi = min(1.0, a_hat + c_box * eps_a)
@@ -271,7 +306,7 @@ def estimate_reference(data, config: MleConfig | None = None) -> EstimateResult:
     a_hat, kappa_hat, best_ll, evaluations, trace = search_reference(lik, config, kappa_fixed)
 
     info = _fisher_prefix(a_hat, max(kappa_hat, _KAPPA_GRID_FLOOR), lik, n_stages)
-    beta = info.beta
+    beta = beta_reference(info.i11, info.i12, info.i22)
     return EstimateResult(
         a_hat=a_hat,
         kappa_hat=kappa_hat,
@@ -360,10 +395,19 @@ def brute_force_mle(data, n_theta: int = 2001, n_kappa: int = 201, peaks: int = 
     return best
 
 
+def saturated_schedule(
+    kappa: float, shots: int, kind: ScheduleKind | str = ScheduleKind.EIS, r: float | None = None
+) -> Schedule:
+    """Maximal schedule with depths <= m-bar(kappa): the usual depth ladder of
+    the kind, truncated below m-bar, with a final stage at m-bar itself."""
+    mbar = max_grover_depth(kappa)
+    return explicit_schedule((m, shots) for m in capped_depths(kind, mbar, r))
+
+
 def saturated_error_reference(a: float, kappa: float, shots: int) -> float:
     """eps_min of one saturated EIS schedule, built and bounded on its own."""
-    sched = saturated_schedule(kappa, shots)
-    return cr_lower_bound(amplitude_point(a, kappa), sched).epsilon_min
+    info = fisher_matrix(amplitude_point(a, kappa), saturated_schedule(kappa, shots))
+    return errors_reference(info.i11, info.i12, info.i22)[0]
 
 
 def kappa_scan_reference(a: float, target_eps: float, shots: int):

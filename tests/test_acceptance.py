@@ -30,12 +30,11 @@ from aemle import (
     required_noise_for_error,
     run_trials,
     sample_counts,
-    sin2_target,
-    target_amplitude,
     total_queries,
 )
 
 from circuitsim import build_A, depolarized_good_prob
+from integrate import sin2_target, target_amplitude
 from conftest import check
 from oracles import all_small_schedules, fisher_enumerated
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aemle import DomainError, amplitude_point, noisy_good_prob, sin2_target
+from aemle import DomainError, amplitude_point, noisy_good_prob
 
 from circuitsim import (
     amplified_state,
@@ -15,6 +15,7 @@ from circuitsim import (
     good_state_probability,
     initial_state,
 )
+from integrate import IntegrandSpec, sin2_target
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +110,6 @@ def test_channel_commutes_with_amplification(spec_n2):
 
 
 def test_size_cap():
-    from aemle import IntegrandSpec
-
     n = 12
     size = 2**n
     spec = IntegrandSpec(

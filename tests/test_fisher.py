@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aemle import (
     ANOMALY_THRESHOLD,
@@ -23,13 +23,19 @@ from aemle import (
     max_grover_depth,
     nuisance_inflation,
     required_noise_for_error,
-    saturated_schedule,
     total_queries,
 )
 
-from aemle.fisher import _element_sums, _saturated_errors
+from aemle.fisher import _DET_RTOL, _bound_rule, _element_sums, _saturated_errors
 
-from oracles import fisher_enumerated, kappa_scan_reference, saturated_error_reference
+from oracles import (
+    beta_reference,
+    errors_reference,
+    fisher_enumerated,
+    kappa_scan_reference,
+    saturated_error_reference,
+    saturated_schedule,
+)
 
 POINTS = [(0.12, 0.0), (0.3, 0.05), (0.5, 0.31), (0.62, 0.05), (0.85, 0.31)]
 
@@ -263,12 +269,44 @@ def test_errors_and_beta_follow_the_inverse():
     assert eps_a == pytest.approx(math.sqrt(info.i22 / info.det), rel=1e-15)
     assert eps_kappa == pytest.approx(math.sqrt(info.i11 / info.det), rel=1e-15)
     assert info.beta == anomality(point, sched)
-    # kappa uninformative or the matrix singular: the one-parameter bound
-    assert FisherMatrix(4.0, 0.0, 0.0).errors() == (0.5, None)
-    assert FisherMatrix(4.0, 2.0, 1.0).errors() == (0.5, None)
-    assert FisherMatrix(0.0, 0.0, 0.0).errors() == (math.inf, None)
-    assert FisherMatrix(4.0, 0.0, 0.0).beta is None
-    assert FisherMatrix(4.0, 3.0, 1.0).beta == 1.0
+
+
+_SIDE = st.one_of(st.just(0.0), st.floats(1e-6, 1e12), st.floats(-1e6, -1e-6))
+
+
+@st.composite
+def fisher_triples(draw):
+    """(i11, i12, i22) with zero and negative diagonals, and i12 free, at
+    i12^2 = i11 i22, or at the determinant's trust threshold, each nudged by
+    a few ulps so both sides of the edge are drawn."""
+    i11, i22 = draw(_SIDE), draw(_SIDE)
+    product = abs(i11 * i22)
+    edges = [math.sqrt(product), math.sqrt(product * (1.0 - _DET_RTOL))]
+    i12 = draw(st.one_of(st.floats(-1e12, 1e12), st.sampled_from(edges)))
+    steps = draw(st.integers(-8, 8))
+    for _ in range(abs(steps)):
+        i12 = math.nextafter(i12, math.copysign(math.inf, steps))
+    return i11, i12, i22
+
+
+def _hex(value):
+    return "None" if value is None or math.isnan(value) else float(value).hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(fisher_triples(), min_size=1, max_size=8))
+# kappa uninformative, the matrix singular, no information, beta clamped to 1
+@example([(4.0, 0.0, 0.0)])
+@example([(4.0, 2.0, 1.0)])
+@example([(0.0, 0.0, 0.0)])
+@example([(4.0, 3.0, 1.0)])
+def test_bound_rule_is_bit_identical_to_scalar_reference(triples):
+    got = _bound_rule(*np.asarray(triples).T).T.tolist()
+    for triple, (eps_a, eps_kappa, beta) in zip(triples, got):
+        want = (*errors_reference(*triple), beta_reference(*triple))
+        assert [_hex(x) for x in (eps_a, eps_kappa, beta)] == [_hex(x) for x in want]
+        info = FisherMatrix(*triple)
+        assert (*info.errors(), info.beta) == want
 
 
 def test_lis_ladder_below_a_deep_cap_is_refused():

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aemle import IntegrandSpec, SpecError, sin2_target
-from aemle.integrate import grid_points
+from integrate import IntegrandSpec, SpecError, grid_points, sin2_target
 
 # Midpoint sums computed at 40-digit precision and rounded.
 S_N1_B2PI5 = 0.375  # exact: (sin^2(pi/10) + sin^2(3 pi/10))/2

@@ -95,8 +95,8 @@ def test_density_golden(kappa):
 def _segment_count(kappa):
     # maximal runs of beta above the threshold on 200,000 interior midpoints
     a = (np.arange(200_000) + 0.5) / 200_000
-    beta, bad = survey._beta_grid(a, kappa, default_density_schedule(kappa))
-    above = (beta > ANOMALY_THRESHOLD) & ~bad
+    beta = survey._beta_grid(a, kappa, default_density_schedule(kappa))
+    above = beta > ANOMALY_THRESHOLD  # a degenerate sample's NaN is never above
     return int(np.count_nonzero(above[1:] & ~above[:-1])) + int(above[0])
 
 
@@ -158,6 +158,8 @@ def test_contour_rejects_bad_grids():
         error_vs_kappa_contour(np.asarray([0.5]), np.asarray([-0.1]), sched)
     with pytest.raises(DomainError):
         error_vs_kappa_contour(np.asarray([]), np.asarray([0.01]), sched)
+    with pytest.raises(DomainError, match="must not be empty"):
+        error_vs_kappa_contour(np.asarray([0.5]), np.asarray([]), sched)
     # a NaN passes a "some point outside" test, and kappa = inf would give nan cells
     for a, kappa in ([math.nan], [0.01]), ([0.5], [math.nan]), ([0.5], [0.01, math.inf]):
         with pytest.raises(DomainError):
@@ -191,8 +193,7 @@ def test_blocked_beta_grid_equals_one_call(monkeypatch, size):
         for cores in (None, 1, 2, 8):
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
             blocked = survey._beta_grid(a, 1e-4, sched)
-            for got, want in zip(blocked, whole):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert blocked.dtype == whole.dtype and blocked.tobytes() == whole.tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -233,8 +234,8 @@ def test_error_spikes_sit_on_anomalous_targets():
     a = np.linspace(0.005, 0.995, 2000)
     grid = error_vs_kappa_contour(a, np.asarray([kappa]), sched)
     eps = np.asarray([row[0] for row in grid.epsilon_min])
-    beta, bad = survey._beta_grid(a, kappa, sched)
-    assert not bad.any()
+    beta = survey._beta_grid(a, kappa, sched)
+    assert not np.isnan(beta).any()
     median = float(np.median(eps))
     spikes = [
         i
