@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AemleError, ConfigError, DegenerateDataError, DomainError
-from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _bound_rule, _element_sums
+from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _bound_rule, _element_sums, _stage_weights
 from .model import _integral
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
@@ -40,11 +40,14 @@ _KAPPA_INIT = (1e-6, 2.0)
 # Most stages a dataset may have; guards data read from files.
 _MAX_STAGES = 64
 
-# The final zoom: rounds, linear grid points per axis, and datasets per
-# kernel call.
+# The final zoom: rounds and linear grid points per axis.
 _ZOOM_ROUNDS = 4
 _ZOOM_POINTS = 17
-_ZOOM_BLOCK = 8
+
+# Likelihood cells (stage x a x kappa points of every dataset in the call)
+# per kernel call, in the stage loop and the zoom alike: it bounds the
+# kernel's workspace at any grid size or stage count.
+_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -195,17 +198,18 @@ def _weigh(p: np.ndarray, q: np.ndarray, hits: np.ndarray, misses: np.ndarray) -
 
 class _StageLikelihood:
     """Binomial log-likelihoods of datasets that share one schedule, on
-    (a, kappa) grids.
+    (a, kappa) grids, with the schedule's Fisher weights.
 
-    The schedule and every dataset's counts are converted once, and one
-    stage-first (stage, dataset, a, kappa) workspace, grown to the largest
-    call, serves every grid of every dataset.  The m = 0 stages lead (depths
-    are non-decreasing) and, as e^{-kappa 0} = 1 at every finite kappa,
-    their terms are computed on (dataset, a) columns and copied along the
-    kappa axis.  The other stages form cos(2(2m+1) theta_a) x e^{-kappa m} / 2
-    with einsum, which skips the buffering of numpy's broadcast multiply.
-    Every value is elementwise, so a dataset's grid has the same bits in any
-    call, and keeps the bits of the broadcast formula (einsum may drop a
+    The schedule, its _stage_weights and every dataset's counts are
+    converted once, and one stage-first (stage, dataset, a, kappa)
+    workspace, grown to the largest call, serves every block of datasets
+    (see blocks).  The m = 0 stages lead (depths are non-decreasing) and,
+    as e^{-kappa 0} = 1 at every finite kappa, their terms are computed on
+    (dataset, a) columns and copied along the kappa axis.  The other stages
+    form cos(2(2m+1) theta_a) x e^{-kappa m} / 2 with einsum, which skips
+    the buffering of numpy's broadcast multiply.  Every value is
+    elementwise, so a dataset's grid has the same bits in any call and any
+    block, and keeps the bits of the broadcast formula (einsum may drop a
     zero's sign; 1/2 - 0 erases it).
     """
 
@@ -216,7 +220,8 @@ class _StageLikelihood:
         # (stage, dataset, 1, 1) hit and miss counts
         self._hits = np.asarray([data.hits for data in datasets], dtype=float).T[:, :, None, None]
         self._misses = self.shots[:, None, None, None] - self._hits
-        self._freq = 2.0 * (2.0 * self.depths + 1.0)
+        self.weights = _stage_weights(self.depths, self.shots)
+        self._freq = self.weights[1][0]  # 2(2m+1)
         self._n_flat = int(np.count_nonzero(self.depths == 0.0))
         self._log_p = self._log_q = np.empty(0)
 
@@ -257,6 +262,13 @@ class _StageLikelihood:
             np.subtract(0.5, rest, out=rest)
             _weigh(rest, log_q[n_flat:], hits[n_flat:], misses[n_flat:])
         return _stage_sum(log_p)
+
+    def blocks(self, n_stages: int, n_a: int, n_k: int) -> list[slice]:
+        """The datasets in row blocks for grid calls on n_stages stages and
+        n_a x n_k grids: as many rows to a block as fit in _BLOCK_CELLS
+        cells, and at least one."""
+        step = max(1, _BLOCK_CELLS // (n_stages * n_a * n_k))
+        return [slice(start, start + step) for start in range(0, self.n_data, step)]
 
 
 def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
@@ -323,7 +335,7 @@ def _fisher_prefix(
     (a[t], kappa[t]), with a inset from the {0, 1} boundary where the
     information is singular."""
     a = np.minimum(np.maximum(a, _A_INSET), 1.0 - _A_INSET)
-    return _element_sums(a, kappa, lik.depths[:n_stages], lik.shots[:n_stages])
+    return _element_sums(a, kappa, tuple(w[:, :n_stages] for w in lik.weights))
 
 
 def _box(
@@ -357,8 +369,9 @@ def _search(
 
     Stage 0 searches the init box.  Each later stage makes one Fisher and
     one _bound_rule call, one grid-spacing call per axis and one snap for
-    all datasets, sizes each dataset's box from its own errors, and
-    evaluates the likelihood one dataset at a time.  kappa_fixed=None
+    all datasets, and sizes each dataset's box from its own errors.  Every
+    stage makes one likelihood call per lik.blocks block of datasets and
+    takes each row's first maximum in a-major order.  kappa_fixed=None
     searches kappa on the log-spaced grid.  A fixed kappa is searched as a
     one-point axis, its a-box sized by the one-parameter error 1/sqrt(i11).
     """
@@ -368,6 +381,9 @@ def _search(
     a_hat = kappa_hat = np.full(n_data, math.nan)
     evaluations = 0
     traces: list[list[StageTrace]] = [[] for _ in range(n_data)]
+    # each stage's argmax and objectives; stage 0 has no carried estimate
+    flat = np.empty(n_data, dtype=np.intp)
+    best_ll, carried_ll = np.empty(n_data), np.full(n_data, math.nan)
 
     for stage in range(len(lik.depths)):
         if stage == 0:  # no stage seen yet: the init box
@@ -390,26 +406,27 @@ def _search(
             k_grid = _geomspace(k_lo, k_hi, div).T
         else:
             k_grid = np.full((n_data, 1), kappa_fixed)
-        if stage > 0:
-            ia_prev = _snap(a_grid, a_hat).tolist()
-            ik_prev = _snap(k_grid, kappa_hat).tolist()
+        n_k = k_grid.shape[1]
+        if stage > 0:  # the carried estimate's index in a-major order
+            carried = _snap(a_grid, a_hat) * n_k + _snap(k_grid, kappa_hat)
 
-        evaluations += a_grid.shape[1] * k_grid.shape[1]
-        ia, ik, best_ll = [], [], []
-        for t, bounds in enumerate(box.tolist()):
-            ll = lik.grid(slice(t, t + 1), stage + 1, a_grid[t : t + 1], k_grid[t : t + 1])[0]
+        evaluations += div * n_k
+        for block in lik.blocks(stage + 1, div, n_k):
+            ll = lik.grid(block, stage + 1, a_grid[block], k_grid[block]).reshape(-1, div * n_k)
+            at = np.arange(len(ll))
             # first max in a-major order: smallest a, then kappa
-            i, j = divmod(int(ll.argmax()), ll.shape[1])
-            carried_ll = float(ll[ia_prev[t], ik_prev[t]]) if stage > 0 else math.nan
-            ia.append(i)
-            ik.append(j)
-            best_ll.append(float(ll[i, j]))
-            traces[t].append(StageTrace(stage, *bounds, best_ll[t], carried_ll))
+            flat[block] = top = ll.argmax(axis=1)
+            best_ll[block] = ll[at, top]
+            if stage > 0:
+                carried_ll[block] = ll[at, carried[block]]
+        ia, ik = np.divmod(flat, n_k)
         a_hat, kappa_hat = a_grid[rows, ia], k_grid[rows, ik]
+        for trace, bounds, best, held in zip(
+            traces, box.tolist(), best_ll.tolist(), carried_ll.tolist()
+        ):
+            trace.append(StageTrace(stage, *bounds, best, held))
     a_step = (a_hi - a_lo) / (div - 1)
-    a_hat, kappa_hat, best_ll = _zoom(
-        lik, a_hat, kappa_hat, np.asarray(best_ll), a_step, kappa_fixed
-    )
+    a_hat, kappa_hat, best_ll = _zoom(lik, a_hat, kappa_hat, best_ll, a_step, kappa_fixed)
     evaluations += _ZOOM_ROUNDS * _ZOOM_POINTS * (_ZOOM_POINTS if kappa_fixed is None else 1)
     return a_hat, kappa_hat, best_ll.tolist(), evaluations, traces
 
@@ -432,14 +449,14 @@ def _zoom(
     likelihood is strictly higher (the first max in a-major order).  Each
     round centres on the best point so far and quarters each half-width,
     except along an axis where the estimate just moved to the window's edge:
-    there the window keeps its size, so it can follow a ridge.  Datasets run
-    _ZOOM_BLOCK to a kernel call.
+    there the window keeps its size, so it can follow a ridge.  Each round
+    makes one likelihood call per lik.blocks block of datasets.
     """
     a_hat, kappa_hat, best_ll = a_hat.copy(), kappa_hat.copy(), best_ll.copy()
     n_axes = 1 if kappa_fixed is not None else 2
     last = _ZOOM_POINTS - 1
-    for start in range(0, len(a_hat), _ZOOM_BLOCK):
-        rows = slice(start, start + _ZOOM_BLOCK)
+    n_k = _ZOOM_POINTS if n_axes == 2 else 1
+    for rows in lik.blocks(len(lik.depths), _ZOOM_POINTS, n_k):
         # (axis, dataset) centres and half-widths, a first, then kappa
         centre = np.stack([a_hat[rows], kappa_hat[rows]])[:n_axes]
         half = np.stack([2.0 * a_step[rows], 0.5 * kappa_hat[rows]])[:n_axes]

@@ -109,56 +109,68 @@ class CrBoundResult:
     identifiable: bool
 
 
+def _stage_weights(depths, shots) -> tuple[np.ndarray, ...]:
+    """The schedule-only factors of the Fisher summands, for _element_terms:
+    m, 2(2m+1), N (2m+1)^2, N m (2m+1) and N m^2, each 2-D, stages last.
+
+    depths/shots are (S,) or (K, S), row k the schedule of row k; slicing
+    every factor to its first n stages gives the factors of that prefix.
+    """
+    m = np.atleast_2d(np.asarray(depths, dtype=float))
+    n = np.atleast_2d(np.asarray(shots, dtype=float))
+    odd = 2.0 * m + 1.0
+    return m, 2.0 * odd, n * odd**2, n * m * odd, n * m**2
+
+
 def _element_terms(
-    a: np.ndarray, kappa: np.ndarray | float, depths: np.ndarray, shots: np.ndarray
+    a: np.ndarray, kappa: np.ndarray | float, weights: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-stage Fisher summands: three (K, S) arrays, whose row sums are
     _element_sums.
 
     Shapes: a is (K,), or (1,) for one amplitude in every row; kappa is one
-    noise level for all rows or (K,), one per row; depths/shots are (S,) or
-    (K, S), row k the schedule of row k.
+    noise level for all rows or (K,), one per row; weights are
+    _stage_weights of one schedule for all rows or of K schedules.  Each
+    weight is the leading factor of its summand's left-to-right product.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.size == 0:
         raise DomainError("Fisher sums need at least one amplitude")
     if a.min() <= 0.0 or a.max() >= 1.0:
         raise SingularPointError("Fisher information is singular at a in {0, 1}")
+    m, freq, w11, w12, w22 = weights
     theta = np.arcsin(np.sqrt(a))[:, None]
     kappa = np.reshape(np.asarray(kappa, dtype=float), (-1, 1))
-    m = np.atleast_2d(np.asarray(depths, dtype=float))
-    n = np.atleast_2d(np.asarray(shots, dtype=float))
-    odd = 2.0 * m + 1.0
-    x = 2.0 * odd * theta
+    x = freq * theta
     sin2_x = np.sin(x) ** 2
-    with np.errstate(over="ignore"):
-        denom = np.expm1(2.0 * (kappa * m)) + sin2_x
-    if denom.min() < _DENOM_FLOOR:
-        raise DegenerateTermError(
-            "Fisher summand denominator underflowed (kappa = 0 on a sine zero)"
-        )
     # sin(2 theta_a) = 2 sqrt(a(1-a)) exactly; avoids rounding near the ends.
     one_minus_a = 1.0 - a
     sin2_2t = (4.0 * a * one_minus_a)[:, None]
     sin_2t = (2.0 * np.sqrt(a * one_minus_a))[:, None]
-    with np.errstate(invalid="ignore"):
-        t11 = n * odd**2 / sin2_2t * 4.0 * sin2_x / denom
-        t12 = n * m * odd / sin_2t * np.sin(2.0 * x) / denom
-        t22 = n * m**2 * np.cos(x) ** 2 / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = np.expm1(2.0 * (kappa * m)) + sin2_x
+        if denom.min() < _DENOM_FLOOR:
+            raise DegenerateTermError(
+                "Fisher summand denominator underflowed (kappa = 0 on a sine zero)"
+            )
+        t11 = w11 / sin2_2t * 4.0 * sin2_x / denom
+        t12 = w12 / sin_2t * np.sin(2.0 * x) / denom
+        t22 = w22 * np.cos(x) ** 2 / denom
     return t11, t12, t22
 
 
 def _element_sums(
-    a: np.ndarray, kappa: np.ndarray | float, depths: np.ndarray, shots: np.ndarray
+    a: np.ndarray, kappa: np.ndarray | float, weights: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized Fisher sums: three (K,) arrays, the row sums of
     _element_terms, row k summed as a lone (S,) call sums it."""
-    return tuple(t.sum(axis=1) for t in _element_terms(a, kappa, depths, shots))
+    return tuple(t.sum(axis=1) for t in _element_terms(a, kappa, weights))
 
 
 def _fisher_at(point: AmplitudePoint, depths, shots) -> FisherMatrix:
     """Fisher matrix at one point for stage depth and shot sequences."""
-    i11, i12, i22 = _element_sums(np.asarray([point.a]), point.kappa, depths, shots)
+    weights = _stage_weights(depths, shots)
+    i11, i12, i22 = _element_sums(np.asarray([point.a]), point.kappa, weights)
     return FisherMatrix(i11=float(i11[0]), i12=float(i12[0]), i22=float(i22[0]))
 
 
@@ -238,7 +250,8 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
     depths = top[np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)]
     depths[offsets[1:] - 1] = mbars
     kappa = np.repeat(np.asarray(kappas, dtype=float), lengths)
-    terms = _element_terms(np.asarray([float(a)]), kappa, depths[:, None], float(shots))
+    weights = _stage_weights(depths[:, None], float(shots))
+    terms = _element_terms(np.asarray([float(a)]), kappa, weights)
     runs = np.flatnonzero(np.diff(lengths, prepend=0, append=0)).tolist()  # run starts, then K
     i11, i12, i22 = (np.concatenate([t[offsets[i]:offsets[j]].reshape(-1, lengths[i]).sum(axis=1)
                                      for i, j in zip(runs, runs[1:])]) for t in terms)

@@ -21,6 +21,7 @@ from .fisher import (
     ANOMALY_THRESHOLD,
     _bound_rule,
     _element_sums,
+    _stage_weights,
     classical_bound,
     cr_lower_bound,
     max_grover_depth,
@@ -33,7 +34,8 @@ _EDGE_MARGIN = 1e-9
 # Depth-count cap for the default density schedule.
 _DENSITY_M_CAP = 25
 
-# Amplitudes in flight across _beta_grid's workers (bounds their temporaries).
+# Fisher rows in flight across _beta_grid's workers, and per Fisher call of
+# the contour (bounds their temporaries).
 _BETA_BLOCK = 4096
 
 
@@ -92,10 +94,11 @@ def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> np.ndarray:
     workers = os.cpu_count() or 1
     block = max(_BETA_BLOCK // workers, 1)
     beta = np.empty(a.size)
+    weights = _stage_weights(schedule.depths, schedule.shots)
 
     def fill(start: int) -> None:
         rows = slice(start, start + block)
-        sums = _element_sums(a[rows], kappa, schedule.depths, schedule.shots)
+        sums = _element_sums(a[rows], kappa, weights)
         beta[rows] = _bound_rule(*sums)[2]
 
     with ThreadPoolExecutor(workers) as pool:
@@ -204,9 +207,10 @@ def error_vs_kappa_contour(
 ) -> ContourGrid:
     """epsilon_min on the product grid, amplitudes down the rows.
 
-    One Fisher call covers every (a, kappa) cell, and each cell is the eps_a
-    of _bound_rule, the rule cr_lower_bound applies, so cells where the
-    matrix is numerically singular fall back to the one-parameter bound.
+    One Fisher call covers each _BETA_BLOCK cells of the a-major product
+    (bounding its temporaries), and each cell is the eps_a of _bound_rule,
+    the rule cr_lower_bound applies, so cells where the matrix is
+    numerically singular fall back to the one-parameter bound.
     """
     a = np.asarray(a_values, dtype=float)
     kappas = np.asarray(kappa_values, dtype=float)
@@ -217,9 +221,13 @@ def error_vs_kappa_contour(
         raise DomainError("amplitude grid must lie strictly inside (0, 1)")
     if not np.all((kappas >= 0.0) & np.isfinite(kappas)):
         raise DomainError("kappa grid must be finite and non-negative")
-    cells = _element_sums(np.repeat(a, kappas.size), np.tile(kappas, a.size),
-                          schedule.depths, schedule.shots)
-    eps = _bound_rule(*cells)[0].reshape(a.size, kappas.size)
+    a_cells, k_cells = np.repeat(a, kappas.size), np.tile(kappas, a.size)
+    weights = _stage_weights(schedule.depths, schedule.shots)
+    eps = np.empty(a_cells.size)
+    for start in range(0, eps.size, _BETA_BLOCK):
+        rows = slice(start, start + _BETA_BLOCK)
+        eps[rows] = _bound_rule(*_element_sums(a_cells[rows], k_cells[rows], weights))[0]
+    eps = eps.reshape(a.size, kappas.size)
     return ContourGrid(
         a_values=tuple(float(v) for v in a),
         kappa_values=tuple(float(v) for v in kappas),

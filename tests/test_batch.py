@@ -123,12 +123,19 @@ def test_profile_equals_reference(schedule, data, config, kappa):
     assert mle_profile_1d(sample, kappa, config).hex() == expected.hex()
 
 
-@pytest.mark.parametrize("kind", ["eis", "classical"])
+# The stage loop and the zoom share the kernel's row blocks (as many datasets
+# as fit in _BLOCK_CELLS cells).  At 32 x 32 the 12-stage EIS ladder runs 8
+# datasets to a call at its 8th stage and 5 at its last; the 21-stage LIS
+# ladder runs 3 and its zoom 10.  Both run _stage_sum's pairwise path.
+@pytest.mark.parametrize(
+    "kind, M", [("eis", 3), ("classical", 3), ("eis", 11), ("lis", 20)],
+    ids=["eis", "classical", "eis11", "lis20"],
+)
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 17])
-def test_batches_straddling_zoom_blocks_equal_reference(size, kind):
-    # the zoom runs datasets in blocks of 8; a dataset that cannot be
-    # estimated (all hits) shifts the blocks of those after it
-    schedule = make_schedule(kind, 3, 40)
+def test_batches_straddling_zoom_blocks_equal_reference(size, kind, M):
+    # a dataset that cannot be estimated (all hits) shifts the blocks of
+    # those after it
+    schedule = make_schedule(kind, M, 40)
     point = amplitude_point(0.3, 0.05)
     batch = [sample_counts(point, schedule, seed) for seed in range(size)]
     if size > 2:

@@ -10,6 +10,7 @@ from aemle import (
     ConfigError,
     DegenerateScheduleError,
     DomainError,
+    ExperimentData,
     FisherMatrix,
     NotAchievableError,
     SingularPointError,
@@ -26,7 +27,14 @@ from aemle import (
     total_queries,
 )
 
-from aemle.fisher import _DET_RTOL, _bound_rule, _element_sums, _saturated_errors
+from aemle.estimator import _fisher_prefix, _StageLikelihood
+from aemle.fisher import (
+    _DET_RTOL,
+    _bound_rule,
+    _element_sums,
+    _saturated_errors,
+    _stage_weights,
+)
 
 from oracles import (
     beta_reference,
@@ -540,8 +548,29 @@ def test_batched_schedule_rows_equal_lone_calls(data, n_rows, n_stages):
     shots = rows(st.integers(0, 10_000))
     a = data.draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=n_rows, max_size=n_rows))
     kappa = data.draw(st.lists(st.floats(1e-9, 3.0), min_size=n_rows, max_size=n_rows))
-    batched = _element_sums(np.asarray(a), np.asarray(kappa), depths, shots)
+    batched = _element_sums(np.asarray(a), np.asarray(kappa), _stage_weights(depths, shots))
     for k in range(n_rows):
-        lone = _element_sums(np.asarray([a[k]]), kappa[k], depths[k], shots[k])
+        lone = _element_sums(np.asarray([a[k]]), kappa[k], _stage_weights(depths[k], shots[k]))
         for got, want in zip(batched, lone):
             np.testing.assert_array_equal(got[k : k + 1], want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_rows=st.integers(1, 6), n_stages=st.integers(1, 40))
+def test_weights_prefix_equals_weights_of_the_prefix(data, n_rows, n_stages):
+    # the estimator's Fisher call after stage n - 1 slices the weights it
+    # built once for the whole schedule
+    def draw_list(elements, size):
+        return data.draw(st.lists(elements, min_size=size, max_size=size))
+
+    depths = sorted(draw_list(st.integers(0, 2**20), n_stages))
+    shots = draw_list(st.integers(0, 10_000), n_stages)
+    n = data.draw(st.integers(1, n_stages))
+    a = np.asarray(draw_list(st.floats(1e-6, 1.0 - 1e-6), n_rows))
+    kappa = np.asarray(draw_list(st.floats(1e-9, 3.0), n_rows))
+    want = _element_sums(a, kappa, _stage_weights(depths[:n], shots[:n]))
+    sliced = _element_sums(a, kappa, tuple(w[:, :n] for w in _stage_weights(depths, shots)))
+    schedule = ExperimentData(stages=tuple((m, s, 0) for m, s in zip(depths, shots)))
+    lik = _StageLikelihood([schedule])
+    for got in (sliced, _fisher_prefix(lik, a, kappa, n)):
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

@@ -150,6 +150,20 @@ def test_contour_grid_shape_and_values():
             assert grid.epsilon_min[i][j] == direct
 
 
+@pytest.mark.parametrize("block", [97, None])
+def test_blocked_contour_equals_one_call(monkeypatch, block):
+    # 70 x 61 cells span two default blocks; each block size splits rows
+    sched = make_schedule("eis", 11, 100)
+    a, k = np.linspace(0.01, 0.99, 70), np.geomspace(1e-4, 1e-1, 61)
+    with monkeypatch.context() as patch:
+        patch.setattr(survey, "_BETA_BLOCK", a.size * k.size)
+        whole = np.asarray(error_vs_kappa_contour(a, k, sched).epsilon_min)
+    if block is not None:
+        monkeypatch.setattr(survey, "_BETA_BLOCK", block)
+    blocked = np.asarray(error_vs_kappa_contour(a, k, sched).epsilon_min)
+    assert blocked.tobytes() == whole.tobytes()
+
+
 def test_contour_rejects_bad_grids():
     sched = make_schedule("eis", 3, 10)
     with pytest.raises(DomainError):
