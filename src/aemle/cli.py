@@ -363,6 +363,7 @@ def cmd_hitcurve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         _check(parser, bool(depths) and all(m >= 0 for m in depths),
                "--depths must contain non-negative integers")
     else:
+        _check(parser, args.max_depth >= 0, f"--max-depth must be >= 0, got {args.max_depth}")
         depths = list(range(args.max_depth + 1))
     seed = _resolved_seed(args)
     point = amplitude_point(args.a, args.kappa)

@@ -45,8 +45,9 @@ _ZOOM_ROUNDS = 4
 _ZOOM_POINTS = 17
 
 # Likelihood cells (stage x a x kappa points of every dataset in the call)
-# per kernel call, in the stage loop and the zoom alike: it bounds the
-# kernel's workspace at any grid size or stage count.
+# per kernel call, or one dataset's cells where they are more: with the
+# divisions cap and _MAX_STAGES, the kernel's two workspaces stay under
+# 64 x 256^2 x 2 doubles (about 67 MB).
 _BLOCK_CELLS = 2**16
 
 
@@ -105,16 +106,17 @@ def data_from_json(text: str) -> ExperimentData:
 @dataclass(frozen=True)
 class MleConfig:
     """Grid points per axis at every stage of the adaptive search (the CLI's
-    --divisions).  The rest of the search is fixed: the initial box _A_INIT x
-    _KAPPA_INIT, the box factor of _chebyshev_factor, the _MAX_STAGES cap and
-    the final zoom (_ZOOM_ROUNDS rounds of _ZOOM_POINTS per axis), which adds
-    the same evaluations to every estimate."""
+    --divisions), 8 to 256; the cap bounds the kernel's workspace.  The rest
+    of the search is fixed: the initial box _A_INIT x _KAPPA_INIT, the box
+    factor of _chebyshev_factor, the _MAX_STAGES cap and the final zoom
+    (_ZOOM_ROUNDS rounds of _ZOOM_POINTS per axis), which adds the same
+    evaluations to every estimate."""
 
     divisions_per_stage: int = 32
 
     def __post_init__(self) -> None:
-        if self.divisions_per_stage < 8:
-            raise ConfigError("divisions_per_stage must be >= 8")
+        if not 8 <= self.divisions_per_stage <= 256:
+            raise ConfigError("divisions_per_stage must be in 8..256")
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ class _StageLikelihood:
     The schedule, its _stage_weights and every dataset's counts are
     converted once, and one stage-first (stage, dataset, a, kappa)
     workspace, grown to the largest call, serves every block of datasets
-    (see blocks).  The m = 0 stages lead (depths are non-decreasing) and,
+    (see best).  The m = 0 stages lead (depths are non-decreasing) and,
     as e^{-kappa 0} = 1 at every finite kappa, their terms are computed on
     (dataset, a) columns and copied along the kappa axis.  The other stages
     form cos(2(2m+1) theta_a) x e^{-kappa m} / 2 with einsum, which skips
@@ -224,6 +226,7 @@ class _StageLikelihood:
         self._freq = self.weights[1][0]  # 2(2m+1)
         self._n_flat = int(np.count_nonzero(self.depths == 0.0))
         self._log_p = self._log_q = np.empty(0)
+        self.evaluations = 0
 
     def grid(
         self,
@@ -263,12 +266,31 @@ class _StageLikelihood:
             _weigh(rest, log_q[n_flat:], hits[n_flat:], misses[n_flat:])
         return _stage_sum(log_p)
 
-    def blocks(self, n_stages: int, n_a: int, n_k: int) -> list[slice]:
-        """The datasets in row blocks for grid calls on n_stages stages and
-        n_a x n_k grids: as many rows to a block as fit in _BLOCK_CELLS
-        cells, and at least one."""
-        step = max(1, _BLOCK_CELLS // (n_stages * n_a * n_k))
-        return [slice(start, start + step) for start in range(0, self.n_data, step)]
+    def best(
+        self, n_stages: int, a_grids: np.ndarray, kappa_grids: np.ndarray, held=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Each dataset's first maximum in a-major order (smallest a, then
+        kappa) on stages 0..n_stages-1: its a and kappa indices and its
+        log-likelihood, and the log-likelihood at the flat a-major index
+        held[t] when held is given (else None).  Each grid call takes as
+        many datasets as fit in _BLOCK_CELLS cells, and at least one.  Adds
+        one dataset's grid size to self.evaluations."""
+        n_k = kappa_grids.shape[1]
+        size = a_grids.shape[1] * n_k
+        self.evaluations += size
+        step = max(1, _BLOCK_CELLS // (n_stages * size))
+        top, best_ll = np.empty(self.n_data, dtype=np.intp), np.empty(self.n_data)
+        held_ll = None if held is None else np.empty(self.n_data)
+        for start in range(0, self.n_data, step):
+            rows = slice(start, start + step)
+            ll = self.grid(rows, n_stages, a_grids[rows], kappa_grids[rows]).reshape(-1, size)
+            at = np.arange(len(ll))
+            top[rows] = flat = ll.argmax(axis=1)
+            best_ll[rows] = ll[at, flat]
+            if held is not None:
+                held_ll[rows] = ll[at, held[rows]]
+        ia, ik = np.divmod(top, n_k)
+        return ia, ik, best_ll, held_ll
 
 
 def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
@@ -362,28 +384,24 @@ def _box(
 
 def _search(
     lik: _StageLikelihood, config: MleConfig, kappa_fixed: float | None
-) -> tuple[np.ndarray, np.ndarray, list[float], int, list[list[StageTrace]]]:
+) -> tuple[np.ndarray, np.ndarray, list[float], list[list[StageTrace]]]:
     """The stage-by-stage box search of every dataset of lik at once, then
     the final _zoom; returns per-dataset a_hat, kappa_hat, best_ll and
-    trace, and the evaluation count of one dataset.
+    trace, and counts one dataset's evaluations in lik.evaluations.
 
     Stage 0 searches the init box.  Each later stage makes one Fisher and
-    one _bound_rule call, one grid-spacing call per axis and one snap for
-    all datasets, and sizes each dataset's box from its own errors.  Every
-    stage makes one likelihood call per lik.blocks block of datasets and
-    takes each row's first maximum in a-major order.  kappa_fixed=None
-    searches kappa on the log-spaced grid.  A fixed kappa is searched as a
-    one-point axis, its a-box sized by the one-parameter error 1/sqrt(i11).
+    one _bound_rule call, one grid-spacing call per axis, one snap and one
+    lik.best call for all datasets, and sizes each dataset's box from its
+    own errors.  kappa_fixed=None searches kappa on the log-spaced grid.  A
+    fixed kappa is searched as a one-point axis, its a-box sized by the
+    one-parameter error 1/sqrt(i11).
     """
     div = config.divisions_per_stage
     n_data = lik.n_data
     rows = np.arange(n_data)
     a_hat = kappa_hat = np.full(n_data, math.nan)
-    evaluations = 0
     traces: list[list[StageTrace]] = [[] for _ in range(n_data)]
-    # each stage's argmax and objectives; stage 0 has no carried estimate
-    flat = np.empty(n_data, dtype=np.intp)
-    best_ll, carried_ll = np.empty(n_data), np.full(n_data, math.nan)
+    carried = None  # stage 0 has no carried estimate
 
     for stage in range(len(lik.depths)):
         if stage == 0:  # no stage seen yet: the init box
@@ -406,29 +424,17 @@ def _search(
             k_grid = _geomspace(k_lo, k_hi, div).T
         else:
             k_grid = np.full((n_data, 1), kappa_fixed)
-        n_k = k_grid.shape[1]
         if stage > 0:  # the carried estimate's index in a-major order
-            carried = _snap(a_grid, a_hat) * n_k + _snap(k_grid, kappa_hat)
+            carried = _snap(a_grid, a_hat) * k_grid.shape[1] + _snap(k_grid, kappa_hat)
 
-        evaluations += div * n_k
-        for block in lik.blocks(stage + 1, div, n_k):
-            ll = lik.grid(block, stage + 1, a_grid[block], k_grid[block]).reshape(-1, div * n_k)
-            at = np.arange(len(ll))
-            # first max in a-major order: smallest a, then kappa
-            flat[block] = top = ll.argmax(axis=1)
-            best_ll[block] = ll[at, top]
-            if stage > 0:
-                carried_ll[block] = ll[at, carried[block]]
-        ia, ik = np.divmod(flat, n_k)
+        ia, ik, best_ll, carried_ll = lik.best(stage + 1, a_grid, k_grid, carried)
         a_hat, kappa_hat = a_grid[rows, ia], k_grid[rows, ik]
-        for trace, bounds, best, held in zip(
-            traces, box.tolist(), best_ll.tolist(), carried_ll.tolist()
-        ):
+        carried_ll = [math.nan] * n_data if carried_ll is None else carried_ll.tolist()
+        for trace, bounds, best, held in zip(traces, box.tolist(), best_ll.tolist(), carried_ll):
             trace.append(StageTrace(stage, *bounds, best, held))
     a_step = (a_hi - a_lo) / (div - 1)
     a_hat, kappa_hat, best_ll = _zoom(lik, a_hat, kappa_hat, best_ll, a_step, kappa_fixed)
-    evaluations += _ZOOM_ROUNDS * _ZOOM_POINTS * (_ZOOM_POINTS if kappa_fixed is None else 1)
-    return a_hat, kappa_hat, best_ll.tolist(), evaluations, traces
+    return a_hat, kappa_hat, best_ll.tolist(), traces
 
 
 def _zoom(
@@ -442,51 +448,35 @@ def _zoom(
     """Polish each dataset's search estimate on every stage; returns the new
     a_hat, kappa_hat and best_ll.
 
-    _ZOOM_ROUNDS rounds of a linear grid, _ZOOM_POINTS per axis (a only when
-    kappa is fixed).  The first window is a_hat +- 2 a_step (the last
-    stage's a-spacing) by kappa_hat +- kappa_hat / 2, clipped to [0, 1] and
-    to _KAPPA_GRID_FLOOR.  A point replaces the estimate only if its
-    likelihood is strictly higher (the first max in a-major order).  Each
-    round centres on the best point so far and quarters each half-width,
-    except along an axis where the estimate just moved to the window's edge:
-    there the window keeps its size, so it can follow a ridge.  Each round
-    makes one likelihood call per lik.blocks block of datasets.
+    _ZOOM_ROUNDS rounds of one lik.best call on a linear grid, _ZOOM_POINTS
+    per axis (a fixed kappa is a one-point axis of zero half-width).  The
+    first window is a_hat +- 2 a_step (the last stage's a-spacing) by
+    kappa_hat +- kappa_hat / 2, clipped to [0, 1] and to _KAPPA_GRID_FLOOR.
+    A point replaces the estimate only if its likelihood is strictly higher
+    (the first max in a-major order).  Each round centres on the best point
+    so far and quarters each half-width, except along an axis where the
+    estimate just moved to the window's edge: there the window keeps its
+    size, so it can follow a ridge.
     """
-    a_hat, kappa_hat, best_ll = a_hat.copy(), kappa_hat.copy(), best_ll.copy()
-    n_axes = 1 if kappa_fixed is not None else 2
+    rows = np.arange(lik.n_data)
     last = _ZOOM_POINTS - 1
-    n_k = _ZOOM_POINTS if n_axes == 2 else 1
-    for rows in lik.blocks(len(lik.depths), _ZOOM_POINTS, n_k):
-        # (axis, dataset) centres and half-widths, a first, then kappa
-        centre = np.stack([a_hat[rows], kappa_hat[rows]])[:n_axes]
-        half = np.stack([2.0 * a_step[rows], 0.5 * kappa_hat[rows]])[:n_axes]
-        floor = np.asarray([[0.0], [_KAPPA_GRID_FLOOR]])[:n_axes]
-        ceiling = np.asarray([[1.0], [math.inf]])[:n_axes]
-        ll_c = best_ll[rows]
-        n_rows = len(ll_c)
-        block = np.arange(n_rows)
-        axes = np.arange(n_axes)[:, None]
-        k_fixed = np.full((n_rows, 1), kappa_fixed)
-        for _ in range(_ZOOM_ROUNDS):
-            lo = np.maximum(centre - half, floor)
-            hi = np.minimum(centre + half, ceiling)
-            grids = _linspace(lo.ravel(), hi.ravel(), _ZOOM_POINTS).T
-            a_grid = grids[:n_rows]
-            k_grid = grids[n_rows:] if n_axes == 2 else k_fixed
-            ll = lik.grid(rows, len(lik.depths), a_grid, k_grid).reshape(n_rows, -1)
-            flat = ll.argmax(axis=1)
-            top = ll[block, flat]
-            moved = top > ll_c
-            index = np.stack(np.divmod(flat, k_grid.shape[1]))[:n_axes]
-            points = grids.reshape(n_axes, n_rows, -1)[axes, block, index]
-            centre = np.where(moved, points, centre)
-            ll_c = np.where(moved, top, ll_c)
-            at_edge = moved & ((index == 0) | (index == last))
-            half = np.where(at_edge, half, half / 4.0)
-        a_hat[rows] = centre[0]
-        if n_axes == 2:
-            kappa_hat[rows] = centre[1]
-        best_ll[rows] = ll_c
+    a_half = 2.0 * a_step
+    k_half = 0.5 * kappa_hat if kappa_fixed is None else np.zeros(lik.n_data)
+    for _ in range(_ZOOM_ROUNDS):
+        lo, hi = np.maximum(a_hat - a_half, 0.0), np.minimum(a_hat + a_half, 1.0)
+        a_grid = _linspace(lo, hi, _ZOOM_POINTS).T
+        if kappa_fixed is None:
+            lo = np.maximum(kappa_hat - k_half, _KAPPA_GRID_FLOOR)
+            k_grid = _linspace(lo, kappa_hat + k_half, _ZOOM_POINTS).T
+        else:
+            k_grid = kappa_hat[:, None]
+        ia, ik, top, _ = lik.best(len(lik.depths), a_grid, k_grid)
+        moved = top > best_ll
+        a_hat = np.where(moved, a_grid[rows, ia], a_hat)
+        kappa_hat = np.where(moved, k_grid[rows, ik], kappa_hat)
+        best_ll = np.where(moved, top, best_ll)
+        a_half = np.where(moved & ((ia == 0) | (ia == last)), a_half, a_half / 4.0)
+        k_half = np.where(moved & ((ik == 0) | (ik == last)), k_half, k_half / 4.0)
     return a_hat, kappa_hat, best_ll
 
 
@@ -528,7 +518,7 @@ def _estimate_batch(
     kappa_identifiable = any(m > 0 for m in depths)
     kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_KAPPA_INIT))
     lik = _StageLikelihood(good)
-    a_hat, kappa_hat, best_ll, evaluations, traces = _search(lik, config, kappa_fixed)
+    a_hat, kappa_hat, best_ll, traces = _search(lik, config, kappa_fixed)
 
     sums = _fisher_prefix(lik, a_hat, np.maximum(kappa_hat, _KAPPA_GRID_FLOOR), len(depths))
     betas = _bound_rule(*sums)[2].tolist()
@@ -541,7 +531,7 @@ def _estimate_batch(
                 kappa_hat=float(kappa_hat[t]),
                 log_likelihood_at_max=best_ll[t],
                 fisher_at_estimate=FisherMatrix(i11[t], i12[t], i22[t]),
-                likelihood_evaluations=evaluations,
+                likelihood_evaluations=lik.evaluations,
                 stage_trace=tuple(traces[t]),
                 anomalous=beta > ANOMALY_THRESHOLD,
                 anomality=None if math.isnan(beta) else beta,

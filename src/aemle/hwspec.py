@@ -96,7 +96,8 @@ def _gate_error_budget(kappa_bar: float, N_s: int, N_d: int, ratio: float) -> fl
     """Bisect for e with kappa_from_gate_errors([(e / ratio, N_s), (e, N_d)]) = kappa_bar.
 
     The left side is 0 at e = 0 and strictly increasing, so the root is
-    unique; the bracket is grown until it straddles.
+    unique; the bracket is grown until it straddles, up to e = 0.999999.  A
+    kappa_bar beyond the kappa there raises DomainError.
     """
 
     def decay(e: float) -> float:
@@ -104,9 +105,12 @@ def _gate_error_budget(kappa_bar: float, N_s: int, N_d: int, ratio: float) -> fl
 
     lo, hi = 0.0, min(0.5, kappa_bar / (N_s / ratio + N_d) * 4.0)
     while decay(hi) < kappa_bar:
+        if hi == 0.999999:
+            raise DomainError(
+                f"kappa_bar={kappa_bar} exceeds kappa={decay(hi)}, the largest "
+                "a two-qubit gate-error budget of at most 0.999999 reaches"
+            )
         hi = min(hi * 2.0, 0.999999)
-        if hi >= 0.999999:
-            break
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if decay(mid) < kappa_bar:

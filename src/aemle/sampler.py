@@ -101,6 +101,8 @@ def run_trials(
     """
     if trials < 1:
         raise ConfigError(f"trials={trials} must be >= 1")
+    if M_max < 1:
+        raise ConfigError(f"M_max={M_max} must be >= 1")
     config = config or MleConfig()
     records = []
     for M in range(1, M_max + 1):

@@ -161,6 +161,11 @@ INVALID_FLAGS = [
     ("crbound-shots", ["crbound", "--a", "0.3", "--shots", "0"], "shots=0"),
     ("hitcurve-shots", ["hitcurve", "--a", "0.3", "--shots", "0"], "shots=0"),
     ("trials-trials", ["trials", "--a", "0.3", "--trials", "0"], "trials=0"),
+    ("trials-M-zero", ["trials", "--a", "0.3", "--M", "0"], "M_max=0"),
+    ("trials-M-negative", ["trials", "--a", "0.3", "--M", "-2"], "M_max=-2"),
+    ("hitcurve-max-depth", ["hitcurve", "--a", "0.3", "--max-depth", "-3"], "--max-depth"),
+    ("estimate-divisions", ["estimate", "--simulate", "--a", "0.3", "--kappa", "0.01",
+                            "--divisions", "257"], "divisions_per_stage"),
     ("density-samples", ["density", "--kappa", "0.01", "--samples", "10"], "samples=10"),
     ("density-threshold", ["density", "--kappa", "0.01", "--threshold", "1.5"], "threshold=1.5"),
     ("hwspec-eps", ["hwspec", "--eps", "0", "--nint", "1"], "epsilon_target=0.0"),
@@ -304,6 +309,11 @@ def test_hwspec_with_no_kappa_bar_exits_3(capsys):
     # no noise level bounds the hardware
     code, out, err = run_cli(capsys, "hwspec", "--eps", "0.3", "--nint", "1")
     assert code == 3 and out == "" and "kappa-bar is unbounded" in err
+
+
+def test_hwspec_with_an_unreachable_kappa_bar_exits_3(capsys):
+    code, out, err = run_cli(capsys, "hwspec", "--eps", "1e-4", "--nint", "1", "--kappa-bar", "5000")
+    assert code == 3 and out == "" and "kappa_bar=5000.0" in err
 
 
 def test_schedule_json_round_trips_through_parser(capsys):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import brute_force_mle, log_likelihood_grid, polish
+from oracles import (
+    brute_force_mle,
+    estimate_reference,
+    log_likelihood_grid,
+    polish,
+    profile_reference,
+)
 
 from aemle import (
     ConfigError,
@@ -25,7 +31,8 @@ from aemle import (
     noisy_good_prob,
     sample_counts,
 )
-from aemle.estimator import _StageLikelihood, _stage_sum
+from aemle import estimator
+from aemle.estimator import _StageLikelihood, _estimate_batch, _stage_sum
 
 
 def binomial_log_pmf(n: int, h: int, p: float) -> float:
@@ -88,6 +95,10 @@ def test_data_json_round_trip():
 def test_config_validation():
     with pytest.raises(ConfigError):
         MleConfig(divisions_per_stage=7)
+    # the cap bounds the kernel's workspace, whatever the block size
+    with pytest.raises(ConfigError):
+        MleConfig(divisions_per_stage=257)
+    assert MleConfig(divisions_per_stage=256).divisions_per_stage == 256
 
 
 def test_degenerate_data_raises_only_on_saturated_classical():
@@ -386,6 +397,21 @@ def test_stage_first_kernel_is_bit_identical_to_broadcast_formula(
             )
             assert np.array_equal(got[row], ref)
             assert np.array_equal(np.signbit(got[row]), np.signbit(ref))
+
+
+# One dataset per kernel call, and every dataset of a stage in one call: the
+# estimates, traces, evaluation counts and profiles keep the reference's bits.
+@pytest.mark.parametrize("block_cells", [1, 2**30])
+@pytest.mark.parametrize("kind, M", [("eis", 3), ("classical", 3), ("lis", 20)])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, block_cells, kind, M):
+    monkeypatch.setattr(estimator, "_BLOCK_CELLS", block_cells)
+    schedule = make_schedule(kind, M, 40)
+    point = amplitude_point(0.3, 0.05)
+    batch = [sample_counts(point, schedule, seed) for seed in range(6)]
+    got = [repr(result) for result in _estimate_batch(batch, MleConfig())]
+    assert got == [repr(estimate_reference(data)) for data in batch]
+    for data in batch[:2]:
+        assert mle_profile_1d(data, 0.05).hex() == profile_reference(data, 0.05).hex()
 
 
 @pytest.mark.parametrize("n_stages", [*range(1, 65), 129, 200, 300])

@@ -49,6 +49,16 @@ def test_gate_error_budget(reference_report):
     assert product == pytest.approx(math.exp(-rep.kappa_bar), rel=1e-9)
 
 
+def test_gate_error_budget_beyond_the_bracket_cap_is_refused():
+    # one integration variable: eps_d = 0.999999 gives kappa = 1110.7, so a
+    # larger kappa-bar has no budget, and one just below it still has one
+    with pytest.raises(DomainError, match=r"kappa_bar=5000\.0 exceeds kappa=1110\.70"):
+        compute_spec(HardwareAssumptions(epsilon_target=1e-4, N_int=1, kappa_bar_override=5000.0))
+    rep = compute_spec(HardwareAssumptions(epsilon_target=1e-4, N_int=1, kappa_bar_override=1110))
+    budget = kappa_from_gate_errors([(rep.eps_s, rep.N_s), (rep.eps_d, rep.N_d)])
+    assert budget == pytest.approx(1110, rel=1e-9)
+
+
 def test_execution_times(reference_report):
     rep = reference_report
     assert rep.t_AA == pytest.approx(5.4633770e-3, rel=1e-9)

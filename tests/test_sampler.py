@@ -110,6 +110,12 @@ def test_run_trials_rejects_zero_trials():
         run_trials(amplitude_point(0.3, 0.0), "eis", 2, 10, trials=0, seed=1)
 
 
+@pytest.mark.parametrize("M_max", [0, -2])
+def test_run_trials_rejects_an_empty_sweep(M_max):
+    with pytest.raises(ConfigError, match=f"M_max={M_max}"):
+        run_trials(amplitude_point(0.3, 0.0), "eis", M_max, 10, trials=4, seed=1)
+
+
 def test_hit_rate_curve():
     point = amplitude_point(0.2, 0.1)
     curve = hit_rate_curve(point, [0, 1, 2, 5], 200, seed=6)
