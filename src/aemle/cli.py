@@ -396,24 +396,13 @@ def _add_schedule_flags(sub: argparse.ArgumentParser, default_M: int = 6) -> Non
     sub.add_argument("--r", type=float, default=None, help="depth base for --kind powerbase")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="aemle",
-        description="Amplitude estimation under depolarizing noise: bounds, "
-                    "estimators, surveys, and hardware requirements.",
-    )
-    parser.add_argument("--version", action="version", version=f"aemle {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("crbound", help="error lower bound versus schedule size")
-    _add_common(sub)
+def _crbound_flags(sub: argparse.ArgumentParser) -> None:
     _add_schedule_flags(sub, default_M=10)
     sub.add_argument("--a", type=float, required=True, help="target amplitude in (0, 1)")
     sub.add_argument("--kappa", type=float, default=0.0, help="noise level (default 0)")
-    sub.set_defaults(func=cmd_crbound)
 
-    sub = subs.add_parser("estimate", help="maximum-likelihood estimate from data or simulation")
-    _add_common(sub)
+
+def _estimate_flags(sub: argparse.ArgumentParser) -> None:
     _add_schedule_flags(sub)
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", default=None, help="experiment-data JSON file")
@@ -422,30 +411,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--kappa", type=float, default=None, help="true noise level for --simulate")
     sub.add_argument("--divisions", type=int, default=32,
                      help="grid points per axis at each search stage (default 32)")
-    sub.set_defaults(func=cmd_estimate)
 
-    sub = subs.add_parser("trials", help="seeded repeated-estimation accuracy sweep")
-    _add_common(sub)
+
+def _trials_flags(sub: argparse.ArgumentParser) -> None:
     _add_schedule_flags(sub)
     sub.add_argument("--a", type=float, required=True, help="true amplitude in (0, 1)")
     sub.add_argument("--kappa", type=float, default=0.0, help="true noise level (default 0)")
     sub.add_argument("--trials", type=int, default=100, help="repetitions per M (default 100)")
     sub.add_argument("--divisions", type=int, default=32,
                      help="grid points per axis at each search stage (default 32)")
-    sub.set_defaults(func=cmd_trials)
 
-    sub = subs.add_parser("density", help="fraction of anomalous target amplitudes")
-    _add_common(sub)
+
+def _density_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kappa", type=float, required=True, help="noise level > 0")
     sub.add_argument("--samples", type=int, default=100_000, help="uniform samples (default 100000)")
     sub.add_argument("--threshold", type=float, default=0.9, help="beta threshold (default 0.9)")
     sub.add_argument("--M", type=int, default=None,
                      help="stage count of the probing schedule (default: depth-limit matched)")
     sub.add_argument("--shots", type=int, default=100, help="shots per stage (default 100)")
-    sub.set_defaults(func=cmd_density)
 
-    sub = subs.add_parser("contour", help="error bound on an (a, kappa) grid")
-    _add_common(sub)
+
+def _contour_flags(sub: argparse.ArgumentParser) -> None:
     _add_schedule_flags(sub)
     sub.add_argument("--a-min", type=float, default=0.01)
     sub.add_argument("--a-max", type=float, default=0.99)
@@ -453,10 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--kappa-min", type=float, default=1e-5)
     sub.add_argument("--kappa-max", type=float, default=1e-1)
     sub.add_argument("--kappa-points", type=int, default=9)
-    sub.set_defaults(func=cmd_contour)
 
-    sub = subs.add_parser("hwspec", help="hardware requirements for a target accuracy")
-    _add_common(sub)
+
+def _hwspec_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eps", type=float, required=True, help="target estimation error")
     sub.add_argument("--nint", type=int, required=True, help="integration variable count")
     sub.add_argument("--nk", type=int, default=100, help="shots per stage (default 100)")
@@ -477,27 +462,56 @@ def build_parser() -> argparse.ArgumentParser:
                      help="device single-qubit error for the gap rows (default 1e-3)")
     sub.add_argument("--device-eps-d", type=float, default=1.0e-2,
                      help="device two-qubit error for the gap rows (default 1e-2)")
-    sub.set_defaults(func=cmd_hwspec)
 
-    sub = subs.add_parser("hitcurve", help="sampled hit rate versus amplification depth")
-    _add_common(sub)
+
+def _hitcurve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--a", type=float, required=True, help="target amplitude")
     sub.add_argument("--kappa", type=float, default=0.0, help="noise level (default 0)")
     sub.add_argument("--shots", type=int, default=100, help="shots per depth (default 100)")
     sub.add_argument("--max-depth", type=int, default=30, help="sample depths 0..max (default 30)")
     sub.add_argument("--depths", default=None, help="explicit comma-separated depth list")
-    sub.set_defaults(func=cmd_hitcurve)
 
-    sub = subs.add_parser("schedule", help="emit a measurement schedule")
-    _add_common(sub)
-    _add_schedule_flags(sub)
-    sub.set_defaults(func=cmd_schedule)
 
+# Every subcommand, in help order: name -> (help, flags after the common ones, handler).
+_SUBCOMMANDS = {
+    "crbound": ("error lower bound versus schedule size", _crbound_flags, cmd_crbound),
+    "estimate": ("maximum-likelihood estimate from data or simulation", _estimate_flags,
+                 cmd_estimate),
+    "trials": ("seeded repeated-estimation accuracy sweep", _trials_flags, cmd_trials),
+    "density": ("fraction of anomalous target amplitudes", _density_flags, cmd_density),
+    "contour": ("error bound on an (a, kappa) grid", _contour_flags, cmd_contour),
+    "hwspec": ("hardware requirements for a target accuracy", _hwspec_flags, cmd_hwspec),
+    "hitcurve": ("sampled hit rate versus amplification depth", _hitcurve_flags, cmd_hitcurve),
+    "schedule": ("emit a measurement schedule", _add_schedule_flags, cmd_schedule),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The aemle parser, every subcommand registered with its help.
+
+    Only `command`'s sub-parser gets its flags and handler, or every one
+    when `command` is None: argparse builds a formatter for each flag, and a
+    run parses one subcommand's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="aemle",
+        description="Amplitude estimation under depolarizing noise: bounds, "
+                    "estimators, surveys, and hardware requirements.",
+    )
+    parser.add_argument("--version", action="version", version=f"aemle {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, handler) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_common(sub)
+            add_flags(sub)
+            sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         args.func(parser, args)

@@ -51,6 +51,10 @@ _DENOM_FLOOR = 1e-300
 # Noise levels scanned by required_noise_for_error: 1e-8 to 2, 25 per decade.
 _KAPPA_SCAN = np.geomspace(1e-8, 2.0, 208)
 
+# Largest m-bar max_grover_depth returns: past it (2m+1)(1 - e^{-kappa}) no
+# longer tells m from m + 1, so a kappa below about 1.1e-16 is refused.
+_MBAR_MAX = 2.0**52
+
 
 @dataclass(frozen=True)
 class FisherMatrix:
@@ -193,18 +197,29 @@ def cr_lower_bound(point: AmplitudePoint, schedule: Schedule) -> CrBoundResult:
     return CrBoundResult(epsilon_min=eps_a, identifiable=eps_kappa is not None)
 
 
+def _max_grover_depths(kappas) -> np.ndarray:
+    """max_grover_depth of each kappa, as an int64 array; the decay is
+    math.expm1's, as numpy's expm1 rounds differently on each SIMD path."""
+    kappas = np.asarray(kappas, dtype=float).reshape(-1)
+    if not np.all((kappas > 0.0) & (kappas < math.inf)):
+        raise DomainError("maximum depth is unbounded at kappa <= 0")
+    decay = np.asarray([-math.expm1(-k) for k in kappas.tolist()])  # 1 - e^{-kappa}
+    with np.errstate(over="ignore"):
+        cand = np.floor((1.0 / decay - 1.0) / 2.0)
+    if not cand.max() <= _MBAR_MAX:  # the smallest kappa has the deepest m-bar
+        raise DomainError(f"kappa={float(kappas.min())} is too small: "
+                          "its maximum depth passes 2**52")
+    # exact integer semantics regardless of rounding in the division
+    while (up := (2.0 * (cand + 1.0) + 1.0) * decay <= 1.0).any():
+        cand += up
+    while (down := (cand > 0.0) & ((2.0 * cand + 1.0) * decay > 1.0)).any():
+        cand -= down
+    return cand.astype(np.int64)
+
+
 def max_grover_depth(kappa: float) -> int:
     """Largest integer m-bar with (2 m-bar + 1)(1 - e^{-kappa}) <= 1."""
-    if kappa <= 0.0 or not math.isfinite(kappa):
-        raise DomainError("maximum depth is unbounded at kappa <= 0")
-    decay = -math.expm1(-kappa)  # 1 - e^{-kappa}, accurate for small kappa
-    cand = int(math.floor((1.0 / decay - 1.0) / 2.0))
-    # exact integer semantics regardless of rounding in the division
-    while (2 * (cand + 1) + 1) * decay <= 1.0:
-        cand += 1
-    while cand > 0 and (2 * cand + 1) * decay > 1.0:
-        cand -= 1
-    return cand
+    return int(_max_grover_depths([kappa])[0])
 
 
 def anomality(point: AmplitudePoint, schedule: Schedule) -> float:
@@ -243,7 +258,7 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
     One _element_terms pass covers every (kappa, stage) cell, ladder after
     ladder, so a run of equal-length ladders sums as one (rows, L) block, as a
     lone call would; zero-shot padding would change that order, and the bits."""
-    mbars = np.asarray([max_grover_depth(k) for k in kappas])
+    mbars = _max_grover_depths(kappas)
     top = np.asarray(capped_depths(ScheduleKind.EIS, int(mbars.max())), dtype=float)
     lengths = np.searchsorted(top, mbars) + 1  # the depths below m-bar, then m-bar
     offsets = np.concatenate(([0], np.cumsum(lengths)))  # ladder k is cells offsets[k:k+2]
@@ -266,8 +281,9 @@ def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:
     eps_min on the EIS saturated schedule (depths 0, 1, 2, 4, ... below m-bar,
     then m-bar, `shots` shots each) is evaluated at every kappa of a log grid
     from 1e-8 to 2 in one elementwise pass; the largest passing kappa is refined
-    by log-bisection to two significant digits.  If kappa = 2 passes, the
-    unamplified stage meets the target: kappa-bar is unbounded (DomainError).
+    by log-bisection to two significant digits, on the errors of a second
+    pass over every midpoint the bisection can visit.  If kappa = 2 passes,
+    the unamplified stage meets the target: kappa-bar is unbounded (DomainError).
     """
     if not (0.0 < target_eps < 0.5):
         raise DomainError(f"target_eps={target_eps} outside (0, 0.5)")
@@ -283,13 +299,23 @@ def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:
         raise DomainError(f"target error {target_eps} is met without amplification; "
                           "kappa-bar is unbounded")
     lo, hi = float(_KAPPA_SCAN[passing[-1]]), float(_KAPPA_SCAN[passing[-1] + 1])
+    mids = _bisection_midpoints(lo, hi)
+    passes = dict(zip(mids, np.asarray(_saturated_errors(a, mids, shots)) <= target_eps))
     while hi / lo > 1.005:  # two significant digits
         mid = math.sqrt(lo * hi)
-        if _saturated_errors(a, [mid], shots)[0] <= target_eps:
+        if passes[mid]:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _bisection_midpoints(lo: float, hi: float) -> list[float]:
+    """Every midpoint the log-bisection of [lo, hi] can visit, in order."""
+    if hi / lo <= 1.005:
+        return []
+    mid = math.sqrt(lo * hi)
+    return [*_bisection_midpoints(lo, mid), mid, *_bisection_midpoints(mid, hi)]
 
 
 def classical_bound(a: float, n_queries: int) -> float:

@@ -24,6 +24,12 @@ The kappa-bar scan reference is the scan as written before it was batched:
 one saturated schedule, its Fisher matrix and the scalar 2x2 rule per noise
 level, on a grid and a bisection tolerance it writes out as its own literals.
 
+The depth-limit reference is the library's scalar m-bar loop as written
+before the rule became array-native; the saturated schedules use it, so the
+scan references do not run the rule they check.  The sequential kappa-bar
+reference is the library's scan followed by the bisection as written before
+its midpoints were evaluated in one pass: one lone-kappa scan call per step.
+
 The 2x2 rule reference is the library's scalar Cramer-Rao inverse and
 anomality as written before they became one elementwise array rule, with
 the determinant tolerance as its own literal; the search, estimate and scan
@@ -46,11 +52,12 @@ from aemle.estimator import (
     StageTrace,
 )
 from aemle.fisher import (
+    _KAPPA_SCAN,
     ANOMALY_THRESHOLD,
     FisherMatrix,
     _fisher_at,
+    _saturated_errors,
     fisher_matrix,
-    max_grover_depth,
 )
 from aemle.model import (
     Schedule,
@@ -395,12 +402,24 @@ def brute_force_mle(data, n_theta: int = 2001, n_kappa: int = 201, peaks: int = 
     return best
 
 
+def max_grover_depth_reference(kappa: float) -> int:
+    """Largest integer m-bar with (2 m-bar + 1)(1 - e^{-kappa}) <= 1, one
+    Python integer step at a time (it does not return below kappa ~ 1e-16)."""
+    decay = -math.expm1(-kappa)
+    cand = int(math.floor((1.0 / decay - 1.0) / 2.0))
+    while (2 * (cand + 1) + 1) * decay <= 1.0:
+        cand += 1
+    while cand > 0 and (2 * cand + 1) * decay > 1.0:
+        cand -= 1
+    return cand
+
+
 def saturated_schedule(
     kappa: float, shots: int, kind: ScheduleKind | str = ScheduleKind.EIS, r: float | None = None
 ) -> Schedule:
     """Maximal schedule with depths <= m-bar(kappa): the usual depth ladder of
     the kind, truncated below m-bar, with a final stage at m-bar itself."""
-    mbar = max_grover_depth(kappa)
+    mbar = max_grover_depth_reference(kappa)
     return explicit_schedule((m, shots) for m in capped_depths(kind, mbar, r))
 
 
@@ -432,3 +451,24 @@ def kappa_scan_reference(a: float, target_eps: float, shots: int):
         else:
             hi = mid
     return grid, errors, float(lo)
+
+
+def kappa_bar_sequential_reference(a: float, target_eps: float, shots: int) -> float | None:
+    """required_noise_for_error's kappa-bar, bisecting the scan's last passing
+    bracket with one lone-kappa _saturated_errors call per midpoint; None
+    when no scan point meets the target and inf when the last one does."""
+    errors = _saturated_errors(a, _KAPPA_SCAN, shots)
+    passing = [i for i, eps in enumerate(errors) if eps <= target_eps]
+    if not passing:
+        return None
+    idx = passing[-1]
+    if idx + 1 == len(errors):
+        return math.inf
+    lo, hi = float(_KAPPA_SCAN[idx]), float(_KAPPA_SCAN[idx + 1])
+    while hi / lo > 1.005:
+        mid = math.sqrt(lo * hi)
+        if _saturated_errors(a, [mid], shots)[0] <= target_eps:
+            lo = mid
+        else:
+            hi = mid
+    return lo

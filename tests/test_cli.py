@@ -1,10 +1,12 @@
 """Command-line interface: emissions, determinism, and exit codes."""
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from aemle import cli
 from aemle.cli import main
 
 
@@ -314,6 +316,67 @@ def test_hwspec_with_no_kappa_bar_exits_3(capsys):
 def test_hwspec_with_an_unreachable_kappa_bar_exits_3(capsys):
     code, out, err = run_cli(capsys, "hwspec", "--eps", "1e-4", "--nint", "1", "--kappa-bar", "5000")
     assert code == 3 and out == "" and "kappa_bar=5000.0" in err
+
+
+# m-bar passes 2**52 below kappa ~ 1.1e-16; these ran without end, or (at
+# 5e-324) ended in an OverflowError traceback.
+TINY_KAPPA = [
+    ["crbound", "--a", "0.3", "--kappa", "1e-300", "--M", "2"],
+    ["density", "--kappa", "1e-300", "--samples", "1000"],
+    ["hwspec", "--eps", "1e-3", "--nint", "5", "--kappa-bar", "1e-300"],
+    ["hwspec", "--eps", "1e-3", "--nint", "5", "--kappa-bar", "5e-324"],
+]
+
+
+@pytest.mark.parametrize("argv", TINY_KAPPA, ids=lambda argv: " ".join(argv))
+def test_kappa_past_the_depth_floor_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("aemle: kappa=") and "maximum depth passes 2**52" in err
+
+
+# stdout, stderr and exit code of help, usage and error text at COLUMNS=80,
+# captured when every call built all 8 subcommands' flags; argparse's text
+# is its Python version's, so the bytes hold on the version they name
+CLI_TEXT = json.loads(
+    pathlib.Path(__file__).with_name("cli_text_goldens.json").read_text(encoding="utf-8")
+)
+
+
+def run_captured(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's help, version and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fixed_terminal(monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(CLI_TEXT["columns"]))
+    monkeypatch.delenv("AEMLE_SEED", raising=False)
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != CLI_TEXT["python"],
+    reason=f"argparse text captured on Python {CLI_TEXT['python']}",
+)
+@pytest.mark.parametrize("case", list(CLI_TEXT["cases"]))
+def test_cli_text_is_byte_identical(capsys, fixed_terminal, case):
+    want = CLI_TEXT["cases"][case]
+    assert run_captured(capsys, want["argv"]) == (want["code"], want["out"], want["err"])
+
+
+@pytest.mark.parametrize("case", list(CLI_TEXT["cases"]))
+def test_cli_text_equals_that_of_the_parser_with_every_flag(capsys, fixed_terminal,
+                                                             monkeypatch, case):
+    # the same bytes on any Python: a call builds only its subcommand's flags
+    argv = CLI_TEXT["cases"][case]["argv"]
+    got = run_captured(capsys, argv)
+    build_all = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_all())
+    assert got == run_captured(capsys, argv)
 
 
 def test_schedule_json_round_trips_through_parser(capsys):

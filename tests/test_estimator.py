@@ -307,6 +307,23 @@ def test_wrong_mode_on_a_13_stage_eis_dataset():
 
 @pytest.mark.xfail(
     strict=True,
+    reason="short of the mode top: the estimate stops 0.70 nats below the top of its "
+    "own mode, which holds the global maximum, past TOL_NATS",
+)
+def test_estimate_short_of_its_mode_top_on_a_7_stage_lis_dataset():
+    # a draw of test_estimate_tops_its_mode_against_brute_force_mle: LIS
+    # M = 6, 2,639 shots, a = 0.54296875, kappa = e^-1.875, seed 162.  The
+    # estimate reads -11,904.783; the mode top, -11,904.081, is the global maximum.
+    data = ExperimentData(stages=(
+        (0, 2639, 1414), (1, 2639, 1051), (2, 2639, 1732), (3, 2639, 889), (4, 2639, 1842),
+        (5, 2639, 824), (6, 2639, 1779),
+    ))
+    est = mle_grid_adaptive(data)
+    assert est.log_likelihood_at_max >= polish(data, est.a_hat, est.kappa_hat)[2] - TOL_NATS
+
+
+@pytest.mark.xfail(
+    strict=True,
     reason="box collapse: with no hit at m = 0 the stage-0 estimate is a = 0, the "
     "Fisher box at the inset a is 4e-5 wide, and the search stays 4.1 nats below the maximum",
 )

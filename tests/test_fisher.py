@@ -30,8 +30,11 @@ from aemle import (
 from aemle.estimator import _fisher_prefix, _StageLikelihood
 from aemle.fisher import (
     _DET_RTOL,
+    _KAPPA_SCAN,
+    _bisection_midpoints,
     _bound_rule,
     _element_sums,
+    _max_grover_depths,
     _saturated_errors,
     _stage_weights,
 )
@@ -40,7 +43,9 @@ from oracles import (
     beta_reference,
     errors_reference,
     fisher_enumerated,
+    kappa_bar_sequential_reference,
     kappa_scan_reference,
+    max_grover_depth_reference,
     saturated_error_reference,
     saturated_schedule,
 )
@@ -197,6 +202,47 @@ def test_max_depth_is_maximal(kappa):
 def test_max_depth_rejects_zero_noise():
     with pytest.raises(DomainError):
         max_grover_depth(0.0)
+
+
+# The smallest kappa whose m-bar is at most 2**52 (it is 2**52 there), and
+# the next float below it, whose m-bar is 2**52 + 2.
+KAPPA_FLOOR = float.fromhex("0x1.ffffffffffffep-54")
+BELOW_FLOOR = float.fromhex("0x1.ffffffffffffdp-54")
+
+
+def test_depth_rule_matches_scalar_reference_on_the_scan_and_its_midpoints():
+    # every kappa the kappa-bar search can evaluate: the scan and each of its
+    # 207 brackets' bisection trees
+    mids = [m for lo, hi in zip(_KAPPA_SCAN[:-1].tolist(), _KAPPA_SCAN[1:].tolist())
+            for m in _bisection_midpoints(lo, hi)]
+    assert len(mids) == 207 * 31
+    for kappas in (_KAPPA_SCAN.tolist(), mids):
+        assert _max_grover_depths(kappas).tolist() == [
+            max_grover_depth_reference(k) for k in kappas
+        ]
+
+
+@given(kappas=st.lists(st.floats(math.log(KAPPA_FLOOR), math.log(50.0)).map(math.exp),
+                       min_size=1, max_size=40))
+@example(kappas=[KAPPA_FLOOR, 2e-16, 1e-12, 0.5, 50.0])
+@settings(max_examples=100, deadline=None)
+def test_depth_rule_matches_scalar_reference_above_the_floor(kappas):
+    kappas = [max(k, KAPPA_FLOOR) for k in kappas]
+    want = [max_grover_depth_reference(k) for k in kappas]
+    assert _max_grover_depths(kappas).tolist() == want
+    assert [max_grover_depth(k) for k in kappas] == want
+
+
+def test_depth_rule_refuses_kappa_below_the_floor():
+    assert max_grover_depth(KAPPA_FLOOR) == 2**52
+    for kappa in (BELOW_FLOOR, 1e-16, 1e-300, 5e-324):
+        with pytest.raises(DomainError, match=f"kappa={kappa}"):
+            max_grover_depth(kappa)
+    with pytest.raises(DomainError, match=f"kappa={BELOW_FLOOR}"):
+        _max_grover_depths([0.1, BELOW_FLOOR, KAPPA_FLOOR])
+    for kappa in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError, match="unbounded"):
+            _max_grover_depths([0.1, kappa])
 
 
 def test_anomalous_amplitude_flagged():
@@ -497,6 +543,22 @@ def test_kappa_bar_hex_table(a, shots):
         else:
             with pytest.raises(want):
                 required_noise_for_error(a, eps, shots)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.375, 0.9])
+@pytest.mark.parametrize("shots", [10, 100, 1000])
+def test_kappa_bar_equals_sequential_bisection(a, shots):
+    # the bisection walks errors looked up from one pass over its whole tree
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        want = kappa_bar_sequential_reference(a, eps, shots)
+        if want is None:
+            with pytest.raises(NotAchievableError):
+                required_noise_for_error(a, eps, shots)
+        elif want == math.inf:
+            with pytest.raises(DomainError, match="unbounded"):
+                required_noise_for_error(a, eps, shots)
+        else:
+            assert required_noise_for_error(a, eps, shots).hex() == want.hex()
 
 
 @settings(max_examples=25, deadline=None)
