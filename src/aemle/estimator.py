@@ -146,44 +146,6 @@ class EstimateResult:
     kappa_identifiable: bool
 
 
-# numpy sums a contiguous row pairwise in blocks of this many elements.
-_PAIRWISE_BLOCK = 128
-
-
-def _stage_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the leading (stage) axis, bit-identical to np.sum(axis=-1) of
-    the stage-last layout.
-
-    numpy reduces a contiguous row of up to 128 elements with eight running
-    accumulators over blocks of eight, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the remainder in sequence
-    (rows under eight are summed in sequence); longer rows split in halves at
-    a multiple of eight.  The reduction starts from +0.0, so a zero total is
-    +0.0.  The leading rows of `terms` are overwritten.
-    """
-    n = len(terms)
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2
-        half -= half % 8
-        return _stage_sum(terms[:half]) + _stage_sum(terms[half:])
-    if n < 8:
-        total = terms[0]
-        for row in terms[1:]:
-            total += row
-        return total + 0.0
-    acc = terms[:8]
-    body = n - n % 8
-    for i in range(8, body, 8):
-        acc += terms[i : i + 8]
-    acc[0::2] += acc[1::2]
-    acc[0::4] += acc[2::4]
-    total = acc[0]
-    total += acc[4]
-    for row in terms[body:]:
-        total += row
-    return total + 0.0
-
-
 def _weigh(p: np.ndarray, q: np.ndarray, hits: np.ndarray, misses: np.ndarray) -> None:
     """Turn P in p into h ln P + (N - h) ln(1 - P), with P clamped to
     [EPS_P, 1 - EPS_P]; hits and misses hold h and N - h, broadcast against
@@ -209,10 +171,11 @@ class _StageLikelihood:
     as e^{-kappa 0} = 1 at every finite kappa, their terms are computed on
     (dataset, a) columns and copied along the kappa axis.  The other stages
     form cos(2(2m+1) theta_a) x e^{-kappa m} / 2 with einsum, which skips
-    the buffering of numpy's broadcast multiply.  Every value is
-    elementwise, so a dataset's grid has the same bits in any call and any
-    block, and keeps the bits of the broadcast formula (einsum may drop a
-    zero's sign; 1/2 - 0 erases it).
+    the buffering of numpy's broadcast multiply.  Every stage term is
+    elementwise and keeps the bits of the broadcast formula (einsum may drop
+    a zero's sign; 1/2 - 0 erases it), and each cell's terms are summed in
+    stage order from +0.0, so a dataset's grid has the same bits in any call
+    and any block.
     """
 
     def __init__(self, datasets: Sequence[ExperimentData]) -> None:
@@ -264,7 +227,7 @@ class _StageLikelihood:
             np.einsum("sra,srk->srak", osc[n_flat:], half_decay, out=rest)
             np.subtract(0.5, rest, out=rest)
             _weigh(rest, log_q[n_flat:], hits[n_flat:], misses[n_flat:])
-        return _stage_sum(log_p)
+        return log_p.sum(axis=0)
 
     def best(
         self, n_stages: int, a_grids: np.ndarray, kappa_grids: np.ndarray, held=None

@@ -171,16 +171,11 @@ def _element_sums(
     return tuple(t.sum(axis=1) for t in _element_terms(a, kappa, weights))
 
 
-def _fisher_at(point: AmplitudePoint, depths, shots) -> FisherMatrix:
-    """Fisher matrix at one point for stage depth and shot sequences."""
-    weights = _stage_weights(depths, shots)
-    i11, i12, i22 = _element_sums(np.asarray([point.a]), point.kappa, weights)
-    return FisherMatrix(i11=float(i11[0]), i12=float(i12[0]), i22=float(i22[0]))
-
-
 def fisher_matrix(point: AmplitudePoint, schedule: Schedule) -> FisherMatrix:
     """Closed-form Fisher matrix for the two-parameter model at this point."""
-    return _fisher_at(point, schedule.depths, schedule.shots)
+    weights = _stage_weights(schedule.depths, schedule.shots)
+    i11, i12, i22 = _element_sums(np.asarray([point.a]), point.kappa, weights)
+    return FisherMatrix(i11=float(i11[0]), i12=float(i12[0]), i22=float(i22[0]))
 
 
 def cr_lower_bound(point: AmplitudePoint, schedule: Schedule) -> CrBoundResult:

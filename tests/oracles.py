@@ -6,8 +6,8 @@ per-stage log-probability derivatives come from complex-step differentiation
 exact covariance of the score over every possible outcome vector.
 
 The likelihood-grid reference is the estimator's original stage-last
-broadcast formula, kept verbatim so the stage-first kernel can be checked
-against it bit for bit.
+broadcast formula, its stage terms summed in a plain loop in stage order,
+so the stage-first kernel can be checked against it bit for bit.
 
 The search reference is the estimator's original one-dataset stage loop,
 kept verbatim on top of that likelihood grid, so the trial-batched search
@@ -55,7 +55,6 @@ from aemle.fisher import (
     _KAPPA_SCAN,
     ANOMALY_THRESHOLD,
     FisherMatrix,
-    _fisher_at,
     _saturated_errors,
     fisher_matrix,
 )
@@ -126,7 +125,8 @@ def log_likelihood_grid(depths, shots, hits, a_grid, kappa_grid):
 
     P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) is broadcast to
     (len(a_grid), len(kappa_grid), stages), clipped to [1e-12, 1 - 1e-12],
-    and h ln P + (N - h) ln(1 - P) is summed with np.sum(axis=2).
+    and h ln P + (N - h) ln(1 - P) is summed in stage order with
+    stage_sum_reference.
     """
     depths = np.asarray(depths, dtype=float)
     shots = np.asarray(shots, dtype=float)
@@ -136,7 +136,16 @@ def log_likelihood_grid(depths, shots, hits, a_grid, kappa_grid):
     mm = depths[None, None, :]
     probs = 0.5 - 0.5 * np.exp(-kk * mm) * np.cos(2.0 * (2.0 * mm + 1.0) * theta)
     probs = np.clip(probs, 1e-12, 1.0 - 1e-12)
-    return np.sum(hits * np.log(probs) + (shots - hits) * np.log1p(-probs), axis=2)
+    return stage_sum_reference(hits * np.log(probs) + (shots - hits) * np.log1p(-probs))
+
+
+def stage_sum_reference(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last (stage) axis: a grid of +0.0 plus each stage's
+    terms in turn, in stage order."""
+    total = np.zeros(terms.shape[:-1])
+    for stage in range(terms.shape[-1]):
+        total += terms[..., stage]
+    return total
 
 
 class ReferenceLikelihood:
@@ -168,7 +177,8 @@ def _fisher_prefix(a: float, kappa: float, lik, n_stages: int) -> FisherMatrix:
     """Fisher matrix of the first n_stages stages at (a, kappa), with a inset
     from the {0, 1} boundary where the information is singular."""
     point = amplitude_point(min(max(a, _A_INSET), 1.0 - _A_INSET), kappa)
-    return _fisher_at(point, lik.depths[:n_stages], lik.shots[:n_stages])
+    stages = zip(lik.depths[:n_stages], lik.shots[:n_stages])
+    return fisher_matrix(point, explicit_schedule(stages))
 
 
 def errors_reference(i11: float, i12: float, i22: float) -> tuple[float, float | None]:

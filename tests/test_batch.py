@@ -126,7 +126,8 @@ def test_profile_equals_reference(schedule, data, config, kappa):
 # The stage loop and the zoom share the kernel's row blocks (as many datasets
 # as fit in _BLOCK_CELLS cells).  At 32 x 32 the 12-stage EIS ladder runs 8
 # datasets to a call at its 8th stage and 5 at its last; the 21-stage LIS
-# ladder runs 3 and its zoom 10.  Both run _stage_sum's pairwise path.
+# ladder runs 3 and its zoom 10.  Both run past 8 stages, where in-order and
+# pairwise stage sums round differently.
 @pytest.mark.parametrize(
     "kind, M", [("eis", 3), ("classical", 3), ("eis", 11), ("lis", 20)],
     ids=["eis", "classical", "eis11", "lis20"],

@@ -12,6 +12,7 @@ from oracles import (
     log_likelihood_grid,
     polish,
     profile_reference,
+    stage_sum_reference,
 )
 
 from aemle import (
@@ -32,7 +33,7 @@ from aemle import (
     sample_counts,
 )
 from aemle import estimator
-from aemle.estimator import _StageLikelihood, _estimate_batch, _stage_sum
+from aemle.estimator import _StageLikelihood, _estimate_batch
 
 
 def binomial_log_pmf(n: int, h: int, p: float) -> float:
@@ -57,6 +58,10 @@ def test_log_likelihood_finite_at_extremes():
     assert math.isfinite(log_likelihood(data, 0.0, 0.0))
     assert math.isfinite(log_likelihood(data, 1.0, 0.0))
     assert math.isfinite(log_likelihood(data, 0.5, 10.0))
+    # zero-shot stages add -0.0 terms; the stage sum starts from +0.0
+    for stages in [((0, 0, 0),), tuple((m, 0, 0) for m in range(12))]:
+        value = log_likelihood(ExperimentData(stages=stages), 0.3, 0.1)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -433,16 +438,18 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block_cells, kind,
 
 @pytest.mark.parametrize("n_stages", [*range(1, 65), 129, 200, 300])
 def test_stage_sum_matches_numpy_reduction_order(n_stages):
-    # magnitudes spread over 16 decades, so any other summation order rounds
-    # differently; the zero rows pin the sign of an all-zero sum
+    # The kernel sums its stage-first workspace with .sum(axis=0) and the
+    # reference adds stages in a loop; both must be the in-order sum from
+    # +0.0.  Magnitudes spread over 16 decades, so any other summation order
+    # rounds differently; the zero rows pin the sign of an all-zero sum.
     rng = np.random.default_rng(n_stages)
     stage_last = rng.standard_normal((33, 17, n_stages)) * 10.0 ** rng.integers(
         -8, 8, (33, 17, n_stages)
     )
     stage_last[0, 0] = -0.0
     stage_last[0, 1] = 0.0
-    expected = np.sum(stage_last, axis=-1)
-    got = _stage_sum(np.ascontiguousarray(np.moveaxis(stage_last, -1, 0)))
+    expected = stage_sum_reference(stage_last)
+    got = np.ascontiguousarray(np.moveaxis(stage_last, -1, 0)).sum(axis=0)
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
