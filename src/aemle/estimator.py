@@ -526,11 +526,12 @@ def mle_profile_1d(
     data: ExperimentData, kappa_fixed: float, config: MleConfig | None = None
 ) -> float:
     """One-dimensional grid-search MLE of a with kappa held fixed: the stage
-    search and an a-only final zoom."""
+    search and an a-only final zoom.  It refuses the data mle_grid_adaptive
+    refuses."""
     if not 0.0 <= kappa_fixed < math.inf:
         raise ConfigError(f"kappa_fixed={kappa_fixed} must be finite and >= 0")
-    if len(data.stages) > _MAX_STAGES:
-        raise _data_error(data)
+    if (error := _data_error(data)) is not None:
+        raise error
     config = config or MleConfig()
     lik = _StageLikelihood([data])
     # kappa_fixed near 1e308 overflows m * -kappa to -inf; exp(-inf) = 0 is right

@@ -28,13 +28,7 @@ from .errors import (
     NotAchievableError,
     SingularPointError,
 )
-from .model import (
-    AmplitudePoint,
-    Schedule,
-    ScheduleKind,
-    _integral,
-    capped_depths,
-)
+from .model import AmplitudePoint, Schedule, _integral, capped_depths
 
 # Beta above this value marks a target amplitude as anomalous.
 ANOMALY_THRESHOLD = 0.9
@@ -254,7 +248,7 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
     ladder, so a run of equal-length ladders sums as one (rows, L) block, as a
     lone call would; zero-shot padding would change that order, and the bits."""
     mbars = _max_grover_depths(kappas)
-    top = np.asarray(capped_depths(ScheduleKind.EIS, int(mbars.max())), dtype=float)
+    top = np.asarray(capped_depths(int(mbars.max())), dtype=float)
     lengths = np.searchsorted(top, mbars) + 1  # the depths below m-bar, then m-bar
     offsets = np.concatenate(([0], np.cumsum(lengths)))  # ladder k is cells offsets[k:k+2]
     depths = top[np.arange(offsets[-1]) - np.repeat(offsets[:-1], lengths)]

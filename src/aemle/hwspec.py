@@ -16,12 +16,10 @@ from enum import Enum
 
 from .errors import ConfigError, DomainError
 from .fisher import max_grover_depth, required_noise_for_error
-from .model import ScheduleKind, _integral, capped_depths
+from .model import _integral, capped_depths
 
 # Reference target amplitude for the kappa-bar scan when no override is given.
 _REFERENCE_AMPLITUDE = 0.375
-
-_BISECT_STEPS = 200
 
 
 class TimeInterpretation(Enum):
@@ -111,13 +109,12 @@ def _gate_error_budget(kappa_bar: float, N_s: int, N_d: int, ratio: float) -> fl
                 "a two-qubit gate-error budget of at most 0.999999 reaches"
             )
         hi = min(hi * 2.0, 0.999999)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent doubles
         if decay(mid) < kappa_bar:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return mid
 
 
 def total_execution_time(
@@ -131,7 +128,7 @@ def total_execution_time(
     interval) per shot, on the doubling ladder 1, 2, 4, ... capped at m_bar
     (a single m = 0 stage when m_bar < 1)."""
     total = 0.0
-    for m in capped_depths(ScheduleKind.EIS, m_bar)[1:] or [0]:
+    for m in capped_depths(m_bar)[1:] or [0]:
         shot = t_AA * m + assumptions.t_m
         if interpretation is TimeInterpretation.PER_SHOT:
             interval = assumptions.interval_factor * shot

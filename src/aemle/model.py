@@ -22,10 +22,6 @@ from .errors import ConfigError, DomainError
 # Nudge added before flooring r**(k-1) so 2.9999999 floors to 3, not 2.
 _FLOOR_NUDGE = 1e-9
 
-# Most stages a depth-capped ladder may have: the lis ladder has one stage per
-# depth, 5e7 of them below the cap at kappa = 1e-8.
-_MAX_LADDER_STAGES = 10_000
-
 
 def _integral(value: object, name: str) -> int:
     """value as an int if it is integral (2 or 2.0), else ConfigError."""
@@ -172,29 +168,12 @@ def make_schedule(
     return Schedule(stages=stages, kind=kind, r=float(r) if kind is ScheduleKind.POWER_BASE else None)
 
 
-def capped_depths(kind: ScheduleKind | str, m_max: int, r: float | None = None) -> list[int]:
-    """The kind's distinct ladder depths below m_max, then m_max itself.
-
-    This is the deepest ladder that stays within a depth limit; it is [0]
-    when m_max < 1 or the kind never amplifies (classical).  A ladder of
-    more than _MAX_LADDER_STAGES stages raises ConfigError before it is built.
-    """
-    kind = _parse_kind(kind)
-    if kind is ScheduleKind.CLASSICAL or m_max < 1:
+def capped_depths(m_max: int) -> list[int]:
+    """The EIS depths 0, 1, 2, 4, ... below m_max, then m_max itself: the
+    deepest EIS ladder within a depth limit, [0] when m_max < 1."""
+    if m_max < 1:
         return [0]
-    depths = [0]
-    for m in _ladder(kind, r):
-        if m >= m_max:
-            break
-        if m > depths[-1]:
-            if len(depths) + 2 > _MAX_LADDER_STAGES:  # m and m_max still to come
-                raise ConfigError(
-                    f"the {kind.value} ladder up to depth {m_max} has more than "
-                    f"{_MAX_LADDER_STAGES} stages"
-                )
-            depths.append(m)
-    depths.append(m_max)
-    return depths
+    return [*itertools.takewhile(lambda m: m < m_max, _ladder(ScheduleKind.EIS, None)), m_max]
 
 
 def explicit_schedule(stages: Iterable[tuple[int, int]]) -> Schedule:

@@ -76,13 +76,10 @@ class ContourGrid:
 def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
     """Exponential schedule whose deepest stage sits just under the depth limit.
 
-    M = floor(log2(m-bar)) + 1 puts the last depth 2^{M-1} at the largest
-    power of two not exceeding m-bar(kappa), capped at M = 25 stages.
+    M = bit_length(m-bar) puts the last depth 2^{M-1} at the largest power of
+    two not exceeding m-bar(kappa), with M clamped to 1..25 (m-bar = 0 gives M = 1).
     """
-    mbar = max_grover_depth(kappa)
-    if mbar < 1:
-        return make_schedule(ScheduleKind.EIS, 1, shots)
-    M = min(int(math.floor(math.log2(mbar))) + 1, _DENSITY_M_CAP)
+    M = min(max(max_grover_depth(kappa).bit_length(), 1), _DENSITY_M_CAP)
     return make_schedule(ScheduleKind.EIS, M, shots)
 
 

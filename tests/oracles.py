@@ -34,6 +34,10 @@ The 2x2 rule reference is the library's scalar Cramer-Rao inverse and
 anomality as written before they became one elementwise array rule, with
 the determinant tolerance as its own literal; the search, estimate and scan
 references use it, so none of them runs the rule they check.
+
+The gate-error budget reference is the budget bisection as written with a
+fixed 200 steps, so the loop that stops once its bracket holds two adjacent
+doubles can be checked against it bit for bit.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ import math
 
 import numpy as np
 
-from aemle.errors import ConfigError, DegenerateDataError
+from aemle.errors import ConfigError, DegenerateDataError, DomainError
 from aemle.estimator import (
     _A_INSET,
     _KAPPA_GRID_FLOOR,
@@ -58,13 +62,8 @@ from aemle.fisher import (
     _saturated_errors,
     fisher_matrix,
 )
-from aemle.model import (
-    Schedule,
-    ScheduleKind,
-    amplitude_point,
-    capped_depths,
-    explicit_schedule,
-)
+from aemle.hwspec import kappa_from_gate_errors
+from aemle.model import Schedule, amplitude_point, capped_depths, explicit_schedule
 
 _H = 1e-30  # complex-step size; contributes no subtractive rounding
 
@@ -301,9 +300,9 @@ def search_reference(
     return a_hat, kappa_hat, best_ll, evaluations, trace
 
 
-def estimate_reference(data, config: MleConfig | None = None) -> EstimateResult:
-    """mle_grid_adaptive of one dataset through search_reference."""
-    config = config or MleConfig()
+def _refuse_reference(data) -> None:
+    """Raise what the estimators raise for data they do not estimate: more
+    than 64 stages, or hit counts whose likelihood peaks on the boundary."""
     n_stages = len(data.stages)
     if n_stages > 64:
         raise ConfigError(f"data has {n_stages} stages, at most 64 are allowed")
@@ -317,6 +316,13 @@ def estimate_reference(data, config: MleConfig | None = None) -> EstimateResult:
             "no stage has both hits and misses; the estimate lies on the "
             "parameter boundary"
         )
+
+
+def estimate_reference(data, config: MleConfig | None = None) -> EstimateResult:
+    """mle_grid_adaptive of one dataset through search_reference."""
+    config = config or MleConfig()
+    _refuse_reference(data)
+    n_stages = len(data.stages)
     kappa_identifiable = any(m > 0 for m in data.depths)
     kappa_fixed = None if kappa_identifiable else math.sqrt(1e-6 * 2.0)
     lik = ReferenceLikelihood(data)
@@ -340,6 +346,7 @@ def estimate_reference(data, config: MleConfig | None = None) -> EstimateResult:
 def profile_reference(data, kappa_fixed: float, config: MleConfig | None = None) -> float:
     """mle_profile_1d of one dataset through search_reference."""
     config = config or MleConfig()
+    _refuse_reference(data)
     return search_reference(ReferenceLikelihood(data), config, float(kappa_fixed))[0]
 
 
@@ -424,13 +431,11 @@ def max_grover_depth_reference(kappa: float) -> int:
     return cand
 
 
-def saturated_schedule(
-    kappa: float, shots: int, kind: ScheduleKind | str = ScheduleKind.EIS, r: float | None = None
-) -> Schedule:
-    """Maximal schedule with depths <= m-bar(kappa): the usual depth ladder of
-    the kind, truncated below m-bar, with a final stage at m-bar itself."""
+def saturated_schedule(kappa: float, shots: int) -> Schedule:
+    """Maximal EIS schedule with depths <= m-bar(kappa): the depths 0, 1, 2,
+    4, ... below m-bar, with a final stage at m-bar itself."""
     mbar = max_grover_depth_reference(kappa)
-    return explicit_schedule((m, shots) for m in capped_depths(kind, mbar, r))
+    return explicit_schedule((m, shots) for m in capped_depths(mbar))
 
 
 def saturated_error_reference(a: float, kappa: float, shots: int) -> float:
@@ -482,3 +487,27 @@ def kappa_bar_sequential_reference(a: float, target_eps: float, shots: int) -> f
         else:
             hi = mid
     return lo
+
+
+def gate_error_budget_reference(kappa_bar: float, N_s: int, N_d: int, ratio: float) -> float:
+    """hwspec._gate_error_budget as written with a fixed count of 200
+    bisection steps, far more than float64 can halve a bracket below 1."""
+
+    def decay(e: float) -> float:
+        return kappa_from_gate_errors([(e / ratio, N_s), (e, N_d)])
+
+    lo, hi = 0.0, min(0.5, kappa_bar / (N_s / ratio + N_d) * 4.0)
+    while decay(hi) < kappa_bar:
+        if hi == 0.999999:
+            raise DomainError(
+                f"kappa_bar={kappa_bar} exceeds kappa={decay(hi)}, the largest "
+                "a two-qubit gate-error budget of at most 0.999999 reaches"
+            )
+        hi = min(hi * 2.0, 0.999999)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if decay(mid) < kappa_bar:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

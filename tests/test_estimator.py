@@ -219,6 +219,20 @@ def test_profile_rejects_negative_kappa():
             mle_profile_1d(data, kappa_fixed=bad)
 
 
+@pytest.mark.parametrize("stages", [
+    ((0, 100, 0), (1, 100, 0)),
+    ((0, 100, 0), (2, 100, 0), (4, 100, 0)),
+    ((0, 100, 100), (1, 100, 100)),
+    ((0, 100, 0), (0, 100, 100)),  # the box search misses its maximum, a = 0.5
+], ids=["no-hits", "no-hits-eis", "all-hits", "saturated-classical"])
+def test_profile_refuses_what_the_estimate_refuses(stages):
+    data = ExperimentData(stages=stages)
+    with pytest.raises(DegenerateDataError):
+        mle_grid_adaptive(data)
+    with pytest.raises(DegenerateDataError):
+        mle_profile_1d(data, kappa_fixed=0.01)
+
+
 def test_profile_at_the_largest_finite_kappa():
     # at kappa near 1e308 every amplified stage's decay is exp(-inf) = 0, as
     # at 1e300: the same estimate, with no numpy warning.  Only the m = 0

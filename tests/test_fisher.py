@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from aemle import (
     ANOMALY_THRESHOLD,
-    ConfigError,
     DegenerateScheduleError,
     DomainError,
     ExperimentData,
@@ -287,31 +286,15 @@ def test_saturated_schedule_shape():
     sched = saturated_schedule(0.005, 100)
     assert sched.depths == (0, 1, 2, 4, 8, 16, 32, 64, 99)
     assert all(n == 100 for n in sched.shots)
-    lis = saturated_schedule(0.1, 50, "lis")
-    assert lis.depths == (0, 1, 2, 3, 4)
 
 
 @pytest.mark.parametrize(
-    "kappa,kind,r,depths",
-    [
-        (0.005, "powerbase", 2.5, (0, 1, 2, 6, 15, 39, 97, 99)),
-        # floor(1.5^k) repeats 1; the repeat is dropped
-        (0.005, "powerbase", 1.5, (0, 1, 2, 3, 5, 7, 11, 17, 25, 38, 57, 86, 99)),
-        (0.02, "powerbase", 1.5, (0, 1, 2, 3, 5, 7, 11, 17, 24)),
-        (0.005, "classical", None, (0,)),
-    ],
+    "kappa,depths",
+    # m-bar = 24, 4 (a power of two, not repeated) and 1
+    [(0.02, (0, 1, 2, 4, 8, 16, 24)), (0.1, (0, 1, 2, 4)), (0.3, (0, 1))],
 )
-def test_saturated_schedule_depth_goldens(kappa, kind, r, depths):
-    assert saturated_schedule(kappa, 100, kind, r).depths == depths
-
-
-@pytest.mark.parametrize("kind,r", [("powerbase", None), ("powerbase", 1.0), ("explicit", None),
-                                    ("nope", None)])
-def test_saturated_schedule_rejects_what_make_schedule_rejects(kind, r):
-    with pytest.raises(ConfigError):
-        saturated_schedule(0.01, 100, kind, r)
-    with pytest.raises(ConfigError):
-        make_schedule(kind, 3, 100, r)
+def test_saturated_schedule_depth_goldens(kappa, depths):
+    assert saturated_schedule(kappa, 100).depths == depths
 
 
 def test_errors_and_beta_follow_the_inverse():
@@ -363,12 +346,9 @@ def test_bound_rule_is_bit_identical_to_scalar_reference(triples):
         assert (*info.errors(), info.beta) == want
 
 
-def test_lis_ladder_below_a_deep_cap_is_refused():
-    # m-bar(1e-8) is about 5e7: one lis stage per depth would be 5e7 stages
-    with pytest.raises(ConfigError):
-        saturated_schedule(1e-8, 100, "lis")
-    # the eis ladder at the same depth budget has 28 stages
-    assert len(saturated_schedule(1e-8, 100, "eis")) == 28
+def test_eis_ladder_below_a_deep_cap():
+    # m-bar(1e-8) is about 5e7, and the eis ladder up to it has 28 stages
+    assert len(saturated_schedule(1e-8, 100)) == 28
 
 
 def test_saturated_schedule_tiny_depth_budget():

@@ -1,8 +1,10 @@
 """Hardware-requirement calculator: closed-form rows, budgets, and times."""
 import math
+import random
 from dataclasses import replace
 
 import pytest
+from oracles import gate_error_budget_reference
 
 from aemle import (
     ConfigError,
@@ -15,7 +17,7 @@ from aemle import (
     max_grover_depth,
     total_execution_time,
 )
-from aemle.hwspec import report_rows
+from aemle.hwspec import _gate_error_budget, report_rows
 
 REFERENCE = HardwareAssumptions(epsilon_target=0.001, N_int=5, kappa_bar_override=0.005)
 
@@ -57,6 +59,41 @@ def test_gate_error_budget_beyond_the_bracket_cap_is_refused():
     rep = compute_spec(HardwareAssumptions(epsilon_target=1e-4, N_int=1, kappa_bar_override=1110))
     budget = kappa_from_gate_errors([(rep.eps_s, rep.N_s), (rep.eps_d, rep.N_d)])
     assert budget == pytest.approx(1110, rel=1e-9)
+
+
+def _budget_or_error(budget, *args):
+    try:
+        return budget(*args).hex()
+    except DomainError as exc:
+        return str(exc)
+
+
+def _budget_inputs():
+    """(kappa_bar, N_s, N_d, ratio) on a seeded log grid, ratios below 1
+    included, then kappa_bar a few ulps either side of the largest kappa the
+    0.999999 bracket cap reaches."""
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        yield (10.0 ** rng.uniform(-12, 5), round(10.0 ** rng.uniform(0, 6)),
+               round(10.0 ** rng.uniform(0, 6)), 10.0 ** rng.uniform(-1, 3))
+    for _ in range(50):
+        N_s, N_d, ratio = rng.randint(1, 10**4), rng.randint(1, 10**4), 10.0 ** rng.uniform(0, 3)
+        cap = kappa_from_gate_errors([(0.999999 / ratio, N_s), (0.999999, N_d)])
+        for steps in (-2, 0, 1, 3):
+            kappa_bar = cap
+            for _ in range(abs(steps)):
+                kappa_bar = math.nextafter(kappa_bar, math.copysign(math.inf, steps))
+            yield kappa_bar, N_s, N_d, ratio
+
+
+def test_gate_error_budget_is_bit_identical_to_fixed_step_bisection():
+    outcomes = set()
+    for args in _budget_inputs():
+        got = _budget_or_error(_gate_error_budget, *args)
+        assert got == _budget_or_error(gate_error_budget_reference, *args), args
+        outcomes.add(got[:2])
+    # budgets, kappa_bar past the cap, and a single-qubit error past 1 (ratio < 1)
+    assert outcomes == {"0x", "ka", "ga"}
 
 
 def test_execution_times(reference_report):

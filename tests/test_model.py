@@ -17,7 +17,7 @@ from aemle import (
     schedule_to_json,
     total_queries,
 )
-from aemle.model import _MAX_LADDER_STAGES, capped_depths
+from aemle.model import capped_depths
 
 
 def test_point_derives_theta_and_p():
@@ -121,27 +121,36 @@ def test_powerbase_requires_base_above_one():
 
 
 def test_capped_depths_stop_at_the_limit():
-    assert capped_depths("eis", 35) == [0, 1, 2, 4, 8, 16, 32, 35]
-    assert capped_depths("eis", 32) == [0, 1, 2, 4, 8, 16, 32]
-    assert capped_depths("lis", 3) == [0, 1, 2, 3]
-    # make_schedule keeps the repeated floor(1.5^1) = 1; the capped ladder drops it
+    assert capped_depths(35) == [0, 1, 2, 4, 8, 16, 32, 35]
+    assert capped_depths(32) == [0, 1, 2, 4, 8, 16, 32]
+    assert capped_depths(0) == [0]
+    # make_schedule keeps the repeated floor(1.5^1) = 1
     assert make_schedule("powerbase", 3, 1, r=1.5).depths == (0, 1, 1, 2)
-    assert capped_depths("powerbase", 4, r=1.5) == [0, 1, 2, 3, 4]
-    assert capped_depths("eis", 0) == [0]
-    assert capped_depths(ScheduleKind.CLASSICAL, 50) == [0]
-    with pytest.raises(ConfigError):
-        capped_depths("explicit", 10)
 
 
-def test_capped_depths_refuses_overlong_ladders():
-    # lis has one stage per depth: [0, 1, ..., m_max] is m_max + 1 stages
-    assert len(capped_depths("lis", _MAX_LADDER_STAGES - 1)) == _MAX_LADDER_STAGES
+def _capped_depths_reference(m):
+    """The powers of two below m after 0, then m: integer arithmetic only."""
+    if m < 1:
+        return [0]
+    return [0] + [2**j for j in range(m.bit_length()) if 2**j < m] + [m]
+
+
+_DEEP_LIMITS = [2**k + d for k in range(1, 53) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("limits", [range(4097), _DEEP_LIMITS], ids=["0-4096", "2^k+-1"])
+def test_capped_depths_match_the_integer_reference(limits):
+    for m in limits:
+        assert capped_depths(m) == _capped_depths_reference(m), m
+    # an EIS ladder up to depth 2^52, about the deepest m-bar allowed, has 54 stages
+    assert len(capped_depths(2**52)) == 54
+
+
+@pytest.mark.parametrize("kind,r", [("powerbase", None), ("powerbase", 1.0), ("explicit", None),
+                                    ("nope", None)])
+def test_make_schedule_rejects_bad_kinds(kind, r):
     with pytest.raises(ConfigError):
-        capped_depths("lis", _MAX_LADDER_STAGES)
-    with pytest.raises(ConfigError):
-        capped_depths("lis", 50_000_000)
-    # slow geometric ladders stay well inside the limit
-    assert len(capped_depths("powerbase", 2**40, r=1.01)) < _MAX_LADDER_STAGES
+        make_schedule(kind, 3, 100, r)
 
 
 def test_total_queries():

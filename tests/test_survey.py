@@ -34,6 +34,39 @@ def test_default_schedule_tracks_depth_limit():
     assert len(default_density_schedule(1e-9).depths) == 26
 
 
+def _density_M_reference(kappa):
+    """The density schedule's M as first written: floor(log2(m-bar)) + 1,
+    at most 25, and 1 when m-bar < 1."""
+    mbar = max_grover_depth(kappa)
+    if mbar < 1:
+        return 1
+    return min(int(math.floor(math.log2(mbar))) + 1, 25)
+
+
+def _density_kappas():
+    """A log grid from 1.2e-16 to 50, then the kappa at which m-bar reaches
+    each power of two up to 2^30 (past the cap), a few ulps either side."""
+    yield from np.geomspace(1.2e-16, 50.0, 2000).tolist()
+    for k in range(31):
+        edge = -math.log1p(-1.0 / (2 * 2**k + 1))
+        for steps in range(-3, 4):
+            kappa = edge
+            for _ in range(abs(steps)):
+                kappa = math.nextafter(kappa, math.copysign(math.inf, steps))
+            yield kappa
+
+
+def test_default_schedule_matches_the_log2_rule():
+    mbars, Ms = set(), set()
+    for kappa in _density_kappas():
+        M = _density_M_reference(kappa)
+        assert default_density_schedule(kappa, 7) == make_schedule("eis", M, 7), kappa
+        mbars.add(max_grover_depth(kappa))
+        Ms.add(M)
+    assert {0, *(2**k for k in range(31))} <= mbars
+    assert Ms == set(range(1, 26))
+
+
 def test_density_seed_stable():
     first = anomaly_density(1e-2, 5000, seed=42)
     second = anomaly_density(1e-2, 5000, seed=42)
