@@ -4,7 +4,8 @@ Emission rules shared by all subcommands: each run prints a machine-readable
 header carrying the tool version, the resolved parameters, and the seed;
 reals are written with 17 significant digits so CSV round-trips losslessly;
 identical flags and seed give byte-identical output.  Exit codes: 0 success,
-2 bad usage or unparseable input, 3 a computation that raised.
+2 bad usage or unparseable input, 3 a computation that raised or an input
+too large to allocate.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import AemleError, ConfigError
 from .estimator import MleConfig, data_from_json, mle_grid_adaptive
-from .fisher import classical_bound, cr_lower_bound, max_grover_depth
+from .fisher import max_grover_depth
 from .hwspec import (
     HardwareAssumptions,
     TimeInterpretation,
@@ -37,7 +38,12 @@ from .model import (
     total_queries,
 )
 from .sampler import hit_rate_curve, run_trials, sample_counts
-from .survey import anomaly_density, default_density_schedule, error_vs_kappa_contour
+from .survey import (
+    anomaly_density,
+    default_density_schedule,
+    error_vs_kappa_contour,
+    error_vs_queries,
+)
 
 # Default seed: fixed so every run is reproducible out of the box.
 DEFAULT_SEED = 20250817
@@ -153,7 +159,6 @@ def cmd_crbound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     _check(parser, 0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
     _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
     _check(parser, args.M >= 1, f"--M must be >= 1, got {args.M}")
-    point = amplitude_point(args.a, args.kappa)
     mbar = max_grover_depth(args.kappa) if args.kappa > 0.0 else None
     params: dict[str, object] = {
         "seed": _resolved_seed(args),
@@ -166,15 +171,11 @@ def cmd_crbound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         params["r"] = args.r
     if mbar is not None:
         params["m_bar"] = mbar
-    rows = []
-    for M in range(1, args.M + 1):
-        schedule = make_schedule(args.kind, M, args.shots, args.r)
-        nq = total_queries(schedule)
-        bound = cr_lower_bound(point, schedule)
-        beyond = mbar is not None and max(schedule.depths) > mbar
-        rows.append(
-            [M, nq, bound.epsilon_min, classical_bound(args.a, nq), bound.identifiable, beyond]
-        )
+    rows = [
+        [row.M, row.n_queries, row.epsilon_min, row.classical_epsilon, row.identifiable,
+         row.beyond_max_depth]
+        for row in error_vs_queries(args.a, [args.kappa], args.M, args.shots, args.kind, args.r)
+    ]
     _emit(
         args,
         "crbound",
@@ -518,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"aemle: {exc}", file=sys.stderr)
         return 2
-    except AemleError as exc:
+    except (AemleError, MemoryError) as exc:  # MemoryError: an input too large to allocate
         print(f"aemle: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -370,8 +370,7 @@ def _search(
         if stage == 0:  # no stage seen yet: the init box
             eps_a, eps_k = [math.inf] * n_data, [math.nan] * n_data
         else:
-            kappa = np.maximum(kappa_hat, _KAPPA_GRID_FLOOR) if kappa_fixed is None else kappa_fixed
-            i11, i12, i22 = _fisher_prefix(lik, a_hat, kappa, stage)
+            i11, i12, i22 = _fisher_prefix(lik, a_hat, kappa_hat, stage)
             if kappa_fixed is not None:  # only the a-information sizes the box
                 i12 = i22 = np.zeros(n_data)
             eps_a, eps_k = _bound_rule(i11, i12, i22)[:2].tolist()
@@ -483,7 +482,7 @@ def _estimate_batch(
     lik = _StageLikelihood(good)
     a_hat, kappa_hat, best_ll, traces = _search(lik, config, kappa_fixed)
 
-    sums = _fisher_prefix(lik, a_hat, np.maximum(kappa_hat, _KAPPA_GRID_FLOOR), len(depths))
+    sums = _fisher_prefix(lik, a_hat, kappa_hat, len(depths))
     betas = _bound_rule(*sums)[2].tolist()
     i11, i12, i22 = (x.tolist() for x in sums)
     results = []

@@ -4,9 +4,10 @@ Given a target accuracy and circuit-size assumptions, derives the register
 widths, gate counts per amplification round, the tolerable noise level
 kappa-bar, the per-gate error budget that achieves it, and wall-clock
 execution times.  Pure arithmetic end to end; the only iterative pieces are
-the kappa-bar scan (fisher.required_noise_for_error, one elementwise Fisher
-pass; DomainError when the unamplified stage already meets the target) and
-a bisection for the gate-error budget.
+the kappa-bar scan (fisher.required_noise_for_error, two elementwise Fisher
+passes: the log grid, then every midpoint of its bisection; DomainError when
+the unamplified stage already meets the target) and a bisection for the
+gate-error budget.
 """
 from __future__ import annotations
 

@@ -128,7 +128,6 @@ def run_trials(
                 epsilon_min=cr_lower_bound(point, schedule).epsilon_min,
             )
         )
-    records.sort(key=lambda rec: rec.n_queries)
     return TrialBatchResult(records=tuple(records), trials=trials, seed=seed)
 
 

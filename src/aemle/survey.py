@@ -2,11 +2,11 @@
 
 Three studies built on the Fisher machinery: the linear density of anomalous
 target amplitudes (fraction of a in [0,1] with beta above a threshold), error
-bound versus total query count for classical and exponential schedules, and
-the error bound on an (a, kappa) grid.  All sweeps are vectorized over the
-amplitude axis and seeded where sampling is involved.  The beta sweep runs its
-amplitude blocks on a thread per core (numpy's sin/cos release the interpreter
-lock); each block writes only its own slice, so any core count gives the same bits.
+bound versus total query count (the rows crbound prints), and the error bound
+on an (a, kappa) grid.  The density and the grid share one blocked sweep,
+_bound_sweep, which runs more than one block on a thread per core (numpy's
+sin/cos release the interpreter lock); each block writes only its own slice,
+so any core count gives the same bits.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ _EDGE_MARGIN = 1e-9
 # Depth-count cap for the default density schedule.
 _DENSITY_M_CAP = 25
 
-# Fisher rows in flight across _beta_grid's workers, and per Fisher call of
-# the contour (bounds their temporaries).
+# Fisher rows in flight across _bound_sweep's workers (bounds their temporaries).
 _BETA_BLOCK = 4096
 
 
@@ -54,13 +53,16 @@ class DensityResult:
 
 @dataclass(frozen=True)
 class QueryErrorRow:
-    """One point of an error-versus-queries curve."""
+    """One point of an error-versus-queries curve: the schedule's bound and
+    identifiability flag, and the classical bound at the same queries."""
 
     kind: str
     kappa: float
     M: int
     n_queries: int
     epsilon_min: float
+    classical_epsilon: float
+    identifiable: bool
     beyond_max_depth: bool
 
 
@@ -83,24 +85,28 @@ def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
     return make_schedule(ScheduleKind.EIS, M, shots)
 
 
-def _beta_grid(a: np.ndarray, kappa: float, schedule: Schedule) -> np.ndarray:
-    """Vectorized beta over interior amplitudes in _BETA_BLOCK // workers
-    blocks (an empty `a` is one empty block, refused), read in block order so
-    the first failing block's error is raised; NaN marks a degenerate sample."""
-    from concurrent.futures import ThreadPoolExecutor  # lazy: imports logging
+def _bound_sweep(a: np.ndarray, kappa: np.ndarray | float, weights: tuple, row: int) -> np.ndarray:
+    """Row `row` of _bound_rule (0 eps_a, 2 beta) at each amplitude, at one
+    kappa or one per amplitude, in blocks of _BETA_BLOCK // workers rows (an
+    empty `a` is one empty block, refused).  More than one block runs on a
+    thread per core, read in block order so the first failing block's error
+    is raised; NaN marks a degenerate sample."""
     workers = os.cpu_count() or 1
     block = max(_BETA_BLOCK // workers, 1)
-    beta = np.empty(a.size)
-    weights = _stage_weights(schedule.depths, schedule.shots)
+    out = np.empty(a.size)
 
     def fill(start: int) -> None:
         rows = slice(start, start + block)
-        sums = _element_sums(a[rows], kappa, weights)
-        beta[rows] = _bound_rule(*sums)[2]
+        sums = _element_sums(a[rows], kappa if np.ndim(kappa) == 0 else kappa[rows], weights)
+        out[rows] = _bound_rule(*sums)[row]
 
+    if a.size <= block:
+        fill(0)
+        return out
+    from concurrent.futures import ThreadPoolExecutor  # lazy: imports logging
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fill, range(0, max(a.size, 1), block)))
-    return beta
+        list(pool.map(fill, range(0, a.size, block)))
+    return out
 
 
 def anomaly_density(
@@ -131,7 +137,7 @@ def anomaly_density(
     a = rng.random(samples)
     edge = (a < _EDGE_MARGIN) | (a > 1.0 - _EDGE_MARGIN)
     interior = a[~edge]
-    beta = _beta_grid(interior, kappa, schedule)
+    beta = _bound_sweep(interior, kappa, _stage_weights(schedule.depths, schedule.shots), 2)
     bad = np.isnan(beta)
     used = int(interior.size - np.count_nonzero(bad))
     skipped = samples - used
@@ -160,8 +166,8 @@ def error_vs_queries(
 ) -> list[QueryErrorRow]:
     """Error-bound curves against total queries, one per noise level.
 
-    Emits one row per (kappa, M) for the amplifying schedule plus a matching
-    classical row sqrt(a(1-a)/N_q) at the same query counts.  Rows whose
+    Emits one row per (kappa, M): the schedule's cr_lower_bound and the
+    classical bound sqrt(a(1-a)/N_q) at the same query count.  Rows whose
     deepest stage exceeds m-bar(kappa) are flagged: past that point the bound
     saturates and extra depth is wasted.
     """
@@ -174,28 +180,10 @@ def error_vs_queries(
         for M in range(1, M_max + 1):
             schedule = make_schedule(kind, M, shots, r)
             nq = total_queries(schedule)
-            eps = cr_lower_bound(point, schedule).epsilon_min
+            bound = cr_lower_bound(point, schedule)
             beyond = mbar is not None and max(schedule.depths) > mbar
-            rows.append(
-                QueryErrorRow(
-                    kind=schedule.kind.value,
-                    kappa=kappa,
-                    M=M,
-                    n_queries=nq,
-                    epsilon_min=eps,
-                    beyond_max_depth=beyond,
-                )
-            )
-            rows.append(
-                QueryErrorRow(
-                    kind="classical",
-                    kappa=kappa,
-                    M=M,
-                    n_queries=nq,
-                    epsilon_min=classical_bound(a, nq),
-                    beyond_max_depth=False,
-                )
-            )
+            rows.append(QueryErrorRow(schedule.kind.value, kappa, M, nq, bound.epsilon_min,
+                                      classical_bound(a, nq), bound.identifiable, beyond))
     return rows
 
 
@@ -204,10 +192,9 @@ def error_vs_kappa_contour(
 ) -> ContourGrid:
     """epsilon_min on the product grid, amplitudes down the rows.
 
-    One Fisher call covers each _BETA_BLOCK cells of the a-major product
-    (bounding its temporaries), and each cell is the eps_a of _bound_rule,
-    the rule cr_lower_bound applies, so cells where the matrix is
-    numerically singular fall back to the one-parameter bound.
+    _bound_sweep runs over the cells of the a-major product, each cell the
+    eps_a of _bound_rule, the rule cr_lower_bound applies, so cells where
+    the matrix is numerically singular fall back to the one-parameter bound.
     """
     a = np.asarray(a_values, dtype=float)
     kappas = np.asarray(kappa_values, dtype=float)
@@ -220,11 +207,7 @@ def error_vs_kappa_contour(
         raise DomainError("kappa grid must be finite and non-negative")
     a_cells, k_cells = np.repeat(a, kappas.size), np.tile(kappas, a.size)
     weights = _stage_weights(schedule.depths, schedule.shots)
-    eps = np.empty(a_cells.size)
-    for start in range(0, eps.size, _BETA_BLOCK):
-        rows = slice(start, start + _BETA_BLOCK)
-        eps[rows] = _bound_rule(*_element_sums(a_cells[rows], k_cells[rows], weights))[0]
-    eps = eps.reshape(a.size, kappas.size)
+    eps = _bound_sweep(a_cells, k_cells, weights, 0).reshape(a.size, kappas.size)
     return ContourGrid(
         a_values=tuple(float(v) for v in a),
         kappa_values=tuple(float(v) for v in kappas),

@@ -6,7 +6,15 @@ import sys
 
 import pytest
 
-from aemle import cli
+from aemle import (
+    amplitude_point,
+    classical_bound,
+    cli,
+    cr_lower_bound,
+    make_schedule,
+    max_grover_depth,
+    total_queries,
+)
 from aemle.cli import main
 
 
@@ -26,6 +34,36 @@ def test_crbound_table(capsys):
     assert "m_bar=49" in lines[0]
     assert lines[1].split()[:3] == ["M", "n_queries", "epsilon_min"]
     assert len(lines) == 2 + 4
+
+
+def _crbound_reference(a, kappa, kind, M_max, shots, r):
+    """crbound's rows as the command's own loop computed them, floats as hex."""
+    point = amplitude_point(a, kappa)
+    mbar = max_grover_depth(kappa) if kappa > 0.0 else None
+    rows = []
+    for M in range(1, M_max + 1):
+        schedule = make_schedule(kind, M, shots, r)
+        nq = total_queries(schedule)
+        bound = cr_lower_bound(point, schedule)
+        beyond = mbar is not None and max(schedule.depths) > mbar
+        rows.append([M, nq, bound.epsilon_min.hex(), classical_bound(a, nq).hex(),
+                     bound.identifiable, beyond])
+    return rows
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.003])
+@pytest.mark.parametrize("kind, r", [("classical", None), ("lis", None), ("eis", None),
+                                     ("powerbase", 2.5)])
+def test_crbound_rows_equal_the_reference_loop(capsys, kind, r, kappa):
+    argv = ["crbound", "--a", "0.375", "--kappa", repr(kappa), "--kind", kind, "--M", "10",
+            "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, *(["--r", repr(r)] if r is not None else []))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    got = [[M, nq, eps.hex(), cls.hex(), ident, beyond]
+           for M, nq, eps, cls, ident, beyond in doc["rows"]]
+    assert got == _crbound_reference(0.375, kappa, kind, 10, 100, r)
+    assert doc["meta"]["params"].get("m_bar") == (max_grover_depth(kappa) if kappa else None)
 
 
 def test_byte_identical_reruns(capsys):
@@ -333,6 +371,26 @@ def test_kappa_past_the_depth_floor_exits_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("aemle: kappa=") and "maximum depth passes 2**52" in err
+
+
+# 2**45 doubles (256 TiB) pass the 128 TiB user address space, so the
+# allocation fails at once under any overcommit setting; these ended in
+# numpy's _ArrayMemoryError traceback with exit code 1
+HUGE = str(2**45)
+TOO_LARGE = [
+    ["density", "--kappa", "0.1", "--samples", HUGE],
+    ["hitcurve", "--a", "0.3", "--shots", HUGE],
+    ["estimate", "--simulate", "--a", "0.3", "--kappa", "0.01", "--shots", HUGE],
+    ["trials", "--a", "0.3", "--shots", HUGE],
+    ["contour", "--a-points", HUGE],
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE, ids=lambda argv: argv[0])
+def test_an_input_too_large_to_allocate_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("aemle: Unable to allocate 256. TiB") and err.count("\n") == 1
 
 
 # stdout, stderr and exit code of help, usage and error text at COLUMNS=80,

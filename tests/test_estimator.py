@@ -181,6 +181,21 @@ def test_estimate_stays_in_domain(seed):
     assert result.kappa_hat >= 0.0
 
 
+def test_kappa_estimates_and_boxes_stay_on_the_grid_floor():
+    # every kappa grid's low end is floored, so the Fisher calls on kappa_hat
+    # need no clamp of their own
+    plateau = ExperimentData(stages=((0, 100, 37), *((m, 100, 50) for m in (1, 2, 4, 8))))
+    floor = sample_counts(amplitude_point(0.3, 0.0), make_schedule("eis", 6, 1000), 5)
+    seeded = [sample_counts(amplitude_point(0.3, kappa), make_schedule(kind, 5, 100), seed)
+              for kappa in (0.0, 0.5) for kind in ("lis", "eis") for seed in range(4)]
+    results = [mle_grid_adaptive(data) for data in (plateau, floor, *seeded)]
+    assert results[0].kappa_hat > 10.0  # on the kappa -> inf plateau
+    assert results[1].kappa_hat == estimator._KAPPA_GRID_FLOOR
+    for result in results:
+        assert result.kappa_hat >= estimator._KAPPA_GRID_FLOOR
+        assert all(t.kappa_lo >= estimator._KAPPA_GRID_FLOOR for t in result.stage_trace)
+
+
 def test_max_stages_guard():
     # data read from a file may have any number of stages; 64 are allowed
     data = ExperimentData(stages=tuple((m, 5, 2) for m in range(65)))

@@ -21,7 +21,9 @@ from aemle import (
     make_schedule,
     max_grover_depth,
     survey,
+    total_queries,
 )
+from aemle.fisher import _stage_weights
 
 A_ANOMALOUS = math.sin(math.pi / 8) ** 2
 
@@ -125,10 +127,15 @@ def test_density_golden(kappa):
     assert result.samples == 20_000
 
 
+def _beta(a, kappa, schedule):
+    """The density sweep's beta at each amplitude."""
+    return survey._bound_sweep(a, kappa, _stage_weights(schedule.depths, schedule.shots), 2)
+
+
 def _segment_count(kappa):
     # maximal runs of beta above the threshold on 200,000 interior midpoints
     a = (np.arange(200_000) + 0.5) / 200_000
-    beta = survey._beta_grid(a, kappa, default_density_schedule(kappa))
+    beta = _beta(a, kappa, default_density_schedule(kappa))
     above = beta > ANOMALY_THRESHOLD  # a degenerate sample's NaN is never above
     return int(np.count_nonzero(above[1:] & ~above[:-1])) + int(above[0])
 
@@ -143,30 +150,23 @@ def test_segment_counts_scale_inversely_with_noise():
 
 def test_error_vs_queries_rows():
     rows = error_vs_queries(0.375, [0.0, 0.01], M_max=8, shots=100)
-    eis = [r for r in rows if r.kind == "eis"]
-    classical = [r for r in rows if r.kind == "classical"]
-    assert len(eis) == len(classical) == 16
-    for row in classical:
-        assert row.epsilon_min == pytest.approx(
-            classical_bound(0.375, row.n_queries), rel=1e-12
-        )
-        assert not row.beyond_max_depth
-    # noiseless rows never exceed the depth limit
-    assert not any(r.beyond_max_depth for r in eis if r.kappa == 0.0)
-    # noisy rows flag exactly the schedules deeper than m-bar
+    assert [(r.kappa, r.M) for r in rows] == [(k, M) for k in (0.0, 0.01) for M in range(1, 9)]
     mbar = max_grover_depth(0.01)
-    for row in eis:
-        if row.kappa == 0.01:
-            expected = max(make_schedule("eis", row.M, 100).depths) > mbar
-            assert row.beyond_max_depth == expected
+    for row in rows:
+        schedule = make_schedule("eis", row.M, 100)
+        bound = cr_lower_bound(amplitude_point(0.375, row.kappa), schedule)
+        assert row.kind == "eis" and row.n_queries == total_queries(schedule)
+        assert (row.epsilon_min, row.identifiable) == (bound.epsilon_min, bound.identifiable)
+        assert row.classical_epsilon == classical_bound(0.375, row.n_queries)
+        # noiseless rows never exceed the depth limit; noisy rows flag
+        # exactly the schedules deeper than m-bar
+        assert row.beyond_max_depth == (row.kappa > 0.0 and max(schedule.depths) > mbar)
 
 
 def test_error_vs_queries_quantum_beats_classical_under_low_noise():
     rows = error_vs_queries(0.375, [0.001], M_max=8, shots=100)
-    eis = {r.M: r for r in rows if r.kind == "eis"}
-    cls = {r.M: r for r in rows if r.kind == "classical"}
-    for M in range(3, 9):
-        assert eis[M].epsilon_min < cls[M].epsilon_min
+    for row in rows[2:]:  # M = 3..8
+        assert row.epsilon_min < row.classical_epsilon
 
 
 def test_contour_grid_shape_and_values():
@@ -215,7 +215,7 @@ def test_contour_rejects_bad_grids():
 
 def test_trace_rejects_empty_grid():
     with pytest.raises(DomainError):
-        survey._beta_grid(np.asarray([]), 0.01, make_schedule("eis", 3, 10))
+        _beta(np.asarray([]), 0.01, make_schedule("eis", 3, 10))
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
@@ -231,7 +231,7 @@ def test_blocked_beta_grid_equals_one_call(monkeypatch, size):
     with monkeypatch.context() as patch:
         patch.setattr(os, "cpu_count", lambda: 1)
         patch.setattr(survey, "_BETA_BLOCK", size)
-        whole = survey._beta_grid(a, 1e-4, sched)
+        whole = _beta(a, 1e-4, sched)
     # None is what os.cpu_count returns when it cannot tell; 8 workers on
     # fewer cores with a 1 us switch interval interleave the block writes
     interval = sys.getswitchinterval()
@@ -239,7 +239,7 @@ def test_blocked_beta_grid_equals_one_call(monkeypatch, size):
     try:
         for cores in (None, 1, 2, 8):
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
-            blocked = survey._beta_grid(a, 1e-4, sched)
+            blocked = _beta(a, 1e-4, sched)
             assert blocked.dtype == whole.dtype and blocked.tobytes() == whole.tobytes()
     finally:
         sys.setswitchinterval(interval)
@@ -251,7 +251,27 @@ def test_trace_raises_for_a_singular_point_in_a_late_block(monkeypatch, cores):
     a = np.linspace(0.01, 0.99, 3 * survey._BETA_BLOCK)
     a[-2] = 0.0
     with pytest.raises(SingularPointError):
-        survey._beta_grid(a, 1e-3, default_density_schedule(1e-3))
+        _beta(a, 1e-3, default_density_schedule(1e-3))
+
+
+def test_bound_sweep_starts_a_pool_only_past_one_block(monkeypatch):
+    import concurrent.futures
+    started = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    def spy(workers):
+        started.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sched = make_schedule("eis", 6, 100)
+    # the default contour's 99 x 9 cells and 2,048 amplitudes are one block of 4096 // 2
+    error_vs_kappa_contour(np.linspace(0.01, 0.99, 99), np.geomspace(1e-5, 1e-1, 9), sched)
+    _beta(np.linspace(0.01, 0.99, 2048), 1e-3, sched)
+    assert started == []
+    _beta(np.linspace(0.01, 0.99, 2049), 1e-3, sched)
+    assert started == [2]
 
 
 def test_anomalous_row_insensitive_to_noise():
@@ -281,7 +301,7 @@ def test_error_spikes_sit_on_anomalous_targets():
     a = np.linspace(0.005, 0.995, 2000)
     grid = error_vs_kappa_contour(a, np.asarray([kappa]), sched)
     eps = np.asarray([row[0] for row in grid.epsilon_min])
-    beta = survey._beta_grid(a, kappa, sched)
+    beta = _beta(a, kappa, sched)
     assert not np.isnan(beta).any()
     median = float(np.median(eps))
     spikes = [
