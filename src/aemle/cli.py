@@ -5,7 +5,7 @@ header carrying the tool version, the resolved parameters, and the seed;
 reals are written with 17 significant digits so CSV round-trips losslessly;
 identical flags and seed give byte-identical output.  Exit codes: 0 success,
 2 bad usage or unparseable input, 3 a computation that raised or an input
-too large to allocate.
+too large to allocate or to size.
 """
 from __future__ import annotations
 
@@ -300,6 +300,9 @@ def cmd_contour(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     _check(parser, args.a_points >= 2 and args.kappa_points >= 2,
            "--a-points and --kappa-points must be >= 2")
     schedule = make_schedule(args.kind, args.M, args.shots, args.r)
+    # linspace's arange counts 2**63 - 1 or more points as none (an IndexError
+    # follows); an empty axis of each size lets numpy refuse such a count first
+    np.empty(args.a_points), np.empty(args.kappa_points)
     a_grid = np.linspace(args.a_min, args.a_max, args.a_points)
     with np.errstate(all="ignore"):  # a non-finite end is the library's DomainError
         k_grid = np.geomspace(args.kappa_min, args.kappa_max, args.kappa_points)
@@ -510,6 +513,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's refusals of an array too large to size at all (from 2**61 elements);
+# any other ValueError is a defect and keeps its traceback
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
@@ -519,7 +527,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"aemle: {exc}", file=sys.stderr)
         return 2
-    except (AemleError, MemoryError) as exc:  # MemoryError: an input too large to allocate
+    except (AemleError, MemoryError, ValueError) as exc:  # an input too large to allocate or size
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
+            raise
         print(f"aemle: {exc}", file=sys.stderr)
         return 3
     return 0

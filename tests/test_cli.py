@@ -91,6 +91,7 @@ TRIALS_GOLDEN_CSV = (
 )
 
 
+@pytest.mark.simd_golden
 def test_trials_golden_is_byte_identical(capsys):
     code, out, _ = run_cli(
         capsys, "trials", "--a", "0.3", "--kappa", "0.05", "--M", "3", "--shots", "30",
@@ -280,6 +281,14 @@ def test_density_emission(capsys):
     assert row["schedule"].startswith("eis;depths=")
 
 
+def test_density_ladder_keeps_one_amplified_stage_at_m_bar_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "density", "--kappa", "1.5", "--samples", "1000", "--format", "csv"
+    )
+    assert code == 0 and err == ""
+    assert "eis;depths=0|1;" in out
+
+
 def test_contour_emission(capsys):
     code, out, _ = run_cli(
         capsys, "contour", "--a-min", "0.2", "--a-max", "0.8", "--a-points", "3",
@@ -351,6 +360,17 @@ def test_hwspec_with_no_kappa_bar_exits_3(capsys):
     assert code == 3 and out == "" and "kappa-bar is unbounded" in err
 
 
+def test_hwspec_on_the_deepest_eis_ladder(capsys):
+    # m-bar = 2.5e15 gives a 54-stage ladder, which no stage-count guard refuses
+    code, out, err = run_cli(
+        capsys, "hwspec", "--eps", "1e-3", "--nint", "5", "--kappa-bar", "2e-16",
+        "--format", "json"
+    )
+    assert code == 0 and err == ""
+    table = {row[0]: row[2] for row in json.loads(out)["rows"]}
+    assert table["m_bar"] == max_grover_depth(2e-16) == 2_500_000_000_000_000
+
+
 def test_hwspec_with_an_unreachable_kappa_bar_exits_3(capsys):
     code, out, err = run_cli(capsys, "hwspec", "--eps", "1e-4", "--nint", "1", "--kappa-bar", "5000")
     assert code == 3 and out == "" and "kappa_bar=5000.0" in err
@@ -393,6 +413,30 @@ def test_an_input_too_large_to_allocate_exits_3(capsys, argv):
     assert err.startswith("aemle: Unable to allocate 256. TiB") and err.count("\n") == 1
 
 
+# from 2**61 elements numpy cannot size the array at all and raises a
+# ValueError instead; these ended in that traceback with exit code 1
+COUNT_FLAGS = [argv[:-1] for argv in TOO_LARGE] + [["contour", "--kappa-points"]]
+
+
+@pytest.mark.parametrize("size, message", [(2**61, "array is too big;"),
+                                           (2**63, "Maximum allowed dimension exceeded")],
+                         ids=["2**61", "2**63"])
+@pytest.mark.parametrize("argv", COUNT_FLAGS, ids=lambda argv: " ".join(argv))
+def test_an_input_too_large_to_size_exits_3(capsys, argv, size, message):
+    code, out, err = run_cli(capsys, *argv, str(size))
+    assert code == 3 and out == ""
+    assert err.startswith(f"aemle: {message}") and err.count("\n") == 1
+
+
+def test_any_other_value_error_keeps_its_traceback(capsys, monkeypatch):
+    def defect(*args, **kwargs):
+        raise ValueError("a defect inside the command")
+
+    monkeypatch.setattr(cli, "anomaly_density", defect)
+    with pytest.raises(ValueError, match="a defect inside the command"):
+        main(["density", "--kappa", "0.1", "--samples", "1000"])
+
+
 # stdout, stderr and exit code of help, usage and error text at COLUMNS=80,
 # captured when every call built all 8 subcommands' flags; argparse's text
 # is its Python version's, so the bytes hold on the version they name
@@ -416,6 +460,7 @@ def fixed_terminal(monkeypatch):
     monkeypatch.delenv("AEMLE_SEED", raising=False)
 
 
+@pytest.mark.simd_golden
 @pytest.mark.skipif(
     "%d.%d" % sys.version_info[:2] != CLI_TEXT["python"],
     reason=f"argparse text captured on Python {CLI_TEXT['python']}",

@@ -378,6 +378,7 @@ PROFILE_GOLDENS = [
 ]
 
 
+@pytest.mark.simd_golden
 @pytest.mark.parametrize("case,expected", PROFILE_GOLDENS)
 def test_profile_goldens(case, expected):
     a, kappa, kind, M, shots, seed, kappa_fixed = case

@@ -513,6 +513,7 @@ KAPPA_BAR_HEX = {
 }
 
 
+@pytest.mark.simd_golden
 @pytest.mark.parametrize("a,shots", list(KAPPA_BAR_HEX))
 def test_kappa_bar_hex_table(a, shots):
     for eps, want in zip((1e-2, 1e-4, 1e-6), KAPPA_BAR_HEX[a, shots]):
