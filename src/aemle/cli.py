@@ -490,12 +490,19 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The aemle parser, every subcommand registered with its help.
+def _sub_parser(*, build: bool, **kwargs) -> argparse.ArgumentParser | None:
+    """build_parser's parser class: an unbuilt name keeps its choice and
+    help line, with no parser behind it."""
+    return argparse.ArgumentParser(**kwargs) if build else None
 
-    Only `command`'s sub-parser gets its flags and handler, or every one
-    when `command` is None: argparse builds a formatter for each flag, and a
-    run parses one subcommand's.
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The aemle parser, every subcommand's name and help line registered.
+
+    Only `command`'s sub-parser is built, with its flags and handler, or
+    every one when `command` is None: a run parses one subcommand, and
+    argparse builds a parser and a formatter for each flag.  The root usage
+    and its errors still list all eight names.
     """
     parser = argparse.ArgumentParser(
         prog="aemle",
@@ -503,10 +510,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "estimators, surveys, and hardware requirements.",
     )
     parser.add_argument("--version", action="version", version=f"aemle {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_sub_parser)
     for name, (help_text, add_flags, handler) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        if command in (None, name):
+        sub = subs.add_parser(name, help=help_text, build=command in (None, name))
+        if sub is not None:
             _add_common(sub)
             add_flags(sub)
             sub.set_defaults(func=handler)

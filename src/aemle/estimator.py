@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AemleError, ConfigError, DegenerateDataError, DomainError
 from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _bound_rule, _element_sums, _stage_weights
-from .model import _integral
+from .model import _MAX_DEPTH, _integral
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
 EPS_P = 1e-12
@@ -69,6 +69,8 @@ class ExperimentData:
         for m, n, h in stages:
             if m < 0:
                 raise ConfigError(f"depth m={m} must be >= 0")
+            if m > _MAX_DEPTH:
+                raise ConfigError(f"depth m={m} passes 2**52")
             if m < prev:
                 raise ConfigError("stage depths must be non-decreasing")
             if n < 0 or not 0 <= h <= n:

@@ -28,7 +28,7 @@ from .errors import (
     NotAchievableError,
     SingularPointError,
 )
-from .model import AmplitudePoint, Schedule, _integral, capped_depths
+from .model import _MAX_DEPTH, AmplitudePoint, Schedule, _integral, capped_depths
 
 # Beta above this value marks a target amplitude as anomalous.
 ANOMALY_THRESHOLD = 0.9
@@ -44,11 +44,6 @@ _DENOM_FLOOR = 1e-300
 
 # Noise levels scanned by required_noise_for_error: 1e-8 to 2, 25 per decade.
 _KAPPA_SCAN = np.geomspace(1e-8, 2.0, 208)
-
-# Largest m-bar max_grover_depth returns: past it (2m+1)(1 - e^{-kappa}) no
-# longer tells m from m + 1, so a kappa below about 1.1e-16 is refused.
-_MBAR_MAX = 2.0**52
-
 
 @dataclass(frozen=True)
 class FisherMatrix:
@@ -195,7 +190,9 @@ def _max_grover_depths(kappas) -> np.ndarray:
     decay = np.asarray([-math.expm1(-k) for k in kappas.tolist()])  # 1 - e^{-kappa}
     with np.errstate(over="ignore"):
         cand = np.floor((1.0 / decay - 1.0) / 2.0)
-    if not cand.max() <= _MBAR_MAX:  # the smallest kappa has the deepest m-bar
+    # past _MAX_DEPTH (2m+1)(1 - e^{-kappa}) no longer tells m from m + 1, so a
+    # kappa below about 1.1e-16 is refused; the smallest has the deepest m-bar
+    if not cand.max() <= _MAX_DEPTH:
         raise DomainError(f"kappa={float(kappas.min())} is too small: "
                           "its maximum depth passes 2**52")
     # exact integer semantics regardless of rounding in the division
@@ -245,8 +242,10 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
     """cr_lower_bound's eps_a at each kappa on its EIS saturated ladder.
 
     One _element_terms pass covers every (kappa, stage) cell, ladder after
-    ladder, so a run of equal-length ladders sums as one (rows, L) block, as a
-    lone call would; zero-shot padding would change that order, and the bits."""
+    ladder.  The three summands are stacked, so a run of equal-length
+    ladders sums as one (3, rows, L) block, each ladder as a lone call sums
+    it; zero-shot padding or np.add.reduceat would change that order, and
+    the bits."""
     mbars = _max_grover_depths(kappas)
     top = np.asarray(capped_depths(int(mbars.max())), dtype=float)
     lengths = np.searchsorted(top, mbars) + 1  # the depths below m-bar, then m-bar
@@ -255,13 +254,14 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
     depths[offsets[1:] - 1] = mbars
     kappa = np.repeat(np.asarray(kappas, dtype=float), lengths)
     weights = _stage_weights(depths[:, None], float(shots))
-    terms = _element_terms(np.asarray([float(a)]), kappa, weights)
+    cells = np.stack(_element_terms(np.asarray([float(a)]), kappa, weights)).reshape(3, -1)
+    sums = np.empty((3, lengths.size))
     runs = np.flatnonzero(np.diff(lengths, prepend=0, append=0)).tolist()  # run starts, then K
-    i11, i12, i22 = (np.concatenate([t[offsets[i]:offsets[j]].reshape(-1, lengths[i]).sum(axis=1)
-                                     for i, j in zip(runs, runs[1:])]) for t in terms)
-    if np.any(i11 <= 0.0):
+    for i, j in zip(runs, runs[1:]):
+        sums[:, i:j] = cells[:, offsets[i]:offsets[j]].reshape(3, j - i, -1).sum(axis=2)
+    if np.any(sums[0] <= 0.0):
         raise DegenerateScheduleError("schedule carries no information about a")
-    return _bound_rule(i11, i12, i22)[0].tolist()
+    return _bound_rule(*sums)[0].tolist()
 
 
 def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:

@@ -22,6 +22,11 @@ from .errors import ConfigError, DomainError
 # Nudge added before flooring r**(k-1) so 2.9999999 floors to 3, not 2.
 _FLOOR_NUDGE = 1e-9
 
+# Deepest amplification depth a schedule or dataset may hold, and the deepest
+# m-bar max_grover_depth returns; far deeper depths overflow the Fisher
+# weights N (2m+1)^2.
+_MAX_DEPTH = 2**52
+
 
 def _integral(value: object, name: str) -> int:
     """value as an int if it is integral (2 or 2.0), else ConfigError."""
@@ -96,6 +101,8 @@ class Schedule:
         for m, n in stages:
             if m < 0:
                 raise ConfigError(f"depth m={m} must be a non-negative integer")
+            if m > _MAX_DEPTH:
+                raise ConfigError(f"depth m={m} passes 2**52")
             if n < 0:
                 raise ConfigError(f"shot count N={n} must be a non-negative integer")
             if m < prev:
@@ -103,8 +110,8 @@ class Schedule:
             prev = m
         if self.kind is ScheduleKind.CLASSICAL and any(m != 0 for m, _ in self.stages):
             raise ConfigError("classical schedule requires all depths zero")
-        if self.kind is ScheduleKind.POWER_BASE and (self.r is None or self.r <= 1.0):
-            raise ConfigError("power-base schedule requires r > 1")
+        if self.kind is ScheduleKind.POWER_BASE and not 1.0 < (self.r or 0.0) < math.inf:
+            raise ConfigError("power-base schedule requires a finite r > 1")
 
     @property
     def depths(self) -> tuple[int, ...]:
@@ -132,13 +139,15 @@ def _ladder(kind: ScheduleKind, r: float | None) -> Iterator[int]:
 
     classical: m_k = 0; lis: m_k = k; eis: m_0 = 0, m_k = 2^{k-1};
     powerbase: m_0 = 0, m_k = floor(r^{k-1}), an exact integer power when r
-    is integral (so eis is the r = 2 ladder).  The explicit kind and r <= 1
-    raise ConfigError at the first depth.
+    is integral (so eis is the r = 2 ladder).  The explicit kind and an r
+    outside (1, inf) raise ConfigError at the first depth, and an eis or
+    powerbase ladder at its first depth past _MAX_DEPTH, before it builds
+    a larger one.
     """
     if kind is ScheduleKind.EXPLICIT:
         raise ConfigError("explicit schedules are built from stage lists, not make_schedule")
-    if kind is ScheduleKind.POWER_BASE and (r is None or r <= 1.0):
-        raise ConfigError(f"power-base schedule requires r > 1, got {r}")
+    if kind is ScheduleKind.POWER_BASE and not 1.0 < (r or 0.0) < math.inf:
+        raise ConfigError(f"power-base schedule requires a finite r > 1, got {r}")
     if kind is ScheduleKind.CLASSICAL:
         yield from itertools.repeat(0)
     elif kind is ScheduleKind.LIS:
@@ -148,7 +157,10 @@ def _ladder(kind: ScheduleKind, r: float | None) -> Iterator[int]:
         integral = base.is_integer()
         yield 0
         for j in itertools.count():
-            yield int(base) ** j if integral else int(math.floor(base**j + _FLOOR_NUDGE))
+            m = int(base) ** j if integral else int(math.floor(base**j + _FLOOR_NUDGE))
+            if m > _MAX_DEPTH:
+                raise ConfigError(f"the {kind.value} ladder passes depth 2**52 at stage {j + 1}")
+            yield m
 
 
 def make_schedule(
@@ -173,7 +185,8 @@ def capped_depths(m_max: int) -> list[int]:
     deepest EIS ladder within a depth limit, [0] when m_max < 1."""
     if m_max < 1:
         return [0]
-    return [*itertools.takewhile(lambda m: m < m_max, _ladder(ScheduleKind.EIS, None)), m_max]
+    # 0 and the powers of two below m_max, not the next depth: it may pass _MAX_DEPTH
+    return [*itertools.islice(_ladder(ScheduleKind.EIS, None), 1 + (m_max - 1).bit_length()), m_max]
 
 
 def explicit_schedule(stages: Iterable[tuple[int, int]]) -> Schedule:

@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .estimator import EstimateResult, ExperimentData, MleConfig, _estimate_batch
 from .fisher import cr_lower_bound
 from .model import (
+    _MAX_DEPTH,
     AmplitudePoint,
     Schedule,
     ScheduleKind,
@@ -104,6 +105,7 @@ def run_trials(
     if M_max < 1:
         raise ConfigError(f"M_max={M_max} must be >= 1")
     config = config or MleConfig()
+    make_schedule(kind, M_max, shots, r)  # refuses a bad ladder before any trial runs
     records = []
     for M in range(1, M_max + 1):
         schedule = make_schedule(kind, M, shots, r)
@@ -137,6 +139,8 @@ def hit_rate_curve(
     """Sampled hit rate h/shots per amplification depth."""
     if shots < 1:
         raise ConfigError(f"shots={shots} must be >= 1")
+    if not all(0 <= m <= _MAX_DEPTH for m in depths):
+        raise ConfigError("depths must lie in [0, 2**52]")
     rng = _rng_for(seed)
     out = []
     for m in depths:

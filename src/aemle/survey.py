@@ -10,23 +10,24 @@ so any core count gives the same bits.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DegenerateScheduleError, DomainError
 from .fisher import (
     ANOMALY_THRESHOLD,
     _bound_rule,
     _element_sums,
+    _element_terms,
     _stage_weights,
     classical_bound,
-    cr_lower_bound,
     max_grover_depth,
 )
-from .model import Schedule, ScheduleKind, _integral, amplitude_point, make_schedule, total_queries
+from .model import Schedule, ScheduleKind, _integral, amplitude_point, make_schedule
 
 # Samples closer than this to a = 0 or a = 1 are excluded (singular Fisher).
 _EDGE_MARGIN = 1e-9
@@ -170,20 +171,34 @@ def error_vs_queries(
     classical bound sqrt(a(1-a)/N_q) at the same query count.  Rows whose
     deepest stage exceeds m-bar(kappa) are flagged: past that point the bound
     saturates and extra depth is wasted.
+
+    Each M's schedule is the first M + 1 stages of the M_max one, so one
+    Fisher pass per kappa covers every row: row M sums that prefix as a lone
+    cr_lower_bound call sums its schedule (a running sum rounds differently),
+    and one _bound_rule call inverts every row.
     """
     if not (0.0 < a < 1.0):
         raise DomainError(f"a={a} outside (0, 1)")
+    if M_max < 1:
+        return []
+    schedule = make_schedule(kind, M_max, shots, r)
+    depths = schedule.depths
+    weights = _stage_weights(depths, schedule.shots)
+    queries = list(itertools.accumulate(n * (2 * m + 1) for m, n in schedule.stages))
     rows: list[QueryErrorRow] = []
     for kappa in kappas:
         point = amplitude_point(a, kappa)
         mbar = max_grover_depth(kappa) if kappa > 0.0 else None
-        for M in range(1, M_max + 1):
-            schedule = make_schedule(kind, M, shots, r)
-            nq = total_queries(schedule)
-            bound = cr_lower_bound(point, schedule)
-            beyond = mbar is not None and max(schedule.depths) > mbar
-            rows.append(QueryErrorRow(schedule.kind.value, kappa, M, nq, bound.epsilon_min,
-                                      classical_bound(a, nq), bound.identifiable, beyond))
+        terms = np.concatenate(_element_terms(np.asarray([point.a]), point.kappa, weights))
+        sums = np.stack([terms[:, :M + 1].sum(axis=1) for M in range(1, M_max + 1)], axis=1)
+        if np.any(sums[0] <= 0.0):
+            raise DegenerateScheduleError("schedule carries no information about a")
+        eps_a, eps_kappa, _ = _bound_rule(*sums).tolist()
+        for M, eps, eps_k in zip(range(1, M_max + 1), eps_a, eps_kappa):
+            nq = queries[M]
+            beyond = mbar is not None and depths[M] > mbar
+            rows.append(QueryErrorRow(schedule.kind.value, kappa, M, nq, eps,
+                                      classical_bound(a, nq), not math.isnan(eps_k), beyond))
     return rows
 
 

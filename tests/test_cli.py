@@ -1,4 +1,5 @@
 """Command-line interface: emissions, determinism, and exit codes."""
+import argparse
 import json
 import pathlib
 import subprocess
@@ -55,14 +56,16 @@ def _crbound_reference(a, kappa, kind, M_max, shots, r):
 @pytest.mark.parametrize("kind, r", [("classical", None), ("lis", None), ("eis", None),
                                      ("powerbase", 2.5)])
 def test_crbound_rows_equal_the_reference_loop(capsys, kind, r, kappa):
-    argv = ["crbound", "--a", "0.375", "--kappa", repr(kappa), "--kind", kind, "--M", "10",
+    # lis rows past M = 7 sum more than numpy's 8-element pairwise block
+    M_max = 20 if kind == "lis" else 10
+    argv = ["crbound", "--a", "0.375", "--kappa", repr(kappa), "--kind", kind, "--M", str(M_max),
             "--format", "json"]
     code, out, err = run_cli(capsys, *argv, *(["--r", repr(r)] if r is not None else []))
     assert code == 0 and err == ""
     doc = json.loads(out)
     got = [[M, nq, eps.hex(), cls.hex(), ident, beyond]
            for M, nq, eps, cls, ident, beyond in doc["rows"]]
-    assert got == _crbound_reference(0.375, kappa, kind, 10, 100, r)
+    assert got == _crbound_reference(0.375, kappa, kind, M_max, 100, r)
     assert doc["meta"]["params"].get("m_bar") == (max_grover_depth(kappa) if kappa else None)
 
 
@@ -393,6 +396,34 @@ def test_kappa_past_the_depth_floor_exits_3(capsys, argv):
     assert err.startswith("aemle: kappa=") and "maximum depth passes 2**52" in err
 
 
+# a depth past 2**52 or a power base that is not finite: these printed a 0.0
+# bound or NaN cells with numpy warnings, or ended in an OverflowError or
+# ValueError traceback; "DATA" is a file whose second stage has depth 10**400
+POWER_1E200 = ["--kind", "powerbase", "--r", "1e200", "--M", "3"]
+PAST_THE_DEPTH_LIMIT = [
+    ["crbound", "--a", "0.3", "--M", "600"],
+    ["contour", "--M", "600", "--a-points", "3", "--kappa-points", "2"],
+    ["estimate", "--data", "DATA"],
+    ["crbound", "--a", "0.3", *POWER_1E200],
+    ["contour", *POWER_1E200],
+    ["trials", "--a", "0.3", *POWER_1E200],
+    ["trials", "--a", "0.3", "--M", "600"],  # refused before any trial runs
+    ["estimate", "--simulate", "--a", "0.3", "--kappa", "0.01", *POWER_1E200],
+    ["schedule", "--kind", "powerbase", "--r", "inf"],
+    ["schedule", "--kind", "powerbase", "--r", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", PAST_THE_DEPTH_LIMIT, ids=lambda argv: " ".join(argv))
+def test_a_depth_past_the_limit_exits_2(capsys, tmp_path, argv):
+    data = tmp_path / "deep.json"
+    data.write_text(json.dumps({"stages": [{"m": 0, "shots": 10, "hits": 3},
+                                           {"m": 10**400, "shots": 10, "hits": 4}]}))
+    code, out, err = run_cli(capsys, *[str(data) if tok == "DATA" else tok for tok in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("aemle: ") and err.count("\n") == 1
+
+
 # 2**45 doubles (256 TiB) pass the 128 TiB user address space, so the
 # allocation fails at once under any overcommit setting; these ended in
 # numpy's _ArrayMemoryError traceback with exit code 1
@@ -480,6 +511,22 @@ def test_cli_text_equals_that_of_the_parser_with_every_flag(capsys, fixed_termin
     build_all = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: build_all())
     assert got == run_captured(capsys, argv)
+
+
+@pytest.mark.parametrize("command, built", [("hwspec", 1), (None, 8)])
+def test_build_parser_builds_only_the_invoked_sub_parser(monkeypatch, command, built):
+    inits = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    parser = cli.build_parser(command)
+    assert inits[0] == "aemle" and len(inits) == 1 + built
+    # every name stays a choice, so the root usage lists all eight
+    assert "{" + ",".join(cli._SUBCOMMANDS) + "}" in parser.format_usage()
 
 
 def test_schedule_json_round_trips_through_parser(capsys):

@@ -579,6 +579,16 @@ def test_scan_on_any_kappa_list_matches_per_point_bounds(data, a, shots, values)
     assert _saturated_errors(a, kappas, shots) == want
 
 
+@pytest.mark.parametrize("a", [0.1, 0.375, 0.9])
+def test_saturated_runs_sum_as_lone_calls(a):
+    # runs of equal-length ladders, of 1 to 8 stages (kappa 0.5 down to 0.008)
+    # and of 9 to 28 (down to 1e-8), past numpy's 8-element pairwise block
+    kappas = np.geomspace(0.5, 1e-8, 48).repeat(2).tolist()
+    got = [e.hex() for e in _saturated_errors(a, kappas, 100)]
+    assert got == [_saturated_errors(a, [k], 100)[0].hex() for k in kappas]
+    assert got == [saturated_error_reference(a, k, 100).hex() for k in kappas]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n_rows=st.integers(1, 6), n_stages=st.integers(1, 40))
 def test_batched_schedule_rows_equal_lone_calls(data, n_rows, n_stages):

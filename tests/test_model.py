@@ -153,6 +153,27 @@ def test_make_schedule_rejects_bad_kinds(kind, r):
         make_schedule(kind, 3, 100, r)
 
 
+def test_depths_stop_at_two_to_the_52():
+    assert explicit_schedule([(0, 1), (2**52, 1)]).depths[-1] == 2**52
+    with pytest.raises(ConfigError, match="passes 2"):
+        explicit_schedule([(0, 1), (2**52 + 1, 1)])
+    # the EIS ladder reaches 2**52 at M = 53; the next depth is refused
+    assert make_schedule("eis", 53, 1).depths[-1] == 2**52
+    with pytest.raises(ConfigError, match="eis ladder passes depth 2\\*\\*52 at stage 54"):
+        make_schedule("eis", 54, 1)
+    # a huge base is refused at its first deep depth, never raised to a power
+    with pytest.raises(ConfigError, match="at stage 2"):
+        make_schedule("powerbase", 10**6, 1, r=1e300)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
+def test_powerbase_requires_a_finite_base(r):
+    with pytest.raises(ConfigError, match="finite r > 1"):
+        make_schedule("powerbase", 3, 10, r)
+    with pytest.raises(ConfigError, match="finite r > 1"):
+        Schedule(stages=((0, 10),), kind=ScheduleKind.POWER_BASE, r=r)
+
+
 def test_total_queries():
     sch = make_schedule("eis", 6, 100)
     # sum N (2m+1) = 100 * (1+3+5+9+17+33+65)
