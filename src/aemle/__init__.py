@@ -77,62 +77,3 @@ from .survey import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AemleError",
-    "AmplitudePoint",
-    "ANOMALY_THRESHOLD",
-    "ConfigError",
-    "ContourGrid",
-    "CrBoundResult",
-    "DegenerateDataError",
-    "DegenerateScheduleError",
-    "DegenerateTermError",
-    "DensityResult",
-    "DomainError",
-    "EstimateResult",
-    "ExperimentData",
-    "FisherMatrix",
-    "GateErrorGap",
-    "HardwareAssumptions",
-    "HardwareReport",
-    "MleConfig",
-    "NotAchievableError",
-    "QueryErrorRow",
-    "Schedule",
-    "ScheduleKind",
-    "SingularPointError",
-    "StageTrace",
-    "TimeInterpretation",
-    "TrialBatchResult",
-    "TrialRecord",
-    "amplitude_point",
-    "anomality",
-    "anomaly_density",
-    "classical_bound",
-    "compute_spec",
-    "cr_lower_bound",
-    "data_from_json",
-    "data_to_json",
-    "default_density_schedule",
-    "error_vs_kappa_contour",
-    "error_vs_queries",
-    "explicit_schedule",
-    "fisher_matrix",
-    "gate_error_gap",
-    "hit_rate_curve",
-    "kappa_from_gate_errors",
-    "log_likelihood",
-    "make_schedule",
-    "max_grover_depth",
-    "mle_grid_adaptive",
-    "mle_profile_1d",
-    "noisy_good_prob",
-    "nuisance_inflation",
-    "required_noise_for_error",
-    "run_trials",
-    "sample_counts",
-    "schedule_to_json",
-    "total_execution_time",
-    "total_queries",
-]

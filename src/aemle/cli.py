@@ -531,15 +531,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(parser, args)
+        return 0
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"aemle: {exc}", file=sys.stderr)
-        return 2
+        error, code = exc, 2
     except (AemleError, MemoryError, ValueError) as exc:  # an input too large to allocate or size
         if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_BIG):
             raise
-        print(f"aemle: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        error, code = exc, 3
+    # a MemoryError may carry no message; its class name is then the reason
+    print(f"aemle: {str(error) or type(error).__name__}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

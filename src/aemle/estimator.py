@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AemleError, ConfigError, DegenerateDataError, DomainError
 from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _bound_rule, _element_sums, _stage_weights
-from .model import _MAX_DEPTH, _integral
+from .model import Schedule, _integral
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
 EPS_P = 1e-12
@@ -65,17 +65,10 @@ class ExperimentData:
             for m, n, h in self.stages
         )
         object.__setattr__(self, "stages", stages)
-        prev = -1
-        for m, n, h in stages:
-            if m < 0:
-                raise ConfigError(f"depth m={m} must be >= 0")
-            if m > _MAX_DEPTH:
-                raise ConfigError(f"depth m={m} passes 2**52")
-            if m < prev:
-                raise ConfigError("stage depths must be non-decreasing")
-            if n < 0 or not 0 <= h <= n:
+        Schedule(tuple((m, n) for m, n, _ in stages))  # the depth and shot rules
+        for _, n, h in stages:
+            if not 0 <= h <= n:
                 raise ConfigError(f"hits h={h} outside [0, N={n}]")
-            prev = m
 
     @property
     def depths(self) -> tuple[int, ...]:

@@ -72,25 +72,27 @@ class FisherMatrix:
 def _bound_rule(i11, i12, i22) -> np.ndarray:
     """Rows eps_a = sqrt(i22/det), eps_kappa = sqrt(i11/det) and beta =
     min(i12^2 / (i11 i22), 1) of a (3, n) array, for (n,) Fisher sums.
-    Where kappa carries no information (i22 = 0) or det <= _DET_RTOL i11 i22
-    the inverse is not trusted: eps_a falls back to 1/sqrt(i11) (inf at
-    i11 <= 0), eps_kappa is NaN.  beta is NaN unless i11, i22 > 0.  Only
-    correctly rounded operations, so every numpy loop gives scalar bits."""
+    Where kappa carries no information (i22 = 0), i11 i22 overflows or
+    det <= _DET_RTOL i11 i22 the inverse is not trusted: eps_a falls back to
+    1/sqrt(i11) (inf at i11 <= 0), eps_kappa is NaN.  beta is NaN unless
+    i11, i22 > 0.  Only correctly rounded operations, so every numpy loop
+    gives scalar bits."""
     i11, i12, i22 = (np.asarray(x, dtype=float) for x in (i11, i12, i22))
-    diag, off = i11 * i22, i12 * i12
-    det = diag - off
-    kappa_informed = i22 > 0.0
-    trusted = kappa_informed & (det > _DET_RTOL * i11 * i22)
-    informed = ~(i11 <= 0.0)  # a NaN i11 gives NaN, as 1/sqrt(NaN) does
-    out = _UNKNOWN.repeat(len(det), axis=1)
-    eps_a, eps_kappa, beta = out[0], out[1], out[2]
-    np.sqrt(i11, out=eps_a, where=informed)
-    np.divide(1.0, eps_a, out=eps_a, where=informed)
-    np.divide(i22, det, out=eps_a, where=trusted)
-    np.divide(i11, det, out=eps_kappa, where=trusted)
-    np.sqrt(out[:2], out=out[:2], where=trusted)
-    np.divide(off, diag, out=beta, where=informed & kappa_informed)
-    np.minimum(beta, 1.0, out=beta)
+    with np.errstate(all="ignore"):  # an overflowed i11 i22 is not trusted
+        diag, off = i11 * i22, i12 * i12
+        det = diag - off
+        kappa_informed = i22 > 0.0
+        trusted = kappa_informed & (det > _DET_RTOL * i11 * i22) & (diag < math.inf)
+        informed = ~(i11 <= 0.0)  # a NaN i11 gives NaN, as 1/sqrt(NaN) does
+        out = _UNKNOWN.repeat(len(det), axis=1)
+        eps_a, eps_kappa, beta = out[0], out[1], out[2]
+        np.sqrt(i11, out=eps_a, where=informed)
+        np.divide(1.0, eps_a, out=eps_a, where=informed)
+        np.divide(i22, det, out=eps_a, where=trusted)
+        np.divide(i11, det, out=eps_kappa, where=trusted)
+        np.sqrt(out[:2], out=out[:2], where=trusted)
+        np.divide(off, diag, out=beta, where=informed & kappa_informed)
+        np.minimum(beta, 1.0, out=beta)
     return out
 
 

@@ -57,6 +57,8 @@ class HardwareAssumptions:
                 raise ConfigError(f"{item.name}={value} must be finite")
         if not (0.0 < self.epsilon_target < 1.0):
             raise ConfigError(f"epsilon_target={self.epsilon_target} outside (0, 1)")
+        if 1.0 / self.epsilon_target == math.inf:  # compute_spec takes log2(1 / eps)
+            raise ConfigError(f"epsilon_target={self.epsilon_target} is too small: 1/eps overflows")
         for name in ("N_int", "N_k"):  # 3.0 is stored as 3, 2.5 is refused
             object.__setattr__(self, name, _integral(getattr(self, name), name))
             if getattr(self, name) < 1:
@@ -95,21 +97,19 @@ def _gate_error_budget(kappa_bar: float, N_s: int, N_d: int, ratio: float) -> fl
     """Bisect for e with kappa_from_gate_errors([(e / ratio, N_s), (e, N_d)]) = kappa_bar.
 
     The left side is 0 at e = 0 and strictly increasing, so the root is
-    unique; the bracket is grown until it straddles, up to e = 0.999999.  A
+    unique; the bracket ends where the larger gate error is 0.999999.  A
     kappa_bar beyond the kappa there raises DomainError.
     """
 
     def decay(e: float) -> float:
         return kappa_from_gate_errors([(e / ratio, N_s), (e, N_d)])
 
-    lo, hi = 0.0, min(0.5, kappa_bar / (N_s / ratio + N_d) * 4.0)
-    while decay(hi) < kappa_bar:
-        if hi == 0.999999:
-            raise DomainError(
-                f"kappa_bar={kappa_bar} exceeds kappa={decay(hi)}, the largest "
-                "a two-qubit gate-error budget of at most 0.999999 reaches"
-            )
-        hi = min(hi * 2.0, 0.999999)
+    lo, hi = 0.0, 0.999999 * min(1.0, ratio)
+    if decay(hi) < kappa_bar:
+        raise DomainError(
+            f"kappa_bar={kappa_bar} exceeds kappa={decay(hi)}, the largest "
+            "a gate-error budget of at most 0.999999 per gate reaches"
+        )
     while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent doubles
         if decay(mid) < kappa_bar:
             lo = mid

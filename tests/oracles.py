@@ -184,13 +184,13 @@ def errors_reference(i11: float, i12: float, i22: float) -> tuple[float, float |
     """Cramer-Rao errors (eps_a, eps_kappa), the square roots of the 2x2
     inverse's diagonal.
 
-    The inverse is not trusted when kappa carries no information (i22 = 0)
-    or the determinant is below 1e-12 * i11 * i22; eps_a then falls back to
-    the one-parameter bound 1/sqrt(i11) (infinite at i11 = 0) and eps_kappa
-    is None.
+    The inverse is not trusted when kappa carries no information (i22 = 0),
+    i11 * i22 overflows or the determinant is below 1e-12 * i11 * i22; eps_a
+    then falls back to the one-parameter bound 1/sqrt(i11) (infinite at
+    i11 = 0) and eps_kappa is None.
     """
     det = i11 * i22 - i12 * i12
-    if i22 > 0.0 and det > 1e-12 * i11 * i22:
+    if i22 > 0.0 and det > 1e-12 * i11 * i22 and i11 * i22 < math.inf:
         return math.sqrt(i22 / det), math.sqrt(i11 / det)
     if i11 <= 0.0:
         return math.inf, None
@@ -496,14 +496,12 @@ def gate_error_budget_reference(kappa_bar: float, N_s: int, N_d: int, ratio: flo
     def decay(e: float) -> float:
         return kappa_from_gate_errors([(e / ratio, N_s), (e, N_d)])
 
-    lo, hi = 0.0, min(0.5, kappa_bar / (N_s / ratio + N_d) * 4.0)
-    while decay(hi) < kappa_bar:
-        if hi == 0.999999:
-            raise DomainError(
-                f"kappa_bar={kappa_bar} exceeds kappa={decay(hi)}, the largest "
-                "a two-qubit gate-error budget of at most 0.999999 reaches"
-            )
-        hi = min(hi * 2.0, 0.999999)
+    lo, hi = 0.0, 0.999999 * min(1.0, ratio)
+    if decay(hi) < kappa_bar:
+        raise DomainError(
+            f"kappa_bar={kappa_bar} exceeds kappa={decay(hi)}, the largest "
+            "a gate-error budget of at most 0.999999 per gate reaches"
+        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if decay(mid) < kappa_bar:

@@ -459,6 +459,40 @@ def test_an_input_too_large_to_size_exits_3(capsys, argv, size, message):
     assert err.startswith(f"aemle: {message}") and err.count("\n") == 1
 
 
+# a gate-error bracket that started at 0 and never grew (the run did not
+# end), log2 of an overflowed 1 / eps (an OverflowError traceback), and a
+# MemoryError without a message (the bare line "aemle: ")
+SWEEP_FINDS = [
+    (["hwspec", "--eps", "1e-3", "--nint", "3", "--error-ratio", "1e-320"], 3),
+    (["hwspec", "--eps", "1e-320", "--nint", "3"], 2),
+    (["hitcurve", "--a", "0.3", "--max-depth", "4503599627370497"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, expected", SWEEP_FINDS,
+                         ids=[" ".join(argv) for argv, _ in SWEEP_FINDS])
+def test_a_swept_input_ends_with_one_reason(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected and out == ""
+    assert err.startswith("aemle: ") and err.count("\n") == 1 and err.strip() != "aemle:"
+
+
+# at a = 1e-300 the m = 0 stage gives i11 = 1e302 and i11 i22 overflows: the
+# bound read 0 with numpy overflow warnings, which this suite makes errors
+@pytest.mark.parametrize("argv", [
+    ["crbound", "--a", "1e-300", "--kappa", "1e-5", "--M", "3"],
+    ["contour", "--a-min", "1e-300", "--a-points", "3", "--kappa-points", "2"],
+], ids=lambda argv: argv[0])
+def test_an_overflowed_information_product_prints_no_zero_bound(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    if argv[0] == "crbound":  # epsilon_min, with the inverse not trusted
+        assert len(rows) == 3 and all(float(row[2]) > 0.0 and row[4] == "false" for row in rows)
+    else:
+        assert len(rows) == 3 and all(float(cell) > 0.0 for row in rows for cell in row[1:])
+
+
 def test_any_other_value_error_keeps_its_traceback(capsys, monkeypatch):
     def defect(*args, **kwargs):
         raise ValueError("a defect inside the command")

@@ -84,6 +84,8 @@ def test_data_validation():
         ExperimentData(stages=((2, 10, 1), (1, 10, 1)))
     with pytest.raises(ConfigError):
         ExperimentData(stages=((-1, 10, 1),))
+    with pytest.raises(ConfigError):
+        ExperimentData(stages=((0, -1, 0),))
     assert ExperimentData(stages=((0, 10, 1), (2**52, 10, 1))).depths[-1] == 2**52
     with pytest.raises(ConfigError, match="passes 2"):
         ExperimentData(stages=((0, 10, 1), (2**52 + 1, 10, 1)))

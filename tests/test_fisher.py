@@ -337,6 +337,7 @@ def _hex(value):
 @example([(4.0, 2.0, 1.0)])
 @example([(0.0, 0.0, 0.0)])
 @example([(4.0, 3.0, 1.0)])
+@example([(1e302, 1.1e9, 3.5e7)])  # i11 i22 overflows
 def test_bound_rule_is_bit_identical_to_scalar_reference(triples):
     got = _bound_rule(*np.asarray(triples).T).T.tolist()
     for triple, (eps_a, eps_kappa, beta) in zip(triples, got):
@@ -344,6 +345,17 @@ def test_bound_rule_is_bit_identical_to_scalar_reference(triples):
         assert [_hex(x) for x in (eps_a, eps_kappa, beta)] == [_hex(x) for x in want]
         info = FisherMatrix(*triple)
         assert (*info.errors(), info.beta) == want
+
+
+def test_an_overflowed_information_product_is_not_trusted():
+    # the m = 0 stage gives i11 = N / a = 1e302, so i11 i22 overflows; its
+    # inverse read eps_a = eps_kappa = 0, with overflow warnings
+    point, sched = amplitude_point(1e-300, 1e-5), make_schedule("eis", 3, 100)
+    info = fisher_matrix(point, sched)
+    assert info.i11 * info.i22 == math.inf
+    assert info.errors() == (1.0 / math.sqrt(info.i11), None)
+    bound = cr_lower_bound(point, sched)
+    assert bound.epsilon_min == 1.0 / math.sqrt(info.i11) > 0.0 and not bound.identifiable
 
 
 def test_eis_ladder_below_a_deep_cap():

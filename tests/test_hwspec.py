@@ -92,8 +92,9 @@ def test_gate_error_budget_is_bit_identical_to_fixed_step_bisection():
         got = _budget_or_error(_gate_error_budget, *args)
         assert got == _budget_or_error(gate_error_budget_reference, *args), args
         outcomes.add(got[:2])
-    # budgets, kappa_bar past the cap, and a single-qubit error past 1 (ratio < 1)
-    assert outcomes == {"0x", "ka", "ga"}
+    # budgets and kappa_bar past the cap; at ratio < 1 the bracket ends at
+    # e = 0.999999 ratio, so the single-qubit error e / ratio stays below 1
+    assert outcomes == {"0x", "ka"}
 
 
 def test_execution_times(reference_report):
@@ -206,6 +207,9 @@ def test_assumption_validation():
         HardwareAssumptions(epsilon_target=0.001, N_int=5, t_s=-1.0)
     with pytest.raises(ConfigError):
         HardwareAssumptions(epsilon_target=0.001, N_int=5, kappa_bar_override=-0.1)
+    # below about 5.6e-309, 1 / eps overflows and log2 of it sizes no register
+    with pytest.raises(ConfigError, match="epsilon_target=1e-320 is too small"):
+        HardwareAssumptions(epsilon_target=1e-320, N_int=3)
     # the counts are integers: an integral float is stored as an int, a
     # fractional one would size registers and shot totals from a fraction
     whole = HardwareAssumptions(epsilon_target=0.001, N_int=3.0, N_k=100.0)

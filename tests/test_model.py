@@ -1,4 +1,5 @@
 """Forward model, parameter validation, and schedule construction."""
+import dataclasses
 import json
 import math
 
@@ -229,3 +230,29 @@ def test_schedule_rejects_non_integral_counts():
     sch = Schedule(stages=((2.0, 100), (3, 50.0)))
     assert sch.stages == ((2, 100), (3, 50))
     assert all(type(v) is int for stage in sch.stages for v in stage)
+
+
+def test_the_result_and_error_types_import_from_the_package():
+    # the package has no __all__; the imports of the tests, scripts and
+    # perfbench pin its other public names, and this one pins the rest
+    from aemle import (
+        AemleError,
+        AmplitudePoint,
+        ContourGrid,
+        CrBoundResult,
+        DegenerateTermError,
+        DensityResult,
+        EstimateResult,
+        GateErrorGap,
+        HardwareReport,
+        QueryErrorRow,
+        StageTrace,
+        TrialBatchResult,
+        TrialRecord,
+    )
+
+    assert issubclass(DegenerateTermError, AemleError)
+    for result in (AmplitudePoint, ContourGrid, CrBoundResult, DensityResult, EstimateResult,
+                   GateErrorGap, HardwareReport, QueryErrorRow, StageTrace, TrialBatchResult,
+                   TrialRecord):
+        assert dataclasses.is_dataclass(result)
