@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -30,6 +32,7 @@ from .hwspec import (
     report_rows,
 )
 from .model import (
+    _MAX_DEPTH,
     ScheduleKind,
     amplitude_point,
     make_schedule,
@@ -144,7 +147,7 @@ def cmd_schedule(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         "shots": args.shots,
         "n_queries": total_queries(schedule),
     }
-    if args.r is not None:
+    if schedule.r is not None:  # only a powerbase ladder reads --r
         params["r"] = args.r
     if args.format == "json":
         doc = json.loads(schedule_to_json(schedule))
@@ -167,7 +170,7 @@ def cmd_crbound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         "kind": args.kind,
         "shots": args.shots,
     }
-    if args.r is not None:
+    if args.r is not None and args.kind == "powerbase":  # only that ladder reads --r
         params["r"] = args.r
     if mbar is not None:
         params["m_bar"] = mbar
@@ -367,8 +370,9 @@ def cmd_hitcurve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         _check(parser, bool(depths) and all(m >= 0 for m in depths),
                "--depths must contain non-negative integers")
     else:
-        _check(parser, args.max_depth >= 0, f"--max-depth must be >= 0, got {args.max_depth}")
-        depths = list(range(args.max_depth + 1))
+        _check(parser, 0 <= args.max_depth <= _MAX_DEPTH,
+               f"--max-depth must be in [0, 2**52], got {args.max_depth}")
+        depths = range(args.max_depth + 1)
     seed = _resolved_seed(args)
     point = amplitude_point(args.a, args.kappa)
     curve = hit_rate_curve(point, depths, args.shots, seed)
@@ -502,17 +506,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     Only `command`'s sub-parser is built, with its flags and handler, or
     every one when `command` is None: a run parses one subcommand, and
     argparse builds a parser and a formatter for each flag.  The root usage
-    and its errors still list all eight names.
+    and its errors still list all eight names.  Each formatter gets the
+    width argparse would ask the terminal for, asked once here.
     """
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="aemle",
         description="Amplitude estimation under depolarizing noise: bounds, "
                     "estimators, surveys, and hardware requirements.",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"aemle {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_sub_parser)
     for name, (help_text, add_flags, handler) in _SUBCOMMANDS.items():
-        sub = subs.add_parser(name, help=help_text, build=command in (None, name))
+        sub = subs.add_parser(name, help=help_text, build=command in (None, name),
+                              formatter_class=formatter)
         if sub is not None:
             _add_common(sub)
             add_flags(sub)

@@ -310,10 +310,10 @@ def _geomspace(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
 
 def _fisher_prefix(
     lik: _StageLikelihood, a: np.ndarray, kappa: np.ndarray | float, n_stages: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fisher sums (i11, i12, i22) of the first n_stages stages at each
-    (a[t], kappa[t]), with a inset from the {0, 1} boundary where the
-    information is singular."""
+) -> np.ndarray:
+    """Fisher sums (i11, i12, i22), a (3, T) array, of the first n_stages
+    stages at each (a[t], kappa[t]), with a inset from the {0, 1} boundary
+    where the information is singular."""
     a = np.minimum(np.maximum(a, _A_INSET), 1.0 - _A_INSET)
     return _element_sums(a, kappa, tuple(w[:, :n_stages] for w in lik.weights))
 
@@ -479,7 +479,7 @@ def _estimate_batch(
 
     sums = _fisher_prefix(lik, a_hat, kappa_hat, len(depths))
     betas = _bound_rule(*sums)[2].tolist()
-    i11, i12, i22 = (x.tolist() for x in sums)
+    i11, i12, i22 = sums.tolist()
     results = []
     for t, beta in enumerate(betas):
         results.append(

@@ -119,14 +119,15 @@ def _stage_weights(depths, shots) -> tuple[np.ndarray, ...]:
 
 def _element_terms(
     a: np.ndarray, kappa: np.ndarray | float, weights: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-stage Fisher summands: three (K, S) arrays, whose row sums are
-    _element_sums.
+) -> np.ndarray:
+    """Per-stage Fisher summands: one C-contiguous (3, K, S) array, i11's,
+    i12's and i22's, whose sums over the last axis are _element_sums.
 
     Shapes: a is (K,), or (1,) for one amplitude in every row; kappa is one
     noise level for all rows or (K,), one per row; weights are
     _stage_weights of one schedule for all rows or of K schedules.  Each
-    weight is the leading factor of its summand's left-to-right product.
+    weight is the leading factor of its summand's left-to-right product,
+    which is computed in place in its slot, the division by denom last.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.size == 0:
@@ -148,18 +149,27 @@ def _element_terms(
             raise DegenerateTermError(
                 "Fisher summand denominator underflowed (kappa = 0 on a sine zero)"
             )
-        t11 = w11 / sin2_2t * 4.0 * sin2_x / denom
-        t12 = w12 / sin_2t * np.sin(2.0 * x) / denom
-        t22 = w22 * np.cos(x) ** 2 / denom
-    return t11, t12, t22
+        terms = np.empty((3, *denom.shape))
+        t11, t12, t22 = terms
+        np.divide(w11, sin2_2t, out=t11)  # w11 / sin2_2t * 4 sin2_x
+        t11 *= 4.0
+        t11 *= sin2_x
+        np.sin(np.multiply(2.0, x, out=t22), out=t22)  # sin(2x), in t22's slot
+        np.divide(w12, sin_2t, out=t12)  # w12 / sin_2t * sin(2x)
+        t12 *= t22
+        np.cos(x, out=t22)  # w22 * cos(x)**2
+        np.square(t22, out=t22)
+        t22 *= w22
+        terms /= denom
+    return terms
 
 
 def _element_sums(
     a: np.ndarray, kappa: np.ndarray | float, weights: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Fisher sums: three (K,) arrays, the row sums of
-    _element_terms, row k summed as a lone (S,) call sums it."""
-    return tuple(t.sum(axis=1) for t in _element_terms(a, kappa, weights))
+) -> np.ndarray:
+    """Vectorized Fisher sums (i11, i12, i22): one (3, K) array, the row
+    sums of _element_terms, row k summed as a lone (S,) call sums it."""
+    return _element_terms(a, kappa, weights).sum(axis=2)
 
 
 def fisher_matrix(point: AmplitudePoint, schedule: Schedule) -> FisherMatrix:
@@ -244,10 +254,9 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
     """cr_lower_bound's eps_a at each kappa on its EIS saturated ladder.
 
     One _element_terms pass covers every (kappa, stage) cell, ladder after
-    ladder.  The three summands are stacked, so a run of equal-length
-    ladders sums as one (3, rows, L) block, each ladder as a lone call sums
-    it; zero-shot padding or np.add.reduceat would change that order, and
-    the bits."""
+    ladder, so a run of equal-length ladders sums as one (3, rows, L)
+    block, each ladder as a lone call sums it; zero-shot padding or
+    np.add.reduceat would change that order, and the bits."""
     mbars = _max_grover_depths(kappas)
     top = np.asarray(capped_depths(int(mbars.max())), dtype=float)
     lengths = np.searchsorted(top, mbars) + 1  # the depths below m-bar, then m-bar
@@ -256,11 +265,11 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
     depths[offsets[1:] - 1] = mbars
     kappa = np.repeat(np.asarray(kappas, dtype=float), lengths)
     weights = _stage_weights(depths[:, None], float(shots))
-    cells = np.stack(_element_terms(np.asarray([float(a)]), kappa, weights)).reshape(3, -1)
+    cells = _element_terms(np.asarray([float(a)]), kappa, weights).reshape(3, -1)
     sums = np.empty((3, lengths.size))
-    runs = np.flatnonzero(np.diff(lengths, prepend=0, append=0)).tolist()  # run starts, then K
-    for i, j in zip(runs, runs[1:]):
-        sums[:, i:j] = cells[:, offsets[i]:offsets[j]].reshape(3, j - i, -1).sum(axis=2)
+    runs = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), lengths.size]
+    for i, j in zip(runs, runs[1:]):  # run starts, then K
+        cells[:, offsets[i]:offsets[j]].reshape(3, j - i, -1).sum(axis=2, out=sums[:, i:j])
     if np.any(sums[0] <= 0.0):
         raise DegenerateScheduleError("schedule carries no information about a")
     return _bound_rule(*sums)[0].tolist()

@@ -12,6 +12,7 @@ gate-error budget.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -66,6 +67,11 @@ class HardwareAssumptions:
         for name in ("t_s", "t_d", "t_m", "error_ratio"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name}={getattr(self, name)} must be positive")
+        # below a normal double, 0.999999 * ratio rounds back to ratio, and the
+        # budget bracket's single-qubit error e / ratio reaches 1
+        if self.error_ratio < sys.float_info.min:
+            raise ConfigError(f"error_ratio={self.error_ratio} must be at least "
+                              f"{sys.float_info.min} (the smallest normal double)")
         if self.interval_factor < 0.0:
             raise ConfigError(f"interval_factor={self.interval_factor} must be >= 0")
         if not (0.0 < self.reference_amplitude < 1.0):
@@ -98,11 +104,13 @@ def _gate_error_budget(kappa_bar: float, N_s: int, N_d: int, ratio: float) -> fl
 
     The left side is 0 at e = 0 and strictly increasing, so the root is
     unique; the bracket ends where the larger gate error is 0.999999.  A
-    kappa_bar beyond the kappa there raises DomainError.
+    kappa_bar beyond the kappa there raises DomainError.  decay is that sum
+    in kappa_from_gate_errors' operation order without its checks: at a
+    normal ratio (HardwareAssumptions' floor) both errors stay in [0, 1).
     """
 
     def decay(e: float) -> float:
-        return kappa_from_gate_errors([(e / ratio, N_s), (e, N_d)])
+        return 0.0 - N_s * math.log1p(-(e / ratio)) - N_d * math.log1p(-e)
 
     lo, hi = 0.0, 0.999999 * min(1.0, ratio)
     if decay(hi) < kappa_bar:
@@ -169,6 +177,9 @@ def compute_spec(
     t_AA = assumptions.t_s * N_s + assumptions.t_d * N_d
     t_mbar = t_AA * m_bar + assumptions.t_m
     t_total = total_execution_time(assumptions, t_AA, t_mbar, m_bar, interpretation)
+    for name, value in (("t_AA", t_AA), ("t_mbar", t_mbar), ("t_total", t_total)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name}={value} is not finite: the times overflow a double")
     return HardwareReport(
         N_nq=N_nq,
         N_tnq=N_tnq,
@@ -215,7 +226,14 @@ def gate_error_gap(
     for error in (device_eps_s, device_eps_d):
         if not (0.0 < error < math.inf):
             raise DomainError(f"device gate error {error} must be positive and finite")
-    return GateErrorGap(gap_s=device_eps_s / report.eps_s, gap_d=device_eps_d / report.eps_d)
+    gaps = {}
+    for name, device, budget in (("gap_s", device_eps_s, report.eps_s),
+                                 ("gap_d", device_eps_d, report.eps_d)):
+        gaps[name] = device / budget if budget > 0.0 else math.inf
+        if not math.isfinite(gaps[name]):
+            raise DomainError(f"{name}={gaps[name]} is not finite: device error {device} "
+                              f"over the budget {budget} overflows a double")
+    return GateErrorGap(**gaps)
 
 
 def report_rows(report: HardwareReport) -> list[tuple[str, str, object]]:

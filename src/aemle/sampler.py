@@ -9,6 +9,7 @@ order, or how many M values the batch covers.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,9 +135,10 @@ def run_trials(
 
 
 def hit_rate_curve(
-    point: AmplitudePoint, depths: list[int], shots: int, seed: int
+    point: AmplitudePoint, depths: Sequence[int], shots: int, seed: int
 ) -> list[tuple[int, float]]:
-    """Sampled hit rate h/shots per amplification depth."""
+    """Sampled hit rate h/shots per amplification depth; `depths` is read
+    twice, so a range serves as well as a list."""
     if shots < 1:
         raise ConfigError(f"shots={shots} must be >= 1")
     if not all(0 <= m <= _MAX_DEPTH for m in depths):

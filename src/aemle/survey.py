@@ -189,7 +189,7 @@ def error_vs_queries(
     for kappa in kappas:
         point = amplitude_point(a, kappa)
         mbar = max_grover_depth(kappa) if kappa > 0.0 else None
-        terms = np.concatenate(_element_terms(np.asarray([point.a]), point.kappa, weights))
+        terms = _element_terms(np.asarray([point.a]), point.kappa, weights)[:, 0]
         sums = np.stack([terms[:, :M + 1].sum(axis=1) for M in range(1, M_max + 1)], axis=1)
         if np.any(sums[0] <= 0.0):
             raise DegenerateScheduleError("schedule carries no information about a")

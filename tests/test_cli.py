@@ -1,7 +1,9 @@
 """Command-line interface: emissions, determinism, and exit codes."""
 import argparse
+import importlib.util
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -208,6 +210,9 @@ INVALID_FLAGS = [
     ("trials-M-zero", ["trials", "--a", "0.3", "--M", "0"], "M_max=0"),
     ("trials-M-negative", ["trials", "--a", "0.3", "--M", "-2"], "M_max=-2"),
     ("hitcurve-max-depth", ["hitcurve", "--a", "0.3", "--max-depth", "-3"], "--max-depth"),
+    # past 2**52 it built the depth list first and ended in a MemoryError (exit 3)
+    ("hitcurve-max-depth-past-the-limit",
+     ["hitcurve", "--a", "0.3", "--max-depth", "4503599627370497"], "--max-depth"),
     ("estimate-divisions", ["estimate", "--simulate", "--a", "0.3", "--kappa", "0.01",
                             "--divisions", "257"], "divisions_per_stage"),
     ("density-samples", ["density", "--kappa", "0.01", "--samples", "10"], "samples=10"),
@@ -217,6 +222,12 @@ INVALID_FLAGS = [
     ("hwspec-ts-nan", ["hwspec", "--eps", "1e-3", "--nint", "1", "--ts", "nan"], "t_s=nan"),
     ("hwspec-error-ratio-inf", ["hwspec", "--eps", "1e-3", "--nint", "5", "--error-ratio", "inf"],
      "error_ratio=inf"),
+    # a ratio below a normal double ended with "gate error 1.0 outside [0, 1)"
+    # (exit 3) at 1e-320, and printed gap_d as inf (exit 0) at 1e-310
+    ("hwspec-error-ratio-1e-320",
+     ["hwspec", "--eps", "1e-3", "--nint", "3", "--error-ratio", "1e-320"], "error_ratio=1e-320"),
+    ("hwspec-error-ratio-1e-310",
+     ["hwspec", "--eps", "1e-3", "--nint", "3", "--error-ratio", "1e-310"], "error_ratio=1e-310"),
     ("hwspec-kappa-bar-nan", ["hwspec", "--eps", "1e-3", "--nint", "1", "--kappa-bar", "nan"],
      "kappa_bar_override=nan"),
     ("hwspec-kappa-bar-inf", ["hwspec", "--eps", "1e-3", "--nint", "1", "--kappa-bar", "inf"],
@@ -459,13 +470,9 @@ def test_an_input_too_large_to_size_exits_3(capsys, argv, size, message):
     assert err.startswith(f"aemle: {message}") and err.count("\n") == 1
 
 
-# a gate-error bracket that started at 0 and never grew (the run did not
-# end), log2 of an overflowed 1 / eps (an OverflowError traceback), and a
-# MemoryError without a message (the bare line "aemle: ")
+# log2 of an overflowed 1 / eps (an OverflowError traceback)
 SWEEP_FINDS = [
-    (["hwspec", "--eps", "1e-3", "--nint", "3", "--error-ratio", "1e-320"], 3),
     (["hwspec", "--eps", "1e-320", "--nint", "3"], 2),
-    (["hitcurve", "--a", "0.3", "--max-depth", "4503599627370497"], 3),
 ]
 
 
@@ -475,6 +482,27 @@ def test_a_swept_input_ends_with_one_reason(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
     assert code == expected and out == ""
     assert err.startswith("aemle: ") and err.count("\n") == 1 and err.strip() != "aemle:"
+
+
+# each printed its row, or a time or gap computed from it, as inf with exit 0
+OVERFLOWED_ROWS = [
+    ("--ts", "t_AA"), ("--td", "t_AA"), ("--tm", "t_total"), ("--interval-factor", "t_total"),
+    ("--error-ratio", "gap_s"), ("--device-eps-s", "gap_s"), ("--device-eps-d", "gap_d"),
+]
+
+
+@pytest.mark.parametrize("flag, row", OVERFLOWED_ROWS, ids=[flag for flag, _ in OVERFLOWED_ROWS])
+def test_an_overflowed_hwspec_row_exits_3(capsys, flag, row):
+    code, out, err = run_cli(capsys, "hwspec", "--eps", "1e-3", "--nint", "3", flag, "1e308")
+    assert code == 3 and out == ""
+    assert err.startswith(f"aemle: {row}=inf is not finite") and err.count("\n") == 1
+
+
+# an eis ladder ignores --r; its header echoed r=inf with exit code 0
+@pytest.mark.parametrize("command", ["crbound --a 0.3 --M 2", "schedule --M 2"])
+def test_an_ignored_r_is_not_echoed(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--r", "inf")
+    assert code == 0 and err == "" and "inf" not in out and " r=" not in out
 
 
 # at a = 1e-300 the m = 0 stage gives i11 = 1e302 and i11 i22 overflows: the
@@ -547,6 +575,22 @@ def test_cli_text_equals_that_of_the_parser_with_every_flag(capsys, fixed_termin
     assert got == run_captured(capsys, argv)
 
 
+@pytest.mark.parametrize("command", ["hwspec", None])
+def test_build_parser_asks_the_terminal_width_once(monkeypatch, command):
+    # argparse asks it for each formatter it makes: 20 times for hwspec, 93
+    # for every sub-parser
+    calls = []
+    get_terminal_size = shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return get_terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    cli.build_parser(command)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command, built", [("hwspec", 1), (None, 8)])
 def test_build_parser_builds_only_the_invoked_sub_parser(monkeypatch, command, built):
     inits = []
@@ -598,3 +642,18 @@ def test_console_entry_point():
         capture_output=True, text=True, timeout=120,
     )
     assert bad.returncode == 2
+
+
+def test_the_input_sweep_has_a_valid_argv_for_every_subcommand():
+    # scripts/run_cli_sweep.py sweeps each flag from its subcommand's BASE argv
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "run_cli_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_cli_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert set(sweep.BASE) == set(cli._SUBCOMMANDS)
+    for command, base in sweep.BASE.items():
+        cli.build_parser(command).parse_args([command, *base])
+    assert "--device-eps-d" in sweep.value_flags("hwspec")
+    assert "--simulate" not in sweep.value_flags("estimate")  # it takes no value
+    assert sweep.with_value(["hwspec", "--eps", "1e-3", "--nint", "3"], "--eps", "-inf") == [
+        "hwspec", "--nint", "3", "--eps=-inf"]

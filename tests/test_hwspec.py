@@ -179,6 +179,11 @@ def test_gate_error_gap(reference_report):
             gate_error_gap(reference_report, device_eps_s=device)
         with pytest.raises(DomainError, match="finite"):
             gate_error_gap(reference_report, device_eps_d=device)
+    # a finite device error whose gap overflows, and a budget that underflowed to 0
+    with pytest.raises(DomainError, match="gap_d=inf is not finite"):
+        gate_error_gap(reference_report, device_eps_d=1e308)
+    with pytest.raises(DomainError, match="gap_s=inf is not finite"):
+        gate_error_gap(replace(reference_report, eps_s=0.0))
 
 
 def test_kappa_from_gate_errors_reference_circuits():
@@ -210,6 +215,10 @@ def test_assumption_validation():
     # below about 5.6e-309, 1 / eps overflows and log2 of it sizes no register
     with pytest.raises(ConfigError, match="epsilon_target=1e-320 is too small"):
         HardwareAssumptions(epsilon_target=1e-320, N_int=3)
+    # below a normal double the budget bracket's e / ratio reaches 1
+    for ratio in (1e-320, 1e-310):
+        with pytest.raises(ConfigError, match=f"error_ratio={ratio} must be at least"):
+            HardwareAssumptions(epsilon_target=0.001, N_int=3, error_ratio=ratio)
     # the counts are integers: an integral float is stored as an int, a
     # fractional one would size registers and shot totals from a fraction
     whole = HardwareAssumptions(epsilon_target=0.001, N_int=3.0, N_k=100.0)
