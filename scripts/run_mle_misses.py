@@ -26,10 +26,10 @@ from aemle import (
     mle_grid_adaptive,
     sample_counts,
 )
+from aemle.estimator import _KAPPA_GRID_FLOOR
 
 KINDS = ("eis", "eis", "eis", "lis", "powerbase")
 THRESHOLDS = (0.1, 1.0, 5.0)
-KAPPA_FLOOR = 1e-10  # the search's kappa-grid floor
 
 
 def draw(rng: np.random.Generator) -> tuple:
@@ -65,7 +65,7 @@ def main() -> int:
                 failed += 1
                 continue
             deficit = log_likelihood(data, a, kappa) - result.log_likelihood_at_max
-            clipped = result.stage_trace[-1].kappa_lo == KAPPA_FLOOR
+            clipped = result.stage_trace[-1].kappa_lo == _KAPPA_GRID_FLOOR
             writer.writerow([index, kind, stages, shots, f"{a:.17g}", f"{kappa:.17g}",
                              f"{result.a_hat:.17g}", f"{result.kappa_hat:.17g}",
                              f"{deficit:.6g}", int(clipped)])

@@ -87,11 +87,12 @@ def _emit(
     columns: list[str],
     rows: list[list[object]],
 ) -> None:
+    meta = _meta(args, command, params)
     if args.format == "json":
-        doc = {"meta": _meta(command, params), "columns": columns, "rows": rows}
+        doc = {"meta": meta, "columns": columns, "rows": rows}
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        pairs = " ".join(f"{k}={_fmt(v)}" for k, v in params.items())
+        pairs = " ".join(f"{k}={_fmt(v)}" for k, v in meta["params"].items())
         header = f"# aemle {__version__} {command} {pairs}".rstrip()
         cells = [[_fmt(v) for v in row] for row in rows]
         if args.format == "csv":
@@ -112,8 +113,10 @@ def _emit(
     _write(args, text)
 
 
-def _meta(command: str, params: dict[str, object]) -> dict[str, object]:
-    return {"tool": "aemle", "version": __version__, "command": command, "params": params}
+def _meta(args: argparse.Namespace, command: str, params: dict[str, object]) -> dict:
+    """The run's header: the resolved seed first, then the command's parameters."""
+    return {"tool": "aemle", "version": __version__, "command": command,
+            "params": {"seed": args.seed, **params}}
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -140,18 +143,13 @@ def _check(parser: argparse.ArgumentParser, ok: bool, message: str) -> None:
 
 def cmd_schedule(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     schedule = make_schedule(args.kind, args.M, args.shots, args.r)
-    params: dict[str, object] = {
-        "seed": _resolved_seed(args),
-        "kind": args.kind,
-        "M": args.M,
-        "shots": args.shots,
-        "n_queries": total_queries(schedule),
-    }
+    params: dict[str, object] = {"kind": args.kind, "M": args.M, "shots": args.shots,
+                                 "n_queries": total_queries(schedule)}
     if schedule.r is not None:  # only a powerbase ladder reads --r
         params["r"] = args.r
     if args.format == "json":
         doc = json.loads(schedule_to_json(schedule))
-        doc["meta"] = _meta("schedule", params)
+        doc["meta"] = _meta(args, "schedule", params)
         _write(args, json.dumps(doc, indent=2) + "\n")
         return
     rows = [[k, m, n] for k, (m, n) in enumerate(schedule.stages)]
@@ -163,13 +161,8 @@ def cmd_crbound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
     _check(parser, args.M >= 1, f"--M must be >= 1, got {args.M}")
     mbar = max_grover_depth(args.kappa) if args.kappa > 0.0 else None
-    params: dict[str, object] = {
-        "seed": _resolved_seed(args),
-        "a": args.a,
-        "kappa": args.kappa,
-        "kind": args.kind,
-        "shots": args.shots,
-    }
+    params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "kind": args.kind,
+                                 "shots": args.shots}
     if args.r is not None and args.kind == "powerbase":  # only that ladder reads --r
         params["r"] = args.r
     if mbar is not None:
@@ -189,9 +182,8 @@ def cmd_crbound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 
 
 def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    seed = _resolved_seed(args)
     config = MleConfig(divisions_per_stage=args.divisions)
-    params: dict[str, object] = {"seed": seed, "divisions": args.divisions}
+    params: dict[str, object] = {"divisions": args.divisions}
     if args.data is not None:
         with open(args.data, "r", encoding="utf-8") as fh:
             data = data_from_json(fh.read())
@@ -202,7 +194,7 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         _check(parser, 0.0 <= args.a <= 1.0, f"--a must be in [0, 1], got {args.a}")
         _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
         schedule = make_schedule(args.kind, args.M, args.shots, args.r)
-        data = sample_counts(amplitude_point(args.a, args.kappa), schedule, seed)
+        data = sample_counts(amplitude_point(args.a, args.kappa), schedule, args.seed)
         params.update({"a": args.a, "kappa": args.kappa, "kind": args.kind,
                        "M": args.M, "shots": args.shots})
     result = mle_grid_adaptive(data, config)
@@ -228,26 +220,19 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
 def cmd_trials(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     _check(parser, 0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
     _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
-    seed = _resolved_seed(args)
     batch = run_trials(
         amplitude_point(args.a, args.kappa),
         args.kind,
         args.M,
         args.shots,
         args.trials,
-        seed,
+        args.seed,
         MleConfig(divisions_per_stage=args.divisions),
         args.r,
     )
-    params: dict[str, object] = {
-        "seed": seed,
-        "a": args.a,
-        "kappa": args.kappa,
-        "kind": args.kind,
-        "shots": args.shots,
-        "trials": args.trials,
-        "divisions": args.divisions,
-    }
+    params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "kind": args.kind,
+                                 "shots": args.shots, "trials": args.trials,
+                                 "divisions": args.divisions}
     rows = [
         [rec.M, rec.n_queries, rec.rmse, rec.stderr, rec.mean_kappa_hat,
          rec.failed_trials, rec.epsilon_min]
@@ -264,18 +249,13 @@ def cmd_trials(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
 
 def cmd_density(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     _check(parser, args.kappa > 0.0, f"--kappa must be > 0, got {args.kappa}")
-    seed = _resolved_seed(args)
     if args.M is not None:
         schedule = make_schedule(ScheduleKind.EIS, args.M, args.shots)
     else:
         schedule = default_density_schedule(args.kappa, args.shots)
-    result = anomaly_density(args.kappa, args.samples, args.threshold, schedule, seed)
-    params: dict[str, object] = {
-        "seed": seed,
-        "kappa": args.kappa,
-        "samples": args.samples,
-        "threshold": args.threshold,
-    }
+    result = anomaly_density(args.kappa, args.samples, args.threshold, schedule, args.seed)
+    params: dict[str, object] = {"kappa": args.kappa, "samples": args.samples,
+                                 "threshold": args.threshold}
     rows = [[
         result.kappa,
         result.density_percent,
@@ -310,14 +290,8 @@ def cmd_contour(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     with np.errstate(all="ignore"):  # a non-finite end is the library's DomainError
         k_grid = np.geomspace(args.kappa_min, args.kappa_max, args.kappa_points)
     grid = error_vs_kappa_contour(a_grid, k_grid, schedule)
-    params: dict[str, object] = {
-        "seed": _resolved_seed(args),
-        "kind": args.kind,
-        "M": args.M,
-        "shots": args.shots,
-        "a_points": args.a_points,
-        "kappa_points": args.kappa_points,
-    }
+    params: dict[str, object] = {"kind": args.kind, "M": args.M, "shots": args.shots,
+                                 "a_points": args.a_points, "kappa_points": args.kappa_points}
     columns = ["a"] + [f"kappa={_fmt(k)}" for k in grid.kappa_values]
     rows = [[a, *eps_row] for a, eps_row in zip(grid.a_values, grid.epsilon_min)]
     _emit(args, "contour", params, columns, rows)
@@ -340,7 +314,6 @@ def cmd_hwspec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     report = compute_spec(assumptions, interpretation)
     gap = gate_error_gap(report, args.device_eps_s, args.device_eps_d)
     params: dict[str, object] = {
-        "seed": _resolved_seed(args),
         "eps": args.eps,
         "nint": args.nint,
         "nk": args.nk,
@@ -373,15 +346,9 @@ def cmd_hitcurve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         _check(parser, 0 <= args.max_depth <= _MAX_DEPTH,
                f"--max-depth must be in [0, 2**52], got {args.max_depth}")
         depths = range(args.max_depth + 1)
-    seed = _resolved_seed(args)
     point = amplitude_point(args.a, args.kappa)
-    curve = hit_rate_curve(point, depths, args.shots, seed)
-    params: dict[str, object] = {
-        "seed": seed,
-        "a": args.a,
-        "kappa": args.kappa,
-        "shots": args.shots,
-    }
+    curve = hit_rate_curve(point, depths, args.shots, args.seed)
+    params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "shots": args.shots}
     rows = [[m, rate, noisy_good_prob(m, point)] for m, rate in curve]
     _emit(args, "hitcurve", params, ["m", "hit_rate", "expected_prob"], rows)
 
@@ -539,6 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
+        args.seed = _resolved_seed(args)
         args.func(parser, args)
         return 0
     except (ConfigError, OSError, json.JSONDecodeError) as exc:

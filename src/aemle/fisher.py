@@ -234,20 +234,18 @@ def nuisance_inflation(point: AmplitudePoint, schedule: Schedule, c: float) -> f
     """Mean-squared a-error when kappa-hat has squared error c times its CR bound.
 
     (I^{-1})_{11} * (1 + (c - 1) beta): c = 1 reproduces eps_min^2, c = 0
-    (kappa known exactly) gives 1/i11.
+    (kappa known exactly) gives 1/i11.  The inverse is _bound_rule's: where
+    it is not trusted (no eps_kappa) the inflation is undefined.
     """
     if c < 0.0:
         raise DomainError(f"c={c} must be >= 0")
     info = fisher_matrix(point, schedule)
-    if info.beta is None:
+    eps_a, eps_kappa = info.errors()
+    if eps_kappa is None:
         raise DegenerateScheduleError(
-            "nuisance inflation needs at least one stage with m > 0 and nonzero shots"
+            "Fisher matrix is not invertible (kappa is not identifiable); inflation undefined"
         )
-    det = info.det
-    if det <= 0.0:
-        raise DegenerateScheduleError("Fisher matrix is singular; inflation undefined")
-    # det > 0 keeps beta below 1, so the clamp in FisherMatrix.beta is inert
-    return info.i22 / det * (1.0 + (c - 1.0) * info.beta)
+    return eps_a * eps_a * (1.0 + (c - 1.0) * info.beta)
 
 
 def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) -> list[float]:

@@ -224,8 +224,8 @@ def gate_error_gap(
 ) -> GateErrorGap:
     """Factor by which device gate errors must improve to meet the budget."""
     for error in (device_eps_s, device_eps_d):
-        if not (0.0 < error < math.inf):
-            raise DomainError(f"device gate error {error} must be positive and finite")
+        if not (0.0 < error < 1.0):
+            raise DomainError(f"device gate error {error} must be finite and in (0, 1)")
     gaps = {}
     for name, device, budget in (("gap_s", device_eps_s, report.eps_s),
                                  ("gap_d", device_eps_d, report.eps_d)):

@@ -14,6 +14,7 @@ from aemle import (
     classical_bound,
     cli,
     cr_lower_bound,
+    hit_rate_curve,
     make_schedule,
     max_grover_depth,
     total_queries,
@@ -213,6 +214,13 @@ INVALID_FLAGS = [
     # past 2**52 it built the depth list first and ended in a MemoryError (exit 3)
     ("hitcurve-max-depth-past-the-limit",
      ["hitcurve", "--a", "0.3", "--max-depth", "4503599627370497"], "--max-depth"),
+    ("hitcurve-depths-not-an-integer", ["hitcurve", "--a", "0.3", "--depths", "1,x"], "'1,x'"),
+    ("hitcurve-depths-negative", ["hitcurve", "--a", "0.3", "--depths", "-1"],
+     "--depths must contain non-negative integers"),
+    ("hitcurve-depths-empty", ["hitcurve", "--a", "0.3", "--depths", ","],
+     "--depths must contain non-negative integers"),
+    ("hitcurve-depths-past-the-limit",
+     ["hitcurve", "--a", "0.3", "--depths", "1,2,4503599627370497"], "depths must lie in"),
     ("estimate-divisions", ["estimate", "--simulate", "--a", "0.3", "--kappa", "0.01",
                             "--divisions", "257"], "divisions_per_stage"),
     ("density-samples", ["density", "--kappa", "0.01", "--samples", "10"], "samples=10"),
@@ -261,11 +269,17 @@ def test_seed_resolution(capsys, monkeypatch):
     assert code == 2
 
 
+# every subcommand, so the seed is checked once for all of them, before the
+# handler runs, whether or not the command draws random numbers
 SEEDED_COMMANDS = [
     ["density", "--kappa", "0.1", "--samples", "1000"],
     ["trials", "--a", "0.3", "--kappa", "0.05", "--M", "1", "--trials", "2"],
     ["estimate", "--simulate", "--a", "0.3", "--kappa", "0.05", "--M", "2"],
     ["hitcurve", "--a", "0.2", "--max-depth", "2"],
+    ["crbound", "--a", "0.3", "--M", "2"],
+    ["contour", "--a-points", "2", "--kappa-points", "2"],
+    ["hwspec", "--eps", "1e-3", "--nint", "3"],
+    ["schedule", "--M", "2"],
 ]
 
 
@@ -284,6 +298,14 @@ def test_negative_seed_exits_2(capsys, monkeypatch, argv, source):
     assert "non-negative" in err
 
 
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+def test_every_header_lists_the_seed_first(capsys, argv):
+    _, out, _ = run_cli(capsys, *argv, "--seed", "5", "--format", "csv")
+    assert out.startswith(f"# aemle 0.1.0 {argv[0]} seed=5 ")
+    _, out, _ = run_cli(capsys, *argv, "--seed", "5", "--format", "json")
+    assert next(iter(json.loads(out)["meta"]["params"].items())) == ("seed", 5)
+
+
 def test_density_emission(capsys):
     code, out, _ = run_cli(
         capsys, "density", "--kappa", "0.1", "--samples", "1000", "--format", "csv"
@@ -293,6 +315,29 @@ def test_density_emission(capsys):
     row = dict(zip(names.split(","), values.split(",")))
     assert float(row["density_percent"]) == 0.0
     assert row["schedule"].startswith("eis;depths=")
+
+
+def test_density_with_a_stage_count_probes_that_eis_ladder(capsys):
+    code, out, err = run_cli(
+        capsys, "density", "--kappa", "0.01", "--M", "3", "--samples", "1000", "--format", "csv"
+    )
+    assert code == 0 and err == ""
+    assert ",eis;depths=0|1|2|4;" in out
+
+
+def test_density_on_a_ladder_without_amplification_exits_3(capsys):
+    code, out, err = run_cli(capsys, "density", "--kappa", "0.01", "--M", "0", "--samples", "1000")
+    assert code == 3 and out == ""
+    assert err == "aemle: all samples skipped; schedule carries no kappa information\n"
+
+
+def test_hitcurve_with_explicit_depths(capsys):
+    code, out, err = run_cli(capsys, "hitcurve", "--a", "0.3", "--depths", "0,2,5",
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    curve = hit_rate_curve(amplitude_point(0.3, 0.0), [0, 2, 5], 100, cli.DEFAULT_SEED)
+    assert [(int(m), float(rate)) for m, rate, _ in rows] == curve
 
 
 def test_density_ladder_keeps_one_amplified_stage_at_m_bar_zero(capsys):
@@ -487,7 +532,7 @@ def test_a_swept_input_ends_with_one_reason(capsys, argv, expected):
 # each printed its row, or a time or gap computed from it, as inf with exit 0
 OVERFLOWED_ROWS = [
     ("--ts", "t_AA"), ("--td", "t_AA"), ("--tm", "t_total"), ("--interval-factor", "t_total"),
-    ("--error-ratio", "gap_s"), ("--device-eps-s", "gap_s"), ("--device-eps-d", "gap_d"),
+    ("--error-ratio", "gap_s"),
 ]
 
 
@@ -496,6 +541,16 @@ def test_an_overflowed_hwspec_row_exits_3(capsys, flag, row):
     code, out, err = run_cli(capsys, "hwspec", "--eps", "1e-3", "--nint", "3", flag, "1e308")
     assert code == 3 and out == ""
     assert err.startswith(f"aemle: {row}=inf is not finite") and err.count("\n") == 1
+
+
+# a device gate error is a probability; 2 and 5 printed gaps of 7.6e6 and
+# 1.9e6 with exit 0, and 1e308 an overflowed gap
+@pytest.mark.parametrize("value", ["1", "2", "1e308"])
+@pytest.mark.parametrize("flag", ["--device-eps-s", "--device-eps-d"])
+def test_a_device_gate_error_outside_0_1_exits_3(capsys, flag, value):
+    code, out, err = run_cli(capsys, "hwspec", "--eps", "1e-3", "--nint", "3", flag, value)
+    assert code == 3 and out == ""
+    assert err == f"aemle: device gate error {float(value)} must be finite and in (0, 1)\n"
 
 
 # an eis ladder ignores --r; its header echoed r=inf with exit code 0

@@ -282,6 +282,21 @@ def test_nuisance_inflation_limits():
         nuisance_inflation(point, sched, -0.5)
 
 
+@pytest.mark.parametrize("stages", [[(1, 100)], [(2, 100), (2, 50)]], ids=["m=1", "m=2,2"])
+def test_nuisance_inflation_refuses_an_untrusted_inverse(stages):
+    # one distinct depth gives a rank-one matrix: its det is rounding noise,
+    # whose inverse gave inflations of 1e11 to 1e13 at some amplitudes
+    sched = explicit_schedule(stages)
+    refused = 0
+    for a in [round(0.05 * i, 2) for i in range(1, 20)]:
+        point = amplitude_point(a, 0.05)
+        if not cr_lower_bound(point, sched).identifiable:
+            with pytest.raises(DegenerateScheduleError):
+                nuisance_inflation(point, sched, 2.0)
+            refused += 1
+    assert refused > 0
+
+
 def test_saturated_schedule_shape():
     sched = saturated_schedule(0.005, 100)
     assert sched.depths == (0, 1, 2, 4, 8, 16, 32, 64, 99)

@@ -179,9 +179,15 @@ def test_gate_error_gap(reference_report):
             gate_error_gap(reference_report, device_eps_s=device)
         with pytest.raises(DomainError, match="finite"):
             gate_error_gap(reference_report, device_eps_d=device)
-    # a finite device error whose gap overflows, and a budget that underflowed to 0
+    # a device error is a probability: 1 or more has no meaning
+    for device in (1.0, 2.0, 1e308):
+        with pytest.raises(DomainError, match=r"finite and in \(0, 1\)"):
+            gate_error_gap(reference_report, device_eps_s=device)
+        with pytest.raises(DomainError, match=r"finite and in \(0, 1\)"):
+            gate_error_gap(reference_report, device_eps_d=device)
+    # a subnormal budget whose gap overflows, and a budget that underflowed to 0
     with pytest.raises(DomainError, match="gap_d=inf is not finite"):
-        gate_error_gap(reference_report, device_eps_d=1e308)
+        gate_error_gap(replace(reference_report, eps_d=5e-324))
     with pytest.raises(DomainError, match="gap_s=inf is not finite"):
         gate_error_gap(replace(reference_report, eps_s=0.0))
 
