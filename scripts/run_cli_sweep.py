@@ -6,8 +6,9 @@ parser takes a value for is set in turn to each of VALUES, as `--flag=value`
 so that a negative value is not read as a flag.  Each argv runs in its own
 subprocess, one at a time, in a scratch directory, with a 2 GB address-space
 limit and a 20 s timeout.  A case is flagged when it exits with a code other
-than 0, 2 or 3, prints a traceback, prints inf with exit code 0, or times
-out.  The exit code is 1 when a flagged case is not in ALLOWED.
+than 0, 2 or 3, prints a traceback, prints the root usage, exits 2 or 3 with
+nothing on stderr, prints inf with exit code 0, or times out.  The exit code
+is 1 when a flagged case is not in ALLOWED.
 
     PYTHONPATH=src python scripts/run_cli_sweep.py [--commands hwspec,trials]
 """
@@ -46,6 +47,9 @@ ALLOWED = {
 }
 
 TIMEOUT_S = 20.0
+# a value refusal prints one aemle: line; argparse's own errors print the
+# subcommand's usage, so the root usage means a check went to the root parser
+ROOT_USAGE = "usage: aemle [-h] [--version]"
 INF = re.compile(r"(?<![\w.])-?(inf|Infinity)(?!\w)")
 # the child sets its own 2 GB address-space limit before it imports aemle (a
 # preexec_fn would run between fork and exec, unsafe beside numpy's threads)
@@ -88,6 +92,10 @@ def run(argv: list[str], cwd: str) -> tuple[int | None, str | None]:
         return code, f"exit code {code}"
     if "Traceback (most recent call last)" in done.stderr:
         return code, "traceback"
+    if ROOT_USAGE in done.stderr:
+        return code, "root usage"
+    if code in (2, 3) and not done.stderr.strip():
+        return code, f"exit code {code} with no reason"
     if code == 0 and INF.search(done.stdout):
         return code, "inf with exit code 0"
     return code, None

@@ -53,7 +53,7 @@ DEFAULT_SEED = 20250817
 
 _SEED_ENV = "AEMLE_SEED"
 
-_KINDS = ["classical", "lis", "eis", "powerbase"]
+_KINDS = [kind.value for kind in ScheduleKind if kind is not ScheduleKind.EXPLICIT]
 
 
 def _fmt(value: object) -> str:
@@ -82,18 +82,17 @@ def _resolved_seed(args: argparse.Namespace) -> int:
 
 def _emit(
     args: argparse.Namespace,
-    command: str,
     params: dict[str, object],
     columns: list[str],
     rows: list[list[object]],
 ) -> None:
-    meta = _meta(args, command, params)
+    meta = _meta(args, params)
     if args.format == "json":
         doc = {"meta": meta, "columns": columns, "rows": rows}
         text = json.dumps(doc, indent=2) + "\n"
     else:
         pairs = " ".join(f"{k}={_fmt(v)}" for k, v in meta["params"].items())
-        header = f"# aemle {__version__} {command} {pairs}".rstrip()
+        header = f"# aemle {__version__} {args.command} {pairs}".rstrip()
         cells = [[_fmt(v) for v in row] for row in rows]
         if args.format == "csv":
             buf = io.StringIO()
@@ -113,9 +112,9 @@ def _emit(
     _write(args, text)
 
 
-def _meta(args: argparse.Namespace, command: str, params: dict[str, object]) -> dict:
+def _meta(args: argparse.Namespace, params: dict[str, object]) -> dict:
     """The run's header: the resolved seed first, then the command's parameters."""
-    return {"tool": "aemle", "version": __version__, "command": command,
+    return {"tool": "aemle", "version": __version__, "command": args.command,
             "params": {"seed": args.seed, **params}}
 
 
@@ -133,37 +132,36 @@ def _schedule_descriptor(schedule) -> str:
     return f"{schedule.kind.value};depths={depths};shots={shots}"
 
 
-def _check(parser: argparse.ArgumentParser, ok: bool, message: str) -> None:
+def _check(ok: bool, message: str) -> None:
     if not ok:
-        parser.error(message)
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_schedule(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def cmd_schedule(args: argparse.Namespace) -> None:
     schedule = make_schedule(args.kind, args.M, args.shots, args.r)
     params: dict[str, object] = {"kind": args.kind, "M": args.M, "shots": args.shots,
                                  "n_queries": total_queries(schedule)}
-    if schedule.r is not None:  # only a powerbase ladder reads --r
+    if args.kind == "powerbase":  # only that ladder reads --r
         params["r"] = args.r
     if args.format == "json":
         doc = json.loads(schedule_to_json(schedule))
-        doc["meta"] = _meta(args, "schedule", params)
+        doc["meta"] = _meta(args, params)
         _write(args, json.dumps(doc, indent=2) + "\n")
         return
     rows = [[k, m, n] for k, (m, n) in enumerate(schedule.stages)]
-    _emit(args, "schedule", params, ["stage", "m", "shots"], rows)
+    _emit(args, params, ["stage", "m", "shots"], rows)
 
 
-def cmd_crbound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    _check(parser, 0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
-    _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
-    _check(parser, args.M >= 1, f"--M must be >= 1, got {args.M}")
+def cmd_crbound(args: argparse.Namespace) -> None:
+    _check(0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
+    _check(args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
     mbar = max_grover_depth(args.kappa) if args.kappa > 0.0 else None
     params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "kind": args.kind,
                                  "shots": args.shots}
-    if args.r is not None and args.kind == "powerbase":  # only that ladder reads --r
+    if args.kind == "powerbase":  # only that ladder reads --r
         params["r"] = args.r
     if mbar is not None:
         params["m_bar"] = mbar
@@ -174,14 +172,13 @@ def cmd_crbound(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     ]
     _emit(
         args,
-        "crbound",
         params,
         ["M", "n_queries", "epsilon_min", "classical_epsilon", "identifiable", "beyond_max_depth"],
         rows,
     )
 
 
-def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def cmd_estimate(args: argparse.Namespace) -> None:
     config = MleConfig(divisions_per_stage=args.divisions)
     params: dict[str, object] = {"divisions": args.divisions}
     if args.data is not None:
@@ -189,14 +186,16 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
             data = data_from_json(fh.read())
         params["data"] = os.path.basename(args.data)
     else:
-        _check(parser, args.a is not None and args.kappa is not None,
+        _check(args.a is not None and args.kappa is not None,
                "--simulate requires --a and --kappa")
-        _check(parser, 0.0 <= args.a <= 1.0, f"--a must be in [0, 1], got {args.a}")
-        _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
+        _check(0.0 <= args.a <= 1.0, f"--a must be in [0, 1], got {args.a}")
+        _check(args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
         schedule = make_schedule(args.kind, args.M, args.shots, args.r)
         data = sample_counts(amplitude_point(args.a, args.kappa), schedule, args.seed)
         params.update({"a": args.a, "kappa": args.kappa, "kind": args.kind,
                        "M": args.M, "shots": args.shots})
+        if args.kind == "powerbase":  # only that ladder reads --r
+            params["r"] = args.r
     result = mle_grid_adaptive(data, config)
     rows = [[
         result.a_hat,
@@ -209,7 +208,6 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
     ]]
     _emit(
         args,
-        "estimate",
         params,
         ["a_hat", "kappa_hat", "log_likelihood", "evaluations", "anomalous",
          "anomality", "kappa_identifiable"],
@@ -217,9 +215,9 @@ def cmd_estimate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
     )
 
 
-def cmd_trials(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    _check(parser, 0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
-    _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
+def cmd_trials(args: argparse.Namespace) -> None:
+    _check(0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
+    _check(args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
     batch = run_trials(
         amplitude_point(args.a, args.kappa),
         args.kind,
@@ -233,6 +231,8 @@ def cmd_trials(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "kind": args.kind,
                                  "shots": args.shots, "trials": args.trials,
                                  "divisions": args.divisions}
+    if args.kind == "powerbase":  # only that ladder reads --r
+        params["r"] = args.r
     rows = [
         [rec.M, rec.n_queries, rec.rmse, rec.stderr, rec.mean_kappa_hat,
          rec.failed_trials, rec.epsilon_min]
@@ -240,15 +240,14 @@ def cmd_trials(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     ]
     _emit(
         args,
-        "trials",
         params,
         ["M", "N_q", "rmse", "stderr", "mean_kappa_hat", "failed_trials", "epsilon_min"],
         rows,
     )
 
 
-def cmd_density(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    _check(parser, args.kappa > 0.0, f"--kappa must be > 0, got {args.kappa}")
+def cmd_density(args: argparse.Namespace) -> None:
+    _check(args.kappa > 0.0, f"--kappa must be > 0, got {args.kappa}")
     if args.M is not None:
         schedule = make_schedule(ScheduleKind.EIS, args.M, args.shots)
     else:
@@ -267,7 +266,6 @@ def cmd_density(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     ]]
     _emit(
         args,
-        "density",
         params,
         ["kappa", "density_percent", "stderr_percent", "samples", "skipped",
          "threshold", "schedule"],
@@ -275,12 +273,12 @@ def cmd_density(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     )
 
 
-def cmd_contour(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    _check(parser, 0.0 < args.a_min < args.a_max < 1.0,
+def cmd_contour(args: argparse.Namespace) -> None:
+    _check(0.0 < args.a_min < args.a_max < 1.0,
            "--a-min/--a-max must satisfy 0 < min < max < 1")
-    _check(parser, 0.0 < args.kappa_min < args.kappa_max,
+    _check(0.0 < args.kappa_min < args.kappa_max,
            "--kappa-min/--kappa-max must satisfy 0 < min < max")
-    _check(parser, args.a_points >= 2 and args.kappa_points >= 2,
+    _check(args.a_points >= 2 and args.kappa_points >= 2,
            "--a-points and --kappa-points must be >= 2")
     schedule = make_schedule(args.kind, args.M, args.shots, args.r)
     # linspace's arange counts 2**63 - 1 or more points as none (an IndexError
@@ -292,12 +290,14 @@ def cmd_contour(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     grid = error_vs_kappa_contour(a_grid, k_grid, schedule)
     params: dict[str, object] = {"kind": args.kind, "M": args.M, "shots": args.shots,
                                  "a_points": args.a_points, "kappa_points": args.kappa_points}
+    if args.kind == "powerbase":  # only that ladder reads --r
+        params["r"] = args.r
     columns = ["a"] + [f"kappa={_fmt(k)}" for k in grid.kappa_values]
     rows = [[a, *eps_row] for a, eps_row in zip(grid.a_values, grid.epsilon_min)]
-    _emit(args, "contour", params, columns, rows)
+    _emit(args, params, columns, rows)
 
 
-def cmd_hwspec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def cmd_hwspec(args: argparse.Namespace) -> None:
     assumptions = HardwareAssumptions(
         epsilon_target=args.eps,
         N_int=args.nint,
@@ -329,28 +329,28 @@ def cmd_hwspec(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Non
     rows = [[name, desc, value] for name, desc, value in report_rows(report)]
     rows.append(["gap_s", "device eps_s over required", gap.gap_s])
     rows.append(["gap_d", "device eps_d over required", gap.gap_d])
-    _emit(args, "hwspec", params, ["quantity", "description", "value"], rows)
+    _emit(args, params, ["quantity", "description", "value"], rows)
 
 
-def cmd_hitcurve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    _check(parser, 0.0 <= args.a <= 1.0, f"--a must be in [0, 1], got {args.a}")
-    _check(parser, args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
+def cmd_hitcurve(args: argparse.Namespace) -> None:
+    _check(0.0 <= args.a <= 1.0, f"--a must be in [0, 1], got {args.a}")
+    _check(args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
     if args.depths is not None:
         try:
             depths = [int(tok) for tok in args.depths.split(",") if tok.strip() != ""]
         except ValueError:
-            parser.error(f"--depths must be a comma-separated integer list, got {args.depths!r}")
-        _check(parser, bool(depths) and all(m >= 0 for m in depths),
+            raise ConfigError(f"--depths must be a comma-separated integer list, got {args.depths!r}")
+        _check(bool(depths) and all(m >= 0 for m in depths),
                "--depths must contain non-negative integers")
     else:
-        _check(parser, 0 <= args.max_depth <= _MAX_DEPTH,
+        _check(0 <= args.max_depth <= _MAX_DEPTH,
                f"--max-depth must be in [0, 2**52], got {args.max_depth}")
         depths = range(args.max_depth + 1)
     point = amplitude_point(args.a, args.kappa)
     curve = hit_rate_curve(point, depths, args.shots, args.seed)
     params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "shots": args.shots}
     rows = [[m, rate, noisy_good_prob(m, point)] for m, rate in curve]
-    _emit(args, "hitcurve", params, ["m", "hit_rate", "expected_prob"], rows)
+    _emit(args, params, ["m", "hit_rate", "expected_prob"], rows)
 
 
 # -------------------------------------------------------------------- parser
@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.seed = _resolved_seed(args)
-        args.func(parser, args)
+        args.func(args)
         return 0
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         error, code = exc, 2

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AemleError, ConfigError, DegenerateDataError, DomainError
+from .errors import AemleError, ConfigError, DegenerateDataError
 from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _bound_rule, _element_sums, _stage_weights
-from .model import Schedule, _integral
+from .model import Schedule, _integral, amplitude_point
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
 EPS_P = 1e-12
@@ -255,12 +255,9 @@ def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
     """Sum of h ln P + (N - h) ln(1 - P) over stages, with P clamped to
     [1e-12, 1 - 1e-12]; always finite.  a outside [0, 1] and a kappa that
     is negative or not finite raise DomainError."""
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"a={a} outside [0, 1]")
-    if not 0.0 <= kappa < math.inf:
-        raise DomainError(f"kappa={kappa} must be finite and >= 0")
-    point = np.asarray([[float(a), float(kappa)]])
-    grid = _StageLikelihood([data]).grid(slice(0, 1), len(data.stages), point[:, :1], point[:, 1:])
+    point = amplitude_point(a, kappa)
+    cell = np.asarray([[point.a, point.kappa]])
+    grid = _StageLikelihood([data]).grid(slice(0, 1), len(data.stages), cell[:, :1], cell[:, 1:])
     return float(grid[0, 0, 0])
 
 

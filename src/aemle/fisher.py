@@ -197,8 +197,9 @@ def _max_grover_depths(kappas) -> np.ndarray:
     """max_grover_depth of each kappa, as an int64 array; the decay is
     math.expm1's, as numpy's expm1 rounds differently on each SIMD path."""
     kappas = np.asarray(kappas, dtype=float).reshape(-1)
-    if not np.all((kappas > 0.0) & (kappas < math.inf)):
-        raise DomainError("maximum depth is unbounded at kappa <= 0")
+    valid = (kappas > 0.0) & (kappas < math.inf)
+    if not valid.all():
+        raise DomainError(f"kappa={float(kappas[~valid][0])} must be finite and > 0")
     decay = np.asarray([-math.expm1(-k) for k in kappas.tolist()])  # 1 - e^{-kappa}
     with np.errstate(over="ignore"):
         cand = np.floor((1.0 / decay - 1.0) / 2.0)

@@ -180,7 +180,7 @@ def error_vs_queries(
     if not (0.0 < a < 1.0):
         raise DomainError(f"a={a} outside (0, 1)")
     if M_max < 1:
-        return []
+        raise ConfigError(f"M_max={M_max} must be >= 1")
     schedule = make_schedule(kind, M_max, shots, r)
     depths = schedule.depths
     weights = _stage_weights(depths, schedule.shots)

@@ -201,15 +201,26 @@ def test_estimate_without_hits_and_misses_exits_3(tmp_path, capsys, stages):
     assert "no stage has both hits and misses" in err
 
 
-# (id, argv, text stderr must hold): a flag the CLI checks itself, the flags
-# the library checks with the same exit code, and non-finite hardware inputs
+# (id, argv, text stderr must hold): the flags the CLI checks itself, the
+# flags the library checks with the same exit code, and non-finite hardware
+# inputs; the CLI's own checks printed the root usage and "aemle: error:"
 INVALID_FLAGS = [
     ("crbound-a", ["crbound", "--a", "1.5"], "--a"),
+    ("crbound-kappa", ["crbound", "--a", "0.3", "--kappa", "-1"], "--kappa"),
+    ("trials-a", ["trials", "--a", "0", "--M", "1"], "--a"),
+    ("density-kappa", ["density", "--kappa", "0"], "--kappa"),
+    ("contour-a-range", ["contour", "--a-min", "0.5", "--a-max", "0.4"], "--a-min/--a-max"),
+    ("contour-kappa-range", ["contour", "--kappa-min", "0"], "--kappa-min/--kappa-max"),
+    ("contour-points", ["contour", "--a-points", "1"], "--a-points"),
+    ("estimate-simulate-without-a", ["estimate", "--simulate", "--kappa", "0.01"],
+     "--simulate requires"),
+    ("estimate-simulate-a", ["estimate", "--simulate", "--a", "1.5", "--kappa", "0.01"], "--a"),
     ("crbound-shots", ["crbound", "--a", "0.3", "--shots", "0"], "shots=0"),
     ("hitcurve-shots", ["hitcurve", "--a", "0.3", "--shots", "0"], "shots=0"),
     ("trials-trials", ["trials", "--a", "0.3", "--trials", "0"], "trials=0"),
     ("trials-M-zero", ["trials", "--a", "0.3", "--M", "0"], "M_max=0"),
     ("trials-M-negative", ["trials", "--a", "0.3", "--M", "-2"], "M_max=-2"),
+    ("crbound-M-zero", ["crbound", "--a", "0.3", "--M", "0"], "M_max=0"),
     ("hitcurve-max-depth", ["hitcurve", "--a", "0.3", "--max-depth", "-3"], "--max-depth"),
     # past 2**52 it built the depth list first and ended in a MemoryError (exit 3)
     ("hitcurve-max-depth-past-the-limit",
@@ -247,13 +258,9 @@ INVALID_FLAGS = [
     "argv,named", [case[1:] for case in INVALID_FLAGS], ids=[case[0] for case in INVALID_FLAGS]
 )
 def test_invalid_flag_value_exits_2(capsys, argv, named):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's own usage error
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert named in captured.err
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("aemle: ") and err.count("\n") == 1 and named in err
 
 
 def test_seed_resolution(capsys, monkeypatch):
@@ -558,6 +565,23 @@ def test_a_device_gate_error_outside_0_1_exits_3(capsys, flag, value):
 def test_an_ignored_r_is_not_echoed(capsys, command):
     code, out, err = run_cli(capsys, *command.split(), "--r", "inf")
     assert code == 0 and err == "" and "inf" not in out and " r=" not in out
+
+
+# every schedule command echoes a powerbase ladder's --r; trials, contour and
+# estimate --simulate printed the same header for --r 2.5 and --r 3
+@pytest.mark.parametrize("command", [
+    "crbound --a 0.3 --M 2",
+    "schedule --M 2",
+    "trials --a 0.3 --M 1 --trials 2",
+    "contour --M 2 --a-points 2 --kappa-points 2",
+    "estimate --simulate --a 0.3 --kappa 0.01 --M 2",
+], ids=lambda command: command.split()[0])
+@pytest.mark.parametrize("r", ["2.5", "3"])
+def test_a_powerbase_ladder_echoes_r(capsys, command, r):
+    code, out, err = run_cli(capsys, *command.split(), "--kind", "powerbase", "--r", r,
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.split("\n")[0].endswith(f" r={float(r):.17g}")  # last: no kappa, no m_bar
 
 
 # at a = 1e-300 the m = 0 stage gives i11 = 1e302 and i11 i22 overflows: the

@@ -239,8 +239,11 @@ def test_depth_rule_refuses_kappa_below_the_floor():
             max_grover_depth(kappa)
     with pytest.raises(DomainError, match=f"kappa={BELOW_FLOOR}"):
         _max_grover_depths([0.1, BELOW_FLOOR, KAPPA_FLOOR])
+    # inf and nan were refused as "maximum depth is unbounded at kappa <= 0"
     for kappa in (-0.1, math.inf, math.nan):
-        with pytest.raises(DomainError, match="unbounded"):
+        with pytest.raises(DomainError, match=f"^kappa={kappa} must be finite and > 0$"):
+            max_grover_depth(kappa)
+        with pytest.raises(DomainError, match=f"^kappa={kappa} must be finite and > 0$"):
             _max_grover_depths([0.1, kappa])
 
 

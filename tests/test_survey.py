@@ -169,6 +169,13 @@ def test_error_vs_queries_quantum_beats_classical_under_low_noise():
         assert row.epsilon_min < row.classical_epsilon
 
 
+# an empty sweep is refused, as run_trials refuses it; it returned no rows
+@pytest.mark.parametrize("M_max", [0, -2])
+def test_error_vs_queries_refuses_an_empty_sweep(M_max):
+    with pytest.raises(ConfigError, match=f"M_max={M_max} must be >= 1"):
+        error_vs_queries(0.375, [0.01], M_max=M_max, shots=100)
+
+
 def test_contour_grid_shape_and_values():
     sched = make_schedule("eis", 5, 100)
     a = np.linspace(0.1, 0.9, 5)
