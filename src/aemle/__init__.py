@@ -53,7 +53,6 @@ from .model import (
     Schedule,
     ScheduleKind,
     amplitude_point,
-    explicit_schedule,
     make_schedule,
     noisy_good_prob,
     schedule_to_json,

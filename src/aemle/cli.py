@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -32,8 +33,8 @@ from .hwspec import (
     report_rows,
 )
 from .model import (
-    _MAX_DEPTH,
     ScheduleKind,
+    _integral,
     amplitude_point,
     make_schedule,
     noisy_good_prob,
@@ -75,9 +76,8 @@ def _resolved_seed(args: argparse.Namespace) -> int:
             seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"{_SEED_ENV}={env!r} is not an integer") from exc
-    if seed < 0:  # numpy's SeedSequence takes only non-negative entropy
-        raise ConfigError(f"{source}={seed} must be a non-negative integer")
-    return seed
+    # numpy's SeedSequence takes only non-negative entropy, of any size
+    return _integral(seed, source, 0, math.inf)
 
 
 def _emit(
@@ -278,15 +278,12 @@ def cmd_contour(args: argparse.Namespace) -> None:
            "--a-min/--a-max must satisfy 0 < min < max < 1")
     _check(0.0 < args.kappa_min < args.kappa_max,
            "--kappa-min/--kappa-max must satisfy 0 < min < max")
-    _check(args.a_points >= 2 and args.kappa_points >= 2,
-           "--a-points and --kappa-points must be >= 2")
+    a_points = _integral(args.a_points, "--a-points", 2)
+    kappa_points = _integral(args.kappa_points, "--kappa-points", 2)
     schedule = make_schedule(args.kind, args.M, args.shots, args.r)
-    # linspace's arange counts 2**63 - 1 or more points as none (an IndexError
-    # follows); an empty axis of each size lets numpy refuse such a count first
-    np.empty(args.a_points), np.empty(args.kappa_points)
-    a_grid = np.linspace(args.a_min, args.a_max, args.a_points)
+    a_grid = np.linspace(args.a_min, args.a_max, a_points)
     with np.errstate(all="ignore"):  # a non-finite end is the library's DomainError
-        k_grid = np.geomspace(args.kappa_min, args.kappa_max, args.kappa_points)
+        k_grid = np.geomspace(args.kappa_min, args.kappa_max, kappa_points)
     grid = error_vs_kappa_contour(a_grid, k_grid, schedule)
     params: dict[str, object] = {"kind": args.kind, "M": args.M, "shots": args.shots,
                                  "a_points": args.a_points, "kappa_points": args.kappa_points}
@@ -340,12 +337,9 @@ def cmd_hitcurve(args: argparse.Namespace) -> None:
             depths = [int(tok) for tok in args.depths.split(",") if tok.strip() != ""]
         except ValueError:
             raise ConfigError(f"--depths must be a comma-separated integer list, got {args.depths!r}")
-        _check(bool(depths) and all(m >= 0 for m in depths),
-               "--depths must contain non-negative integers")
+        _check(bool(depths), f"--depths must list at least one depth, got {args.depths!r}")
     else:
-        _check(0 <= args.max_depth <= _MAX_DEPTH,
-               f"--max-depth must be in [0, 2**52], got {args.max_depth}")
-        depths = range(args.max_depth + 1)
+        depths = range(_integral(args.max_depth, "--max-depth") + 1)
     point = amplitude_point(args.a, args.kappa)
     curve = hit_rate_curve(point, depths, args.shots, args.seed)
     params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "shots": args.shots}

@@ -60,15 +60,11 @@ class ExperimentData:
     def __post_init__(self) -> None:
         if not self.stages:
             raise ConfigError("experiment data must have at least one stage")
-        stages = tuple(
-            (_integral(m, "depth m"), _integral(n, "shots N"), _integral(h, "hits h"))
-            for m, n, h in self.stages
-        )
-        object.__setattr__(self, "stages", stages)
-        Schedule(tuple((m, n) for m, n, _ in stages))  # the depth and shot rules
-        for _, n, h in stages:
-            if not 0 <= h <= n:
-                raise ConfigError(f"hits h={h} outside [0, N={n}]")
+        schedule = Schedule(tuple((m, n) for m, n, _ in self.stages))  # the depth and shot rules
+        object.__setattr__(self, "stages", tuple(
+            (m, n, _integral(h, "hits h", 0, n))
+            for (m, n), (_, _, h) in zip(schedule.stages, self.stages)
+        ))
 
     @property
     def depths(self) -> tuple[int, ...]:
@@ -110,8 +106,8 @@ class MleConfig:
     divisions_per_stage: int = 32
 
     def __post_init__(self) -> None:
-        if not 8 <= self.divisions_per_stage <= 256:
-            raise ConfigError("divisions_per_stage must be in 8..256")
+        object.__setattr__(self, "divisions_per_stage",
+                           _integral(self.divisions_per_stage, "divisions_per_stage", 8, 256))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     NotAchievableError,
     SingularPointError,
 )
-from .model import _MAX_DEPTH, AmplitudePoint, Schedule, _integral, capped_depths
+from .model import _MAX_COUNT, AmplitudePoint, Schedule, _integral, capped_depths
 
 # Beta above this value marks a target amplitude as anomalous.
 ANOMALY_THRESHOLD = 0.9
@@ -203,9 +203,9 @@ def _max_grover_depths(kappas) -> np.ndarray:
     decay = np.asarray([-math.expm1(-k) for k in kappas.tolist()])  # 1 - e^{-kappa}
     with np.errstate(over="ignore"):
         cand = np.floor((1.0 / decay - 1.0) / 2.0)
-    # past _MAX_DEPTH (2m+1)(1 - e^{-kappa}) no longer tells m from m + 1, so a
+    # past _MAX_COUNT (2m+1)(1 - e^{-kappa}) no longer tells m from m + 1, so a
     # kappa below about 1.1e-16 is refused; the smallest has the deepest m-bar
-    if not cand.max() <= _MAX_DEPTH:
+    if not cand.max() <= _MAX_COUNT:
         raise DomainError(f"kappa={float(kappas.min())} is too small: "
                           "its maximum depth passes 2**52")
     # exact integer semantics regardless of rounding in the division
@@ -286,9 +286,7 @@ def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:
     """
     if not (0.0 < target_eps < 0.5):
         raise DomainError(f"target_eps={target_eps} outside (0, 0.5)")
-    if shots <= 0:
-        raise DomainError(f"shots={shots} must be positive")
-    shots = _integral(shots, "shots")
+    shots = _integral(shots, "shots", 1)
     passing = np.flatnonzero(np.asarray(_saturated_errors(a, _KAPPA_SCAN, shots)) <= target_eps)
     if passing.size == 0:
         raise NotAchievableError(

@@ -61,9 +61,7 @@ class HardwareAssumptions:
         if 1.0 / self.epsilon_target == math.inf:  # compute_spec takes log2(1 / eps)
             raise ConfigError(f"epsilon_target={self.epsilon_target} is too small: 1/eps overflows")
         for name in ("N_int", "N_k"):  # 3.0 is stored as 3, 2.5 is refused
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}={getattr(self, name)} must be >= 1")
+            object.__setattr__(self, name, _integral(getattr(self, name), name, 1))
         for name in ("t_s", "t_d", "t_m", "error_ratio"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name}={getattr(self, name)} must be positive")
@@ -205,9 +203,7 @@ def kappa_from_gate_errors(gates: list[tuple[float, int]]) -> float:
     for error, count in gates:
         if not (0.0 <= error < 1.0):
             raise DomainError(f"gate error {error} outside [0, 1)")
-        if count < 0:
-            raise DomainError(f"gate count {count} must be >= 0")
-        total -= count * math.log1p(-error)
+        total -= _integral(count, "gate count") * math.log1p(-error)
     return total
 
 

@@ -15,28 +15,30 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ConfigError, DomainError
 
 # Nudge added before flooring r**(k-1) so 2.9999999 floors to 3, not 2.
 _FLOOR_NUDGE = 1e-9
 
-# Deepest amplification depth a schedule or dataset may hold, and the deepest
-# m-bar max_grover_depth returns; far deeper depths overflow the Fisher
-# weights N (2m+1)^2.
-_MAX_DEPTH = 2**52
+# Largest count any input may hold: a depth, a shot, stage, trial, sample,
+# grid-point or gate count, and the deepest m-bar max_grover_depth returns.
+# Under it an islice bound, a conversion to float and the Fisher weights
+# N (2m+1)^2 all hold; far larger counts overflow them.
+_MAX_COUNT = 2**52
 
 
-def _integral(value: object, name: str) -> int:
-    """value as an int if it is integral (2 or 2.0), else ConfigError."""
-    if type(value) is int:  # the common case, ahead of the slower ABC check
+def _integral(value: object, name: str, lo: int = 0, hi: float = _MAX_COUNT) -> int:
+    """value as an int if it is integral (2, 2.0 or a numpy int, never a
+    bool) and in [lo, hi], else ConfigError naming the value and the range."""
+    if type(value) is int and lo <= value <= hi:  # the common case, ahead of the ABC check
         return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()) and lo <= int(value) <= hi:
         return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name}={value!r} must be an integer")
+    end = "2**52]" if hi == _MAX_COUNT else "inf)" if hi == math.inf else f"{hi}]"
+    raise ConfigError(f"{name}={value!r} must be an integer in [{lo}, {end}")
 
 
 class ScheduleKind(Enum):
@@ -80,10 +82,10 @@ def amplitude_point(a: float, kappa: float = 0.0) -> AmplitudePoint:
 class Schedule:
     """Ordered stages (m_k, N_k) with the kind that generated them.
 
-    Depths must be non-decreasing, and depths and shots integral (2.0 is
-    stored as 2).  Explicit schedules may carry zero-shot stages (useful for
-    information-content comparisons); generated kinds always have positive
-    shots.
+    Depths and shots are integers in [0, 2**52] (2.0 is stored as 2), and
+    depths are non-decreasing.  Explicit schedules may carry zero-shot
+    stages (useful for information-content comparisons); generated kinds
+    always have positive shots.
     """
 
     stages: tuple[tuple[int, int], ...]
@@ -98,13 +100,7 @@ class Schedule:
         )
         object.__setattr__(self, "stages", stages)
         prev = -1
-        for m, n in stages:
-            if m < 0:
-                raise ConfigError(f"depth m={m} must be a non-negative integer")
-            if m > _MAX_DEPTH:
-                raise ConfigError(f"depth m={m} passes 2**52")
-            if n < 0:
-                raise ConfigError(f"shot count N={n} must be a non-negative integer")
+        for m, _ in stages:
             if m < prev:
                 raise ConfigError("stage depths must be non-decreasing")
             prev = m
@@ -141,7 +137,7 @@ def _ladder(kind: ScheduleKind, r: float | None) -> Iterator[int]:
     powerbase: m_0 = 0, m_k = floor(r^{k-1}), an exact integer power when r
     is integral (so eis is the r = 2 ladder).  The explicit kind and an r
     outside (1, inf) raise ConfigError at the first depth, and an eis or
-    powerbase ladder at its first depth past _MAX_DEPTH, before it builds
+    powerbase ladder at its first depth past _MAX_COUNT, before it builds
     a larger one.
     """
     if kind is ScheduleKind.EXPLICIT:
@@ -158,7 +154,7 @@ def _ladder(kind: ScheduleKind, r: float | None) -> Iterator[int]:
         yield 0
         for j in itertools.count():
             m = int(base) ** j if integral else int(math.floor(base**j + _FLOOR_NUDGE))
-            if m > _MAX_DEPTH:
+            if m > _MAX_COUNT:
                 raise ConfigError(f"the {kind.value} ladder passes depth 2**52 at stage {j + 1}")
             yield m
 
@@ -172,10 +168,8 @@ def make_schedule(
     """The first M + 1 depths (stages k = 0..M) of the kind's ladder, each
     with `shots` shots."""
     kind = _parse_kind(kind)
-    if M < 0:
-        raise ConfigError(f"M={M} must be >= 0")
-    if shots <= 0:
-        raise ConfigError(f"shots={shots} must be positive")
+    M = _integral(M, "M")
+    shots = _integral(shots, "shots", 1)
     stages = tuple((m, shots) for m in itertools.islice(_ladder(kind, r), M + 1))
     return Schedule(stages=stages, kind=kind, r=float(r) if kind is ScheduleKind.POWER_BASE else None)
 
@@ -185,13 +179,8 @@ def capped_depths(m_max: int) -> list[int]:
     deepest EIS ladder within a depth limit, [0] when m_max < 1."""
     if m_max < 1:
         return [0]
-    # 0 and the powers of two below m_max, not the next depth: it may pass _MAX_DEPTH
+    # 0 and the powers of two below m_max, not the next depth: it may pass _MAX_COUNT
     return [*itertools.islice(_ladder(ScheduleKind.EIS, None), 1 + (m_max - 1).bit_length()), m_max]
-
-
-def explicit_schedule(stages: Iterable[tuple[int, int]]) -> Schedule:
-    """Wrap an explicit (depth, shots) list as a Schedule."""
-    return Schedule(stages=tuple(stages))
 
 
 def total_queries(schedule: Schedule) -> int:

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .estimator import EstimateResult, ExperimentData, MleConfig, _estimate_batch
 from .fisher import cr_lower_bound
 from .model import (
-    _MAX_DEPTH,
     AmplitudePoint,
     Schedule,
     ScheduleKind,
+    _integral,
     make_schedule,
     noisy_good_prob,
     total_queries,
@@ -101,10 +100,8 @@ def run_trials(
     records the RMSE of a-hat against the true a with a jackknife standard
     error.  Trials whose estimation fails are excluded and counted.
     """
-    if trials < 1:
-        raise ConfigError(f"trials={trials} must be >= 1")
-    if M_max < 1:
-        raise ConfigError(f"M_max={M_max} must be >= 1")
+    trials = _integral(trials, "trials", 1)
+    M_max = _integral(M_max, "M_max", 1)
     config = config or MleConfig()
     make_schedule(kind, M_max, shots, r)  # refuses a bad ladder before any trial runs
     records = []
@@ -139,10 +136,9 @@ def hit_rate_curve(
 ) -> list[tuple[int, float]]:
     """Sampled hit rate h/shots per amplification depth; `depths` is read
     twice, so a range serves as well as a list."""
-    if shots < 1:
-        raise ConfigError(f"shots={shots} must be >= 1")
-    if not all(0 <= m <= _MAX_DEPTH for m in depths):
-        raise ConfigError("depths must lie in [0, 2**52]")
+    shots = _integral(shots, "shots", 1)
+    for m in depths:  # every depth before any draw
+        _integral(m, "depth m")
     rng = _rng_for(seed)
     out = []
     for m in depths:

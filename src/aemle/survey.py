@@ -123,9 +123,7 @@ def anomaly_density(
     with a degenerate Fisher matrix (counted in `skipped`), and reports the
     anomalous fraction with its binomial standard error.
     """
-    samples = _integral(samples, "samples")
-    if samples < 1000:
-        raise ConfigError(f"samples={samples} must be >= 1000 for a stable density")
+    samples = _integral(samples, "samples", 1000)  # fewer give no stable density
     if not (0.0 < threshold < 1.0):
         raise ConfigError(f"threshold={threshold} outside (0, 1)")
     if not math.isfinite(kappa):
@@ -179,8 +177,7 @@ def error_vs_queries(
     """
     if not (0.0 < a < 1.0):
         raise DomainError(f"a={a} outside (0, 1)")
-    if M_max < 1:
-        raise ConfigError(f"M_max={M_max} must be >= 1")
+    M_max = _integral(M_max, "M_max", 1)
     schedule = make_schedule(kind, M_max, shots, r)
     depths = schedule.depths
     weights = _stage_weights(depths, schedule.shots)

@@ -63,7 +63,7 @@ from aemle.fisher import (
     fisher_matrix,
 )
 from aemle.hwspec import kappa_from_gate_errors
-from aemle.model import Schedule, amplitude_point, capped_depths, explicit_schedule
+from aemle.model import Schedule, amplitude_point, capped_depths
 
 _H = 1e-30  # complex-step size; contributes no subtractive rounding
 
@@ -177,7 +177,7 @@ def _fisher_prefix(a: float, kappa: float, lik, n_stages: int) -> FisherMatrix:
     from the {0, 1} boundary where the information is singular."""
     point = amplitude_point(min(max(a, _A_INSET), 1.0 - _A_INSET), kappa)
     stages = zip(lik.depths[:n_stages], lik.shots[:n_stages])
-    return fisher_matrix(point, explicit_schedule(stages))
+    return fisher_matrix(point, Schedule(tuple(stages)))
 
 
 def errors_reference(i11: float, i12: float, i22: float) -> tuple[float, float | None]:
@@ -435,7 +435,7 @@ def saturated_schedule(kappa: float, shots: int) -> Schedule:
     """Maximal EIS schedule with depths <= m-bar(kappa): the depths 0, 1, 2,
     4, ... below m-bar, with a final stage at m-bar itself."""
     mbar = max_grover_depth_reference(kappa)
-    return explicit_schedule((m, shots) for m in capped_depths(mbar))
+    return Schedule(tuple((m, shots) for m in capped_depths(mbar)))
 
 
 def saturated_error_reference(a: float, kappa: float, shots: int) -> float:

@@ -12,13 +12,13 @@ import numpy as np
 
 from aemle import (
     HardwareAssumptions,
+    Schedule,
     amplitude_point,
     anomality,
     anomaly_density,
     classical_bound,
     compute_spec,
     cr_lower_bound,
-    explicit_schedule,
     fisher_matrix,
     kappa_from_gate_errors,
     make_schedule,
@@ -86,7 +86,7 @@ def test_03_fisher_matches_exhaustive_score_covariance():
     worst = 0.0
     cases = 0
     for depths, shots in all_small_schedules(max_stages=3, max_shots=3):
-        sched = explicit_schedule(zip(depths, shots))
+        sched = Schedule(tuple(zip(depths, shots)))
         for a in (0.12, 0.3, 0.5, 0.62, 0.85):
             for kappa in (0.0, 0.05, 0.31):
                 info = fisher_matrix(amplitude_point(a, kappa), sched)

@@ -227,11 +227,11 @@ INVALID_FLAGS = [
      ["hitcurve", "--a", "0.3", "--max-depth", "4503599627370497"], "--max-depth"),
     ("hitcurve-depths-not-an-integer", ["hitcurve", "--a", "0.3", "--depths", "1,x"], "'1,x'"),
     ("hitcurve-depths-negative", ["hitcurve", "--a", "0.3", "--depths", "-1"],
-     "--depths must contain non-negative integers"),
+     "depth m=-1 must be an integer in [0, 2**52]"),
     ("hitcurve-depths-empty", ["hitcurve", "--a", "0.3", "--depths", ","],
-     "--depths must contain non-negative integers"),
-    ("hitcurve-depths-past-the-limit",
-     ["hitcurve", "--a", "0.3", "--depths", "1,2,4503599627370497"], "depths must lie in"),
+     "--depths must list at least one depth, got ','"),
+    ("hitcurve-depths-past-the-limit", ["hitcurve", "--a", "0.3", "--depths", "1,2,4503599627370497"],
+     "depth m=4503599627370497 must be an integer in [0, 2**52]"),
     ("estimate-divisions", ["estimate", "--simulate", "--a", "0.3", "--kappa", "0.01",
                             "--divisions", "257"], "divisions_per_stage"),
     ("density-samples", ["density", "--kappa", "0.01", "--samples", "10"], "samples=10"),
@@ -302,7 +302,7 @@ def test_negative_seed_exits_2(capsys, monkeypatch, argv, source):
         code, out, err = run_cli(capsys, *argv)
         assert "AEMLE_SEED=-5" in err
     assert code == 2 and out == ""
-    assert "non-negative" in err
+    assert "must be an integer in [0, inf)" in err
 
 
 @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
@@ -507,19 +507,72 @@ def test_an_input_too_large_to_allocate_exits_3(capsys, argv):
     assert err.startswith("aemle: Unable to allocate 256. TiB") and err.count("\n") == 1
 
 
-# from 2**61 elements numpy cannot size the array at all and raises a
-# ValueError instead; these ended in that traceback with exit code 1
-COUNT_FLAGS = [argv[:-1] for argv in TOO_LARGE] + [["contour", "--kappa-points"]]
+# numpy refuses to size an array of 2**61 elements or more with a ValueError,
+# which exits 3; a contour of more than 2**60 cells can still reach it
+@pytest.mark.parametrize("message", [
+    "array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum possible size.",
+    "Maximum allowed dimension exceeded",
+], ids=["too-big", "dimension"])
+def test_an_array_too_large_to_size_exits_3(capsys, monkeypatch, message):
+    def too_big(*args, **kwargs):
+        raise ValueError(message)
+
+    monkeypatch.setattr(cli, "error_vs_kappa_contour", too_big)
+    code, out, err = run_cli(capsys, "contour", "--a-points", "3", "--kappa-points", "2")
+    assert code == 3 and out == "" and err == f"aemle: {message}\n"
 
 
-@pytest.mark.parametrize("size, message", [(2**61, "array is too big;"),
-                                           (2**63, "Maximum allowed dimension exceeded")],
-                         ids=["2**61", "2**63"])
-@pytest.mark.parametrize("argv", COUNT_FLAGS, ids=lambda argv: " ".join(argv))
-def test_an_input_too_large_to_size_exits_3(capsys, argv, size, message):
-    code, out, err = run_cli(capsys, *argv, str(size))
-    assert code == 3 and out == ""
-    assert err.startswith(f"aemle: {message}") and err.count("\n") == 1
+# a count past 2**52 exits 2, naming itself and its range.  At 2**61 and
+# 2**63 the count flags of TOO_LARGE and --kappa-points exited 3 (numpy
+# could not size the array); past sys.maxsize --M ended in islice's
+# ValueError traceback, and past a double --shots, --nint and --nk in an
+# OverflowError traceback
+BEYOND_DOUBLE = "1" + "0" * 400
+POWERS = {str(2**61): "2**61", str(2**63): "2**63", BEYOND_DOUBLE: "10**400"}
+COUNT_FLAGS = [
+    (["density", "--kappa", "0.1", "--samples"], "samples"),
+    (["hitcurve", "--a", "0.3", "--shots"], "shots"),
+    (["estimate", "--simulate", "--a", "0.3", "--kappa", "0.01", "--shots"], "shots"),
+    (["trials", "--a", "0.3", "--shots"], "shots"),
+    (["contour", "--a-points"], "--a-points"),
+    (["contour", "--kappa-points"], "--kappa-points"),
+]
+PAST_THE_CEILING = [([*argv, size], name) for argv, name in COUNT_FLAGS
+                    for size in (str(2**61), str(2**63))] + [
+    (["crbound", "--a", "0.3", "--M", str(2**63)], "M_max"),
+    (["schedule", "--M", str(2**63)], "M"),
+    (["trials", "--a", "0.3", "--M", str(2**63)], "M_max"),
+    (["density", "--kappa", "0.1", "--samples", "1000", "--M", str(2**63)], "M"),
+    (["contour", "--M", str(2**63)], "M"),
+    (["estimate", "--simulate", "--a", "0.3", "--kappa", "0.01", "--M", str(2**63)], "M"),
+    (["crbound", "--a", "0.3", "--shots", BEYOND_DOUBLE], "shots"),
+    (["contour", "--shots", BEYOND_DOUBLE], "shots"),
+    (["density", "--kappa", "0.1", "--samples", "1000", "--shots", BEYOND_DOUBLE], "shots"),
+    (["hwspec", "--eps", "1e-3", "--nint", BEYOND_DOUBLE], "N_int"),
+    (["hwspec", "--eps", "1e-3", "--nint", "3", "--nk", BEYOND_DOUBLE], "N_k"),
+]
+
+
+@pytest.mark.parametrize("argv, name", PAST_THE_CEILING,
+                         ids=[" ".join(POWERS.get(tok, tok) for tok in argv)
+                              for argv, _ in PAST_THE_CEILING])
+def test_a_count_past_the_ceiling_exits_2(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"aemle: {name}={argv[-1]} must be an integer in [")
+    assert err.endswith(", 2**52]\n") and err.count("\n") == 1
+
+
+# a shot count past 2**52 in a data file: 2**1023 shots printed a_hat = 0
+# and a log_likelihood of -4.5e297 with exit code 0 (after numpy overflow
+# warnings), and 10**400 shots ended in an OverflowError traceback
+@pytest.mark.parametrize("shots", [2**1023, 10**400], ids=["2**1023", "10**400"])
+def test_a_data_file_count_past_the_ceiling_exits_2(capsys, tmp_path, shots):
+    data = tmp_path / "huge.json"
+    data.write_text(_stages_json([(0, 10, 3), (1, shots, 4)]))
+    code, out, err = run_cli(capsys, "estimate", "--data", str(data))
+    assert code == 2 and out == ""
+    assert err == f"aemle: shot count N={shots} must be an integer in [0, 2**52]\n"
 
 
 # log2 of an overflowed 1 / eps (an OverflowError traceback)

@@ -87,7 +87,7 @@ def test_data_validation():
     with pytest.raises(ConfigError):
         ExperimentData(stages=((0, -1, 0),))
     assert ExperimentData(stages=((0, 10, 1), (2**52, 10, 1))).depths[-1] == 2**52
-    with pytest.raises(ConfigError, match="passes 2"):
+    with pytest.raises(ConfigError, match=r"depth m=4503599627370497 must be an integer in \[0, 2\*\*52\]"):
         ExperimentData(stages=((0, 10, 1), (2**52 + 1, 10, 1)))
 
 

@@ -7,17 +7,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from aemle import (
     ANOMALY_THRESHOLD,
+    ConfigError,
     DegenerateScheduleError,
     DomainError,
     ExperimentData,
     FisherMatrix,
     NotAchievableError,
+    Schedule,
     SingularPointError,
     amplitude_point,
     anomality,
     classical_bound,
     cr_lower_bound,
-    explicit_schedule,
     fisher_matrix,
     make_schedule,
     max_grover_depth,
@@ -64,7 +65,7 @@ POINTS = [(0.12, 0.0), (0.3, 0.05), (0.5, 0.31), (0.62, 0.05), (0.85, 0.31)]
     ],
 )
 def test_matrix_matches_enumeration(a, kappa, depths, shots):
-    sched = explicit_schedule(zip(depths, shots))
+    sched = Schedule(tuple(zip(depths, shots)))
     info = fisher_matrix(amplitude_point(a, kappa), sched)
     o11, o12, o22 = fisher_enumerated(depths, shots, a, kappa)
     scale = max(abs(o11), abs(o12), abs(o22))
@@ -102,8 +103,8 @@ def test_sampled_score_covariance_matches_matrix():
 
 def test_zero_shot_stage_is_inert():
     point = amplitude_point(0.42, 0.03)
-    base = explicit_schedule([(0, 50), (2, 40)])
-    padded = explicit_schedule([(0, 50), (1, 0), (2, 40)])
+    base = Schedule(((0, 50), (2, 40)))
+    padded = Schedule(((0, 50), (1, 0), (2, 40)))
     assert fisher_matrix(point, base) == fisher_matrix(point, padded)
 
 
@@ -115,7 +116,7 @@ def test_zero_shot_stage_is_inert():
 )
 @settings(max_examples=150, deadline=None)
 def test_determinant_nonnegative(a, kappa, depths, shots):
-    sched = explicit_schedule((m, shots) for m in sorted(depths))
+    sched = Schedule(tuple((m, shots) for m in sorted(depths)))
     info = fisher_matrix(amplitude_point(a, kappa), sched)
     # Cauchy-Schwarz: det >= 0 up to rounding, scale-free tolerance
     assert info.det >= -1e-9 * info.i11 * max(info.i22, 1e-300)
@@ -289,7 +290,7 @@ def test_nuisance_inflation_limits():
 def test_nuisance_inflation_refuses_an_untrusted_inverse(stages):
     # one distinct depth gives a rank-one matrix: its det is rounding noise,
     # whose inverse gave inflations of 1e11 to 1e13 at some amplitudes
-    sched = explicit_schedule(stages)
+    sched = Schedule(tuple(stages))
     refused = 0
     for a in [round(0.05 * i, 2) for i in range(1, 20)]:
         point = amplitude_point(a, 0.05)
@@ -402,7 +403,7 @@ def test_required_noise_monotone_in_target():
 def test_required_noise_domain_and_reachability():
     with pytest.raises(DomainError):
         required_noise_for_error(0.375, 0.7, 100)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match=r"shots=0 must be an integer in \[1, 2\*\*52\]"):
         required_noise_for_error(0.375, 1e-4, 0)
     with pytest.raises(NotAchievableError):
         required_noise_for_error(0.375, 2e-11, 100)

@@ -205,8 +205,11 @@ def test_kappa_from_gate_errors_validation():
         kappa_from_gate_errors([])
     with pytest.raises(DomainError):
         kappa_from_gate_errors([(1.0, 2)])
-    with pytest.raises(DomainError):
-        kappa_from_gate_errors([(0.01, -1)])
+    # a count is an integer under the ceiling: 10**400 raised OverflowError
+    # and 2.5 was summed as a fraction of a gate
+    for count in (-1, 2.5, 10**400):
+        with pytest.raises(ConfigError, match=rf"gate count={count} must be an integer in \[0, 2\*\*52\]"):
+            kappa_from_gate_errors([(0.01, count)])
 
 
 def test_assumption_validation():

@@ -2,7 +2,9 @@
 import dataclasses
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,13 +14,12 @@ from aemle import (
     Schedule,
     ScheduleKind,
     amplitude_point,
-    explicit_schedule,
     make_schedule,
     noisy_good_prob,
     schedule_to_json,
     total_queries,
 )
-from aemle.model import capped_depths
+from aemle.model import _integral, capped_depths
 
 
 def test_point_derives_theta_and_p():
@@ -155,9 +156,9 @@ def test_make_schedule_rejects_bad_kinds(kind, r):
 
 
 def test_depths_stop_at_two_to_the_52():
-    assert explicit_schedule([(0, 1), (2**52, 1)]).depths[-1] == 2**52
-    with pytest.raises(ConfigError, match="passes 2"):
-        explicit_schedule([(0, 1), (2**52 + 1, 1)])
+    assert Schedule(((0, 1), (2**52, 1))).depths[-1] == 2**52
+    with pytest.raises(ConfigError, match=r"depth m=4503599627370497 must be an integer in \[0, 2\*\*52\]"):
+        Schedule(((0, 1), (2**52 + 1, 1)))
     # the EIS ladder reaches 2**52 at M = 53; the next depth is refused
     assert make_schedule("eis", 53, 1).depths[-1] == 2**52
     with pytest.raises(ConfigError, match="eis ladder passes depth 2\\*\\*52 at stage 54"):
@@ -182,18 +183,18 @@ def test_total_queries():
 
 
 def test_explicit_schedule_allows_zero_shots():
-    sch = explicit_schedule([(0, 100), (3, 0), (5, 50)])
+    sch = Schedule(((0, 100), (3, 0), (5, 50)))
     assert sch.shots == (100, 0, 50)
 
 
 def test_schedule_rejects_decreasing_depths():
     with pytest.raises(ConfigError):
-        explicit_schedule([(4, 10), (2, 10)])
+        Schedule(((4, 10), (2, 10)))
 
 
 def test_schedule_rejects_empty():
     with pytest.raises(ConfigError):
-        explicit_schedule([])
+        Schedule(())
 
 
 def test_unknown_kind_rejected():
@@ -216,11 +217,11 @@ def test_schedule_json_round_trip():
 
 def test_schedule_rejects_non_integral_counts():
     with pytest.raises(ConfigError):
-        explicit_schedule([(1.7, 100)])
+        Schedule(((1.7, 100),))
     with pytest.raises(ConfigError):
-        explicit_schedule([(1, 100.9)])
+        Schedule(((1, 100.9),))
     with pytest.raises(ConfigError):
-        explicit_schedule([(0, 10), (1.7, 10)])
+        Schedule(((0, 10), (1.7, 10)))
     for bad in (True, math.nan, math.inf, "2"):
         with pytest.raises(ConfigError):
             Schedule(stages=((bad, 100),))
@@ -230,6 +231,37 @@ def test_schedule_rejects_non_integral_counts():
     sch = Schedule(stages=((2.0, 100), (3, 50.0)))
     assert sch.stages == ((2, 100), (3, 50))
     assert all(type(v) is int for stage in sch.stages for v in stage)
+
+
+# ranges [lo, hi] up to past the default ceiling, and integers around them;
+# |value| <= 2**53 so that float(value) is the same integer
+@given(value=st.integers(-2**53, 2**53), lo=st.integers(0, 2**20),
+       hi=st.one_of(st.just(2**52), st.integers(0, 2**53)))
+def test_integral_accepts_an_integer_in_range_in_any_integral_form(value, lo, hi):
+    end = "2**52]" if hi == 2**52 else f"{hi}]"
+    for form in (value, np.int64(value), float(value)):
+        if lo <= value <= hi:
+            got = _integral(form, "count", lo, hi)
+            assert got == value and type(got) is int
+        else:
+            with pytest.raises(ConfigError, match=rf"^count=.+ must be an integer in \[{lo}, {re.escape(end)}$"):
+                _integral(form, "count", lo, hi)
+
+
+@given(value=st.one_of(
+    st.booleans(), st.booleans().map(np.bool_), st.fractions(), st.text(), st.none(),
+    st.floats().filter(lambda x: not x.is_integer()),  # fractions, NaN and +-inf
+    st.integers(2**52 + 1, 10**400), st.integers(-10**400, -1),
+))
+def test_integral_refuses_everything_else_naming_the_value(value):
+    with pytest.raises(ConfigError, match=r"^count=.+ must be an integer in \[0, 2\*\*52\]$"):
+        _integral(value, "count")
+
+
+def test_integral_without_a_ceiling():
+    assert _integral(10**400, "--seed", 0, math.inf) == 10**400
+    with pytest.raises(ConfigError, match=r"^--seed=-1 must be an integer in \[0, inf\)$"):
+        _integral(-1, "--seed", 0, math.inf)
 
 
 def test_the_result_and_error_types_import_from_the_package():

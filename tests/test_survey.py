@@ -172,7 +172,7 @@ def test_error_vs_queries_quantum_beats_classical_under_low_noise():
 # an empty sweep is refused, as run_trials refuses it; it returned no rows
 @pytest.mark.parametrize("M_max", [0, -2])
 def test_error_vs_queries_refuses_an_empty_sweep(M_max):
-    with pytest.raises(ConfigError, match=f"M_max={M_max} must be >= 1"):
+    with pytest.raises(ConfigError, match=rf"M_max={M_max} must be an integer in \[1, 2\*\*52\]"):
         error_vs_queries(0.375, [0.01], M_max=M_max, shots=100)
 
 
