@@ -39,7 +39,7 @@ _DET_RTOL = 1e-12
 # _bound_rule's (eps_a, eps_kappa, beta) column before any information is seen.
 _UNKNOWN = np.asarray([[math.inf], [math.nan], [math.nan]])
 
-# Denominator guard: only reachable at kappa = 0 exactly on a sine zero.
+# Smallest Fisher summand denominator trusted; at m = 0 it is sin^2(2 theta_a) ~ 4a.
 _DENOM_FLOOR = 1e-300
 
 # Noise levels scanned by required_noise_for_error: 1e-8 to 2, 25 per decade.
@@ -146,9 +146,10 @@ def _element_terms(
     with np.errstate(over="ignore", invalid="ignore"):
         denom = np.expm1(2.0 * (kappa * m)) + sin2_x
         if denom.min() < _DENOM_FLOOR:
-            raise DegenerateTermError(
-                "Fisher summand denominator underflowed (kappa = 0 on a sine zero)"
-            )
+            cell = tuple(np.argwhere(denom < _DENOM_FLOOR)[0])  # the first one
+            at = [np.broadcast_to(v, denom.shape)[cell].item() for v in (a[:, None], kappa, m)]
+            raise DegenerateTermError("Fisher summand denominator is below {} at a={!r}, "
+                                      "kappa={!r}, m={:.0f}".format(_DENOM_FLOOR, *at))
         terms = np.empty((3, *denom.shape))
         t11, t12, t22 = terms
         np.divide(w11, sin2_2t, out=t11)  # w11 / sin2_2t * 4 sin2_x
@@ -172,25 +173,33 @@ def _element_sums(
     return _element_terms(a, kappa, weights).sum(axis=2)
 
 
+def _point_sums(point: AmplitudePoint, schedule: Schedule) -> np.ndarray:
+    """The (3, 1) Fisher sums of a schedule at one point."""
+    weights = _stage_weights(schedule.depths, schedule.shots)
+    return _element_sums(np.asarray([point.a]), point.kappa, weights)
+
+
 def fisher_matrix(point: AmplitudePoint, schedule: Schedule) -> FisherMatrix:
     """Closed-form Fisher matrix for the two-parameter model at this point."""
-    weights = _stage_weights(schedule.depths, schedule.shots)
-    i11, i12, i22 = _element_sums(np.asarray([point.a]), point.kappa, weights)
-    return FisherMatrix(i11=float(i11[0]), i12=float(i12[0]), i22=float(i22[0]))
+    return FisherMatrix(*_point_sums(point, schedule)[:, 0].tolist())
+
+
+def _bounds(sums: np.ndarray, a: np.ndarray | float) -> np.ndarray:
+    """_bound_rule of (3, n) Fisher sums at amplitude a (one, or one per
+    column), refused unless each i11 is positive and finite (1/sqrt(inf) is 0)."""
+    bad = np.flatnonzero(~((sums[0] > 0.0) & (sums[0] < math.inf)))
+    if bad.size:
+        why = "overflows a double" if sums[0, bad[0]] > 0.0 else "is zero"
+        at = np.broadcast_to(a, sums[0].shape)[bad[0]].item()
+        raise DegenerateScheduleError(f"the schedule's information about a {why} at a={at!r}")
+    return _bound_rule(*sums)
 
 
 def cr_lower_bound(point: AmplitudePoint, schedule: Schedule) -> CrBoundResult:
-    """Cramer-Rao bound on the RMSE of a-hat.
-
-    Uses sqrt((I^{-1})_{11}) = sqrt(i22/det) when the matrix is invertible;
-    falls back to the one-parameter bound 1/sqrt(i11) when kappa is
-    unidentifiable (classical schedules) or the determinant is negligible.
-    """
-    info = fisher_matrix(point, schedule)
-    if info.i11 <= 0.0:
-        raise DegenerateScheduleError("schedule carries no information about a")
-    eps_a, eps_kappa = info.errors()
-    return CrBoundResult(epsilon_min=eps_a, identifiable=eps_kappa is not None)
+    """Cramer-Rao bound on the RMSE of a-hat by _bounds: sqrt(i22/det) where
+    the inverse is trusted, else the one-parameter bound 1/sqrt(i11)."""
+    eps_a, eps_kappa, _ = _bounds(_point_sums(point, schedule), point.a)[:, 0].tolist()
+    return CrBoundResult(epsilon_min=eps_a, identifiable=not math.isnan(eps_kappa))
 
 
 def _max_grover_depths(kappas) -> np.ndarray:
@@ -208,11 +217,10 @@ def _max_grover_depths(kappas) -> np.ndarray:
     if not cand.max() <= _MAX_COUNT:
         raise DomainError(f"kappa={float(kappas.min())} is too small: "
                           "its maximum depth passes 2**52")
-    # exact integer semantics regardless of rounding in the division
+    # The floor never overshoots: below 2**53, fl(1/decay) - 1 is exact, so
+    # (2 cand + 1) decay <= 1 + 2**-53 rounds to at most 1.  It steps up only.
     while (up := (2.0 * (cand + 1.0) + 1.0) * decay <= 1.0).any():
         cand += up
-    while (down := (cand > 0.0) & ((2.0 * cand + 1.0) * decay > 1.0)).any():
-        cand -= down
     return cand.astype(np.int64)
 
 
@@ -223,11 +231,9 @@ def max_grover_depth(kappa: float) -> int:
 
 def anomality(point: AmplitudePoint, schedule: Schedule) -> float:
     """beta = i12^2 / (i11 i22) in [0, 1]; beta = 1 iff the matrix is singular."""
-    beta = fisher_matrix(point, schedule).beta
-    if beta is None:
-        raise DegenerateScheduleError(
-            "anomality needs at least one stage with m > 0 and nonzero shots"
-        )
+    beta = _bounds(_point_sums(point, schedule), point.a)[2].item()
+    if math.isnan(beta):
+        raise DegenerateScheduleError("anomality needs a stage with m > 0 and nonzero shots")
     return beta
 
 
@@ -235,18 +241,15 @@ def nuisance_inflation(point: AmplitudePoint, schedule: Schedule, c: float) -> f
     """Mean-squared a-error when kappa-hat has squared error c times its CR bound.
 
     (I^{-1})_{11} * (1 + (c - 1) beta): c = 1 reproduces eps_min^2, c = 0
-    (kappa known exactly) gives 1/i11.  The inverse is _bound_rule's: where
-    it is not trusted (no eps_kappa) the inflation is undefined.
+    (kappa known exactly) gives 1/i11.  The inverse is _bounds': where it is
+    not trusted (no eps_kappa) the inflation is undefined.
     """
     if c < 0.0:
         raise DomainError(f"c={c} must be >= 0")
-    info = fisher_matrix(point, schedule)
-    eps_a, eps_kappa = info.errors()
-    if eps_kappa is None:
-        raise DegenerateScheduleError(
-            "Fisher matrix is not invertible (kappa is not identifiable); inflation undefined"
-        )
-    return eps_a * eps_a * (1.0 + (c - 1.0) * info.beta)
+    eps_a, eps_kappa, beta = _bounds(_point_sums(point, schedule), point.a)[:, 0].tolist()
+    if math.isnan(eps_kappa):
+        raise DegenerateScheduleError("kappa is not identifiable: the inflation is undefined")
+    return eps_a * eps_a * (1.0 + (c - 1.0) * beta)
 
 
 def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) -> list[float]:
@@ -269,9 +272,7 @@ def _saturated_errors(a: float, kappas: np.ndarray | list[float], shots: int) ->
     runs = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), lengths.size]
     for i, j in zip(runs, runs[1:]):  # run starts, then K
         cells[:, offsets[i]:offsets[j]].reshape(3, j - i, -1).sum(axis=2, out=sums[:, i:j])
-    if np.any(sums[0] <= 0.0):
-        raise DegenerateScheduleError("schedule carries no information about a")
-    return _bound_rule(*sums)[0].tolist()
+    return _bounds(sums, a)[0].tolist()
 
 
 def required_noise_for_error(a: float, target_eps: float, shots: int) -> float:

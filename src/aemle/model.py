@@ -28,6 +28,9 @@ _FLOOR_NUDGE = 1e-9
 # N (2m+1)^2 all hold; far larger counts overflow them.
 _MAX_COUNT = 2**52
 
+# Largest M make_schedule builds: the depth ceiling does not bound lis or classical.
+_MAX_M = 1024
+
 
 def _integral(value: object, name: str, lo: int = 0, hi: float = _MAX_COUNT) -> int:
     """value as an int if it is integral (2, 2.0 or a numpy int, never a
@@ -168,7 +171,7 @@ def make_schedule(
     """The first M + 1 depths (stages k = 0..M) of the kind's ladder, each
     with `shots` shots."""
     kind = _parse_kind(kind)
-    M = _integral(M, "M")
+    M = _integral(M, "M", 0, _MAX_M)
     shots = _integral(shots, "shots", 1)
     stages = tuple((m, shots) for m in itertools.islice(_ladder(kind, r), M + 1))
     return Schedule(stages=stages, kind=kind, r=float(r) if kind is ScheduleKind.POWER_BASE else None)

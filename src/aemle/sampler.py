@@ -52,9 +52,7 @@ def _rng_for(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
-    # sum of Bernoulli draws: exact, and stable across numpy versions
-    if n == 0:
-        return 0
+    # sum of Bernoulli draws: exact, and stable across numpy versions (n = 0 draws nothing)
     return int(np.count_nonzero(rng.random(n) < p))
 
 

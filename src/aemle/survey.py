@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateScheduleError, DomainError
+from .errors import ConfigError, DomainError
 from .fisher import (
     ANOMALY_THRESHOLD,
-    _bound_rule,
+    _bounds,
     _element_sums,
     _element_terms,
     _stage_weights,
@@ -87,7 +87,7 @@ def default_density_schedule(kappa: float, shots: int = 100) -> Schedule:
 
 
 def _bound_sweep(a: np.ndarray, kappa: np.ndarray | float, weights: tuple, row: int) -> np.ndarray:
-    """Row `row` of _bound_rule (0 eps_a, 2 beta) at each amplitude, at one
+    """Row `row` of _bounds (0 eps_a, 2 beta) at each amplitude, at one
     kappa or one per amplitude, in blocks of _BETA_BLOCK // workers rows (an
     empty `a` is one empty block, refused).  More than one block runs on a
     thread per core, read in block order so the first failing block's error
@@ -99,7 +99,7 @@ def _bound_sweep(a: np.ndarray, kappa: np.ndarray | float, weights: tuple, row: 
     def fill(start: int) -> None:
         rows = slice(start, start + block)
         sums = _element_sums(a[rows], kappa if np.ndim(kappa) == 0 else kappa[rows], weights)
-        out[rows] = _bound_rule(*sums)[row]
+        out[rows] = _bounds(sums, a[rows])[row]
 
     if a.size <= block:
         fill(0)
@@ -173,7 +173,7 @@ def error_vs_queries(
     Each M's schedule is the first M + 1 stages of the M_max one, so one
     Fisher pass per kappa covers every row: row M sums that prefix as a lone
     cr_lower_bound call sums its schedule (a running sum rounds differently),
-    and one _bound_rule call inverts every row.
+    and one _bounds call inverts every row.
     """
     if not (0.0 < a < 1.0):
         raise DomainError(f"a={a} outside (0, 1)")
@@ -188,9 +188,7 @@ def error_vs_queries(
         mbar = max_grover_depth(kappa) if kappa > 0.0 else None
         terms = _element_terms(np.asarray([point.a]), point.kappa, weights)[:, 0]
         sums = np.stack([terms[:, :M + 1].sum(axis=1) for M in range(1, M_max + 1)], axis=1)
-        if np.any(sums[0] <= 0.0):
-            raise DegenerateScheduleError("schedule carries no information about a")
-        eps_a, eps_kappa, _ = _bound_rule(*sums).tolist()
+        eps_a, eps_kappa, _ = _bounds(sums, a).tolist()
         for M, eps, eps_k in zip(range(1, M_max + 1), eps_a, eps_kappa):
             nq = queries[M]
             beyond = mbar is not None and depths[M] > mbar
@@ -205,8 +203,8 @@ def error_vs_kappa_contour(
     """epsilon_min on the product grid, amplitudes down the rows.
 
     _bound_sweep runs over the cells of the a-major product, each cell the
-    eps_a of _bound_rule, the rule cr_lower_bound applies, so cells where
-    the matrix is numerically singular fall back to the one-parameter bound.
+    eps_a of _bounds, the rule cr_lower_bound applies, so cells where the
+    matrix is numerically singular fall back to the one-parameter bound.
     """
     a = np.asarray(a_values, dtype=float)
     kappas = np.asarray(kappa_values, dtype=float)

@@ -459,6 +459,36 @@ def test_kappa_past_the_depth_floor_exits_3(capsys, argv):
     assert err.startswith("aemle: kappa=") and "maximum depth passes 2**52" in err
 
 
+# 2**52 shots at a = 1e-300 give i11 = N / a past a double at m = 0, and
+# these printed epsilon_min 0 (and contour cells 0) with exit code 0; below
+# a ~ 2.5e-301 the m = 0 denominator sin^2(2 theta_a) ~ 4a is under the
+# Fisher floor, whose reason named "kappa = 0 on a sine zero"
+OVERFLOW = "the schedule's information about a overflows a double at a=1e-300"
+UNUSABLE_BOUND = [
+    (["crbound", "--a", "1e-300", "--shots", str(2**52), "--M", "3"], OVERFLOW),
+    (["contour", "--a-min", "1e-300", "--a-max", "2e-300", "--shots", str(2**52), "--M", "2",
+      "--a-points", "3", "--kappa-points", "2"], OVERFLOW),
+    (["crbound", "--a", "1e-305", "--kappa", "0.1", "--M", "3"],
+     "Fisher summand denominator is below 1e-300 at a=1e-305, kappa=0.1, m=0"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", UNUSABLE_BOUND,
+                         ids=[" ".join(argv) for argv, _ in UNUSABLE_BOUND])
+def test_an_unusable_bound_exits_3(capsys, argv, reason):
+    assert run_cli(capsys, *argv) == (3, "", f"aemle: {reason}\n")
+
+
+def test_one_trial_prints_a_nan_stderr(capsys):
+    # a spread needs two trials: stderr is nan by design, the rmse is not
+    code, out, err = run_cli(capsys, "trials", "--a", "0.3", "--M", "2", "--trials", "1",
+                             "--format", "csv")
+    assert code == 0 and err == ""
+    header, *rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert header[2:4] == ["rmse", "stderr"] and [row[3] for row in rows] == ["nan", "nan"]
+    assert all(float(row[2]) > 0.0 for row in rows)
+
+
 # a depth past 2**52 or a power base that is not finite: these printed a 0.0
 # bound or NaN cells with numpy warnings, or ended in an OverflowError or
 # ValueError traceback; "DATA" is a file whose second stage has depth 10**400
@@ -560,7 +590,8 @@ def test_a_count_past_the_ceiling_exits_2(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"aemle: {name}={argv[-1]} must be an integer in [")
-    assert err.endswith(", 2**52]\n") and err.count("\n") == 1
+    # make_schedule's M has its own, lower ceiling: the stage cap
+    assert err.endswith(", 1024]\n" if name == "M" else ", 2**52]\n") and err.count("\n") == 1
 
 
 # a shot count past 2**52 in a data file: 2**1023 shots printed a_hat = 0

@@ -9,6 +9,7 @@ from aemle import (
     ANOMALY_THRESHOLD,
     ConfigError,
     DegenerateScheduleError,
+    DegenerateTermError,
     DomainError,
     ExperimentData,
     FisherMatrix,
@@ -128,6 +129,39 @@ def test_singular_endpoints_raise():
         fisher_matrix(amplitude_point(0.0, 0.1), sched)
     with pytest.raises(SingularPointError):
         fisher_matrix(amplitude_point(1.0, 0.1), sched)
+    for a in (0.0, 1.0):
+        with pytest.raises(SingularPointError):
+            classical_bound(a, 100)
+
+
+# shots = 2**52 at a = 1e-300: the m = 0 stage alone gives i11 = N / a, past
+# a double, and each of these returned 0 (1/sqrt(inf), or beta = i12^2 / inf)
+OVERFLOWED = (amplitude_point(1e-300, 0.0), make_schedule("eis", 3, 2**52),
+              "^the schedule's information about a overflows a double at a=1e-300$")
+NO_SHOTS = (amplitude_point(0.3, 0.05), Schedule(((0, 0), (1, 0), (4, 0))),
+            "^the schedule's information about a is zero at a=0.3$")
+
+
+@pytest.mark.parametrize("point, sched, reason", [OVERFLOWED, NO_SHOTS],
+                         ids=["overflow", "no-shots"])
+@pytest.mark.parametrize("bound", [cr_lower_bound, anomality,
+                                   lambda point, sched: nuisance_inflation(point, sched, 2.0)],
+                         ids=["cr_lower_bound", "anomality", "nuisance_inflation"])
+def test_a_bound_refuses_unusable_information(bound, point, sched, reason):
+    with pytest.raises(DegenerateScheduleError, match=reason):
+        bound(point, sched)
+
+
+def test_a_denominator_below_the_floor_names_its_cell():
+    # at m = 0 the denominator is sin^2(2 theta_a) ~ 4a, so a = 1e-305 is
+    # under the 1e-300 floor at any kappa; the reason named "kappa = 0 on a
+    # sine zero".  The first such cell is named, here in the second row.
+    reason = "^Fisher summand denominator is below 1e-300 at a=1e-305, kappa=0.1, m=0$"
+    with pytest.raises(DegenerateTermError, match=reason):
+        cr_lower_bound(amplitude_point(1e-305, 0.1), make_schedule("eis", 3, 100))
+    weights = _stage_weights([0, 1, 2], [10, 10, 10])
+    with pytest.raises(DegenerateTermError, match=reason):
+        _element_sums(np.asarray([0.3, 1e-305, 1e-306]), np.asarray([0.2, 0.1, 0.3]), weights)
 
 
 def test_classical_bound_closed_form():
@@ -246,6 +280,33 @@ def test_depth_rule_refuses_kappa_below_the_floor():
             max_grover_depth(kappa)
         with pytest.raises(DomainError, match=f"^kappa={kappa} must be finite and > 0$"):
             _max_grover_depths([0.1, kappa])
+
+
+def _ulps_around(x: np.ndarray, n: int = 4) -> np.ndarray:
+    """Each of x with its n neighbouring doubles on either side."""
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+        out += [lo, hi]
+    return np.stack(out, axis=1).ravel()
+
+
+def test_the_depth_floor_never_overshoots():
+    # _max_grover_depths has no downward step: its floor((1/decay - 1) / 2)
+    # never passes (2m + 1) decay <= 1.  Probed within 4 ulps of each decay
+    # 1/(2m + 1), where the floor can land on m, for every m below 2e6 and
+    # the 2**16 below 2**52, the deepest depth (kappa near 1.1e-16)
+    for m in (*np.array_split(np.arange(1.0, 2e6), 8), 2.0**52 - np.arange(2.0**16)):
+        decay = _ulps_around(1.0 / (2.0 * m + 1.0))
+        cand = np.floor((1.0 / decay - 1.0) / 2.0)
+        kept = cand <= 2**52  # deeper ones are refused
+        assert ((2.0 * cand[kept] + 1.0) * decay[kept] <= 1.0).all()
+    # and the whole rule, at the kappa of such decays, against the oracle's
+    # step-down loop
+    m = np.unique(np.geomspace(1.0, 2.0**52, 1000).round())
+    kappas = -np.log1p(-_ulps_around(1.0 / (2.0 * m + 1.0)))
+    kappas = kappas[kappas >= KAPPA_FLOOR].tolist()
+    assert _max_grover_depths(kappas).tolist() == [max_grover_depth_reference(k) for k in kappas]
 
 
 def test_anomalous_amplitude_flagged():
@@ -407,6 +468,10 @@ def test_required_noise_domain_and_reachability():
         required_noise_for_error(0.375, 1e-4, 0)
     with pytest.raises(NotAchievableError):
         required_noise_for_error(0.375, 2e-11, 100)
+    # 2**52 shots at a = 1e-300 overflow i11: every error read 0, a kappa-bar
+    # "met without amplification"
+    with pytest.raises(DegenerateScheduleError, match="overflows a double at a=1e-300$"):
+        required_noise_for_error(1e-300, 1e-4, 2**52)
     # at or above the unamplified error sqrt(a(1-a)/N) = 0.0484 every noise
     # level meets the target, so no kappa-bar exists
     for eps in (0.049, 0.3, 0.45):

@@ -221,6 +221,11 @@ def test_assumption_validation():
         HardwareAssumptions(epsilon_target=0.001, N_int=5, t_s=-1.0)
     with pytest.raises(ConfigError):
         HardwareAssumptions(epsilon_target=0.001, N_int=5, kappa_bar_override=-0.1)
+    with pytest.raises(ConfigError, match=r"^interval_factor=-1.0 must be >= 0$"):
+        HardwareAssumptions(epsilon_target=0.001, N_int=5, interval_factor=-1.0)
+    for a in (0.0, 1.0, -0.5):
+        with pytest.raises(ConfigError, match=rf"^reference_amplitude={a} outside \(0, 1\)$"):
+            HardwareAssumptions(epsilon_target=0.001, N_int=5, reference_amplitude=a)
     # below about 5.6e-309, 1 / eps overflows and log2 of it sizes no register
     with pytest.raises(ConfigError, match="epsilon_target=1e-320 is too small"):
         HardwareAssumptions(epsilon_target=1e-320, N_int=3)

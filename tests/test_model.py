@@ -19,7 +19,7 @@ from aemle import (
     schedule_to_json,
     total_queries,
 )
-from aemle.model import _integral, capped_depths
+from aemle.model import _MAX_M, _integral, capped_depths
 
 
 def test_point_derives_theta_and_p():
@@ -165,7 +165,17 @@ def test_depths_stop_at_two_to_the_52():
         make_schedule("eis", 54, 1)
     # a huge base is refused at its first deep depth, never raised to a power
     with pytest.raises(ConfigError, match="at stage 2"):
-        make_schedule("powerbase", 10**6, 1, r=1e300)
+        make_schedule("powerbase", _MAX_M, 1, r=1e300)
+
+
+@pytest.mark.parametrize("kind", ["lis", "classical"])
+def test_generated_schedules_stop_at_the_stage_cap(kind):
+    # the depth ceiling does not bound these ladders: 2**52 stages asked for
+    # memory until it ran out
+    assert len(make_schedule(kind, _MAX_M, 1)) == _MAX_M + 1
+    for M in (_MAX_M + 1, 2**52):
+        with pytest.raises(ConfigError, match=rf"^M={M} must be an integer in \[0, {_MAX_M}\]$"):
+            make_schedule(kind, M, 1)
 
 
 @pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
@@ -190,6 +200,12 @@ def test_explicit_schedule_allows_zero_shots():
 def test_schedule_rejects_decreasing_depths():
     with pytest.raises(ConfigError):
         Schedule(((4, 10), (2, 10)))
+
+
+def test_classical_schedule_rejects_an_amplified_stage():
+    assert Schedule(((0, 10), (0, 5)), kind=ScheduleKind.CLASSICAL).depths == (0, 0)
+    with pytest.raises(ConfigError, match="^classical schedule requires all depths zero$"):
+        Schedule(((0, 10), (1, 10)), kind=ScheduleKind.CLASSICAL)
 
 
 def test_schedule_rejects_empty():

@@ -7,6 +7,7 @@ import pytest
 from aemle import (
     AemleError,
     ConfigError,
+    Schedule,
     amplitude_point,
     hit_rate_curve,
     make_schedule,
@@ -32,6 +33,18 @@ def test_sample_counts_respects_shot_budget():
     assert data.depths == sched.depths
     assert data.shots == sched.shots
     assert all(0 <= h <= n for _, n, h in data.stages)
+
+
+def test_a_zero_shot_stage_draws_nothing():
+    # rng.random(0) draws no number, so a zero-shot stage counts 0 hits and
+    # leaves the stream to the next stage as if it were not there (a stream
+    # shifted by one draw keeps a stage's count about half the time, hence
+    # several seeds)
+    point = amplitude_point(0.375, 0.05)
+    for seed in range(5):
+        padded = sample_counts(point, Schedule(((0, 0), (1, 50), (1, 0), (2, 50))), seed)
+        first, second = sample_counts(point, Schedule(((1, 50), (2, 50))), seed).stages
+        assert padded.stages == ((0, 0, 0), first, (1, 0, 0), second)
 
 
 def test_sample_counts_tracks_expected_rate():

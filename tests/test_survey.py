@@ -9,7 +9,9 @@ import pytest
 from aemle import (
     ANOMALY_THRESHOLD,
     ConfigError,
+    DegenerateScheduleError,
     DomainError,
+    Schedule,
     SingularPointError,
     amplitude_point,
     anomaly_density,
@@ -174,6 +176,36 @@ def test_error_vs_queries_quantum_beats_classical_under_low_noise():
 def test_error_vs_queries_refuses_an_empty_sweep(M_max):
     with pytest.raises(ConfigError, match=rf"M_max={M_max} must be an integer in \[1, 2\*\*52\]"):
         error_vs_queries(0.375, [0.01], M_max=M_max, shots=100)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, -0.5, math.nan])
+def test_error_vs_queries_refuses_an_amplitude_outside_0_1(a):
+    with pytest.raises(DomainError, match=rf"^a={a} outside \(0, 1\)$"):
+        error_vs_queries(a, [0.01], M_max=3, shots=100)
+
+
+# a schedule with no information about a, and one whose information passes
+# a double (2**52 shots at a = 1e-300, where the m = 0 stage gives N / a):
+# contour cells read inf and 0 and crbound rows 0, with exit code 0, and the
+# density refused the no-shot schedule for carrying no kappa information
+NO_SHOTS = Schedule(((0, 0), (2, 0)))
+OVERFLOWING = make_schedule("eis", 2, 2**52)
+NONE, OVERFLOW = "information about a is zero at a=", "information about a overflows a double at a=1e-300$"
+UNUSABLE = {
+    "contour-no-shots": (lambda: error_vs_kappa_contour(
+        np.asarray([0.3, 0.5]), np.asarray([1e-5, 0.1]), NO_SHOTS), NONE),
+    "contour-overflow": (lambda: error_vs_kappa_contour(
+        np.asarray([0.3, 1e-300, 2e-300]), np.asarray([1e-5, 0.1]), OVERFLOWING), OVERFLOW),
+    "crbound-overflow": (lambda: error_vs_queries(1e-300, [0.0], M_max=3, shots=2**52), OVERFLOW),
+    "density-no-shots": (lambda: anomaly_density(0.01, 1000, schedule=NO_SHOTS), NONE),
+}
+
+
+@pytest.mark.parametrize("name", list(UNUSABLE))
+def test_a_sweep_refuses_unusable_information(name):
+    sweep, reason = UNUSABLE[name]
+    with pytest.raises(DegenerateScheduleError, match=reason):
+        sweep()
 
 
 def test_contour_grid_shape_and_values():
