@@ -137,12 +137,18 @@ class EstimateResult:
     kappa_identifiable: bool
 
 
-def _weigh(p: np.ndarray, q: np.ndarray, hits: np.ndarray, misses: np.ndarray) -> None:
-    """Turn P in p into h ln P + (N - h) ln(1 - P), with P clamped to
-    [EPS_P, 1 - EPS_P]; hits and misses hold h and N - h, broadcast against
-    p, and q is scratch of p's shape."""
-    np.maximum(p, EPS_P, out=p)
-    np.minimum(p, 1.0 - EPS_P, out=p)
+def _weigh(
+    p: np.ndarray, q: np.ndarray, hits: np.ndarray, misses: np.ndarray, clamp: bool
+) -> None:
+    """Turn P in p into h ln P + (N - h) ln(1 - P), with P first clamped to
+    [EPS_P, 1 - EPS_P] if clamp; hits and misses hold h and N - h, broadcast
+    against p, and q is scratch of p's shape.  The clamp can act only at
+    m = 0, where P is 0 or 1 at a in {0, 1}, or at kappa m below
+    _KAPPA_GRID_FLOOR: at kappa m >= 1e-10, |P - 1/2| <= e^{-kappa m}/2
+    keeps P in [5e-11, 1 - 5e-11]."""
+    if clamp:
+        np.maximum(p, EPS_P, out=p)
+        np.minimum(p, 1.0 - EPS_P, out=p)
     np.negative(p, out=q)
     np.log1p(q, out=q)
     np.log(p, out=p)
@@ -162,7 +168,9 @@ class _StageLikelihood:
     as e^{-kappa 0} = 1 at every finite kappa, their terms are computed on
     (dataset, a) columns and copied along the kappa axis.  The other stages
     form cos(2(2m+1) theta_a) x e^{-kappa m} / 2 with einsum, which skips
-    the buffering of numpy's broadcast multiply.  Every stage term is
+    the buffering of numpy's broadcast multiply, and are clamped only when
+    a kappa of the call is below _KAPPA_GRID_FLOOR: above it the clamp
+    cannot act (_weigh), so dropping it keeps every bit.  Every stage term is
     elementwise and keeps the bits of the broadcast formula (einsum may drop
     a zero's sign; 1/2 - 0 erases it), and each cell's terms are summed in
     stage order from +0.0, so a dataset's grid has the same bits in any call
@@ -193,7 +201,10 @@ class _StageLikelihood:
         P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
         [EPS_P, 1 - EPS_P], for each dataset of rows on its own grid: row r
         of a_grids (n_a points) and of kappa_grids (n_k points); shape
-        (len(rows), n_a, n_k).  kappa must be finite."""
+        (len(rows), n_a, n_k).  kappa must be finite.  The m >= 1 stages
+        skip the clamp when every kappa of the call is at least
+        _KAPPA_GRID_FLOOR, where it cannot act (_weigh); the stage loop
+        and the zoom never go below it."""
         n_rows, n_a = a_grids.shape
         n_k = kappa_grids.shape[1]
         size = n_stages * n_rows * n_a * n_k
@@ -209,7 +220,8 @@ class _StageLikelihood:
         n_flat = min(self._n_flat, n_stages)
         if n_flat:
             flat = 0.5 - osc[:n_flat] * 0.5
-            _weigh(flat, np.empty_like(flat), hits[:n_flat, :, :, 0], misses[:n_flat, :, :, 0])
+            _weigh(flat, np.empty_like(flat), hits[:n_flat, :, :, 0], misses[:n_flat, :, :, 0],
+                   clamp=True)
             log_p[:n_flat] = flat[..., None]
         if n_flat < n_stages:
             rest = log_p[n_flat:]
@@ -217,7 +229,8 @@ class _StageLikelihood:
             half_decay *= 0.5
             np.einsum("sra,srk->srak", osc[n_flat:], half_decay, out=rest)
             np.subtract(0.5, rest, out=rest)
-            _weigh(rest, log_q[n_flat:], hits[n_flat:], misses[n_flat:])
+            _weigh(rest, log_q[n_flat:], hits[n_flat:], misses[n_flat:],
+                   clamp=not kappa_grids.min() >= _KAPPA_GRID_FLOOR)
         return log_p.sum(axis=0)
 
     def best(
@@ -430,12 +443,18 @@ def _zoom(
     return a_hat, kappa_hat, best_ll
 
 
+def _stage_cap_error(n_stages: int) -> ConfigError | None:
+    """The error for data of n_stages stages past _MAX_STAGES, or None."""
+    if n_stages > _MAX_STAGES:
+        return ConfigError(f"data has {n_stages} stages, at most {_MAX_STAGES} are allowed")
+    return None
+
+
 def _data_error(data: ExperimentData) -> AemleError | None:
     """The error that keeps data from being estimated, or None; the stage
     cap is checked first."""
-    n_stages = len(data.stages)
-    if n_stages > _MAX_STAGES:
-        return ConfigError(f"data has {n_stages} stages, at most {_MAX_STAGES} are allowed")
+    if (error := _stage_cap_error(len(data.stages))) is not None:
+        return error
     if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
         return DegenerateDataError(
             "all stages are classical with saturated hit counts; the estimate "

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimateResult, ExperimentData, MleConfig, _estimate_batch
+from .estimator import (
+    EstimateResult,
+    ExperimentData,
+    MleConfig,
+    _estimate_batch,
+    _stage_cap_error,
+)
 from .fisher import cr_lower_bound
 from .model import (
     AmplitudePoint,
@@ -96,12 +102,16 @@ def run_trials(
     Per M: builds the schedule, samples `trials` independent datasets,
     estimates (a, kappa) on all of them in one batched stage loop, and
     records the RMSE of a-hat against the true a with a jackknife standard
-    error.  Trials whose estimation fails are excluded and counted.
+    error.  Trials whose estimation fails are excluded and counted.  A
+    ladder whose M_max schedule has more stages than the estimator takes
+    is refused, as estimating its data would be, before any trial runs.
     """
     trials = _integral(trials, "trials", 1)
     M_max = _integral(M_max, "M_max", 1)
     config = config or MleConfig()
-    make_schedule(kind, M_max, shots, r)  # refuses a bad ladder before any trial runs
+    # a bad or too long ladder is refused before any trial runs
+    if (error := _stage_cap_error(len(make_schedule(kind, M_max, shots, r)))) is not None:
+        raise error
     records = []
     for M in range(1, M_max + 1):
         schedule = make_schedule(kind, M, shots, r)

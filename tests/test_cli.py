@@ -159,6 +159,14 @@ def test_estimate_from_file(tmp_path, capsys):
     assert row["kappa_identifiable"] is False
 
 
+def test_trials_past_the_stage_cap_exits_2(capsys):
+    # it printed nan rows for M = 64..66 with exit 0
+    code, out, err = run_cli(capsys, "trials", "--a", "0.3", "--kind", "lis", "--M", "66",
+                             "--trials", "2", "--shots", "10")
+    assert (code, out) == (2, "")
+    assert err == "aemle: data has 67 stages, at most 64 are allowed\n"
+
+
 def test_estimate_file_errors(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     code, _, err = run_cli(capsys, "estimate", "--data", str(missing))

@@ -64,6 +64,39 @@ def test_log_likelihood_finite_at_extremes():
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
+# a in {0, 1} puts P at 0 or 1 on the m = 0 stages at every kappa, and on the
+# others at kappa = 0; at kappa = 1e-10 the m = 1 stage's P is about 5e-11
+_CLAMP_DATA = ExperimentData(stages=((0, 50, 0), (0, 40, 40), (1, 50, 50), (1, 30, 0),
+                                     (4, 60, 17), (9, 70, 70)))
+
+
+@pytest.mark.parametrize("kappas, clamps", [
+    ([1e-10, 3e-10, 1.0, 50.0], [True, False]),
+    ([1e-10], [True, False]),
+    ([0.0, 1.0], [True, True]),
+    ([1e-11], [True, True]),
+    ([1e-11, 1e-10, 2.0], [True, True]),
+], ids=["above-floor", "at-floor", "zero", "below-floor", "straddling"])
+def test_clamp_is_skipped_only_at_or_above_the_kappa_floor(kappas, clamps, monkeypatch):
+    # the clamp goes from the m >= 1 stages where no kappa of the call is below
+    # _KAPPA_GRID_FLOOR; the grid keeps the bits of the oracle, which always clamps
+    taken = []
+
+    def spy(p, q, hits, misses, clamp):
+        taken.append(clamp)
+        weigh(p, q, hits, misses, clamp)
+
+    weigh = estimator._weigh
+    monkeypatch.setattr(estimator, "_weigh", spy)
+    d = _CLAMP_DATA
+    a_grid = np.asarray([[0.0, 1e-300, 0.25, 0.5, 1.0 - 2**-53, 1.0]])
+    k_grid = np.asarray([kappas])
+    got = _StageLikelihood([d]).grid(slice(0, 1), len(d.stages), a_grid, k_grid)[0]
+    ref = log_likelihood_grid(d.depths, d.shots, d.hits, a_grid[0], k_grid[0])
+    assert taken == clamps
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 @pytest.mark.parametrize(
     "a,kappa",
     [(math.nan, 0.1), (0.3, math.nan), (0.3, math.inf), (math.inf, 0.1),

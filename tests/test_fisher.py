@@ -32,6 +32,7 @@ from aemle.estimator import _fisher_prefix, _StageLikelihood
 from aemle.fisher import (
     _DET_RTOL,
     _KAPPA_SCAN,
+    _SCALAR_COLUMNS,
     _bisection_midpoints,
     _bound_rule,
     _element_sums,
@@ -425,6 +426,43 @@ def test_bound_rule_is_bit_identical_to_scalar_reference(triples):
         assert [_hex(x) for x in (eps_a, eps_kappa, beta)] == [_hex(x) for x in want]
         info = FisherMatrix(*triple)
         assert (*info.errors(), info.beta) == want
+
+
+# zeros, subnormals, pairs whose product overflows or underflows, NaN, inf
+_EXTREME = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, -1e-300, 1e300, -1e300,
+    1e-160, 1e160, math.nan, -math.nan, math.inf, -math.inf, 1.0, 4.0,
+])
+
+
+@st.composite
+def extreme_triples(draw):
+    """(i11, i12, i22) from _EXTREME or any double, i12 also at the trust
+    threshold i12^2 = (1 - _DET_RTOL) i11 i22 nudged by a few ulps."""
+    side = st.one_of(_EXTREME, st.floats())
+    i11, i22 = draw(side), draw(side)
+    edge = math.sqrt(abs(i11 * i22) * (1.0 - _DET_RTOL))
+    i12 = draw(st.one_of(_EXTREME, st.floats(), st.just(edge)))
+    for _ in range(draw(st.integers(0, 4))):
+        i12 = math.nextafter(i12, draw(st.sampled_from([math.inf, -math.inf])))
+    return i11, i12, i22
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(extreme_triples(), min_size=1, max_size=_SCALAR_COLUMNS))
+@example([(1e-200, 1e-150, 1e-200)])  # i11 i22 underflows to 0: beta is off / 0 = inf -> 1
+@example([(1e-200, 0.0, 1e-200)])  # 0 / 0 is NaN
+@example([(1e300, 1.0, 1e300)])  # i11 i22 overflows
+def test_bound_rule_paths_are_bit_identical(triples):
+    # the Python-float columns against the masked ufuncs on the same triples,
+    # padded with copies past _SCALAR_COLUMNS
+    columns = np.asarray(triples).T
+    padded = np.tile(columns, _SCALAR_COLUMNS // len(triples) + 1)
+    assert columns.shape[1] <= _SCALAR_COLUMNS < padded.shape[1]
+    got = _bound_rule(*columns)
+    want = _bound_rule(*padded)[:, :len(triples)]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_an_overflowed_information_product_is_not_trusted():

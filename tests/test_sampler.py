@@ -7,6 +7,7 @@ import pytest
 from aemle import (
     AemleError,
     ConfigError,
+    ExperimentData,
     Schedule,
     amplitude_point,
     hit_rate_curve,
@@ -16,6 +17,7 @@ from aemle import (
     run_trials,
     sample_counts,
 )
+from aemle import sampler
 from aemle.sampler import _jackknife_rmse_stderr, _rng_for, _sample_with_rng
 
 
@@ -127,6 +129,19 @@ def test_run_trials_rejects_zero_trials():
 def test_run_trials_rejects_an_empty_sweep(M_max):
     with pytest.raises(ConfigError, match=f"M_max={M_max}"):
         run_trials(amplitude_point(0.3, 0.0), "eis", M_max, 10, trials=4, seed=1)
+
+
+@pytest.mark.parametrize("M_max", [64, 66])
+def test_run_trials_refuses_a_ladder_past_the_stage_cap(M_max, monkeypatch):
+    # it sampled every trial and printed nan rows for every M past 63; it now
+    # refuses as the estimator refuses such data, before any trial is drawn
+    monkeypatch.setattr(sampler, "_sample_with_rng", lambda *args: pytest.fail("sampled"))
+    reason = f"data has {M_max + 1} stages, at most 64 are allowed"
+    with pytest.raises(ConfigError, match=reason):
+        run_trials(amplitude_point(0.3, 0.0), "lis", M_max, 10, trials=2, seed=1)
+    data = ExperimentData(stages=tuple((m, 10, 5) for m in range(M_max + 1)))
+    with pytest.raises(ConfigError, match=reason):
+        mle_grid_adaptive(data)
 
 
 def test_hit_rate_curve():
