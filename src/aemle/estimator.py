@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AemleError, ConfigError, DegenerateDataError
-from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _bound_rule, _element_sums, _stage_weights
+from .fisher import ANOMALY_THRESHOLD, FisherMatrix, _bound_rule, _element_terms, _stage_weights
 from .model import Schedule, _integral, amplitude_point
 
 # Probability clamp inside logs: h=0 or h=N with extreme P must stay finite.
@@ -188,6 +188,8 @@ class _StageLikelihood:
         self._freq = self.weights[1][0]  # 2(2m+1)
         self._n_flat = int(np.count_nonzero(self.depths == 0.0))
         self._log_p = self._log_q = np.empty(0)
+        self._kept: tuple[slice, np.ndarray] | None = None  # best's one block and its grid
+        self._fisher: tuple[bytes, np.ndarray] | None = None  # _fisher_prefix's point and terms
         self.evaluations = 0
 
     def grid(
@@ -196,36 +198,41 @@ class _StageLikelihood:
         n_stages: int,
         a_grids: np.ndarray,
         kappa_grids: np.ndarray,
+        first: int = 0,
     ) -> np.ndarray:
-        """Sum over stages 0..n_stages-1 of h ln P + (N - h) ln(1 - P), with
-        P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
+        """Sum over stages first..n_stages-1 of h ln P + (N - h) ln(1 - P),
+        with P = 1/2 - 1/2 e^{-kappa m} cos(2(2m+1) theta_a) clamped to
         [EPS_P, 1 - EPS_P], for each dataset of rows on its own grid: row r
         of a_grids (n_a points) and of kappa_grids (n_k points); shape
         (len(rows), n_a, n_k).  kappa must be finite.  The m >= 1 stages
         skip the clamp when every kappa of the call is at least
         _KAPPA_GRID_FLOOR, where it cannot act (_weigh); the stage loop
-        and the zoom never go below it."""
+        and the zoom never go below it.  A stage's terms are the same in
+        any range, so adding the one-stage range n_stages - 1 to the sum of
+        the stages before it takes the last step of their in-order sum."""
         n_rows, n_a = a_grids.shape
         n_k = kappa_grids.shape[1]
-        size = n_stages * n_rows * n_a * n_k
+        stages = slice(first, n_stages)
+        count = n_stages - first
+        size = count * n_rows * n_a * n_k
         if self._log_p.size < size:
             self._log_p, self._log_q = np.empty(size), np.empty(size)
-        shape = (n_stages, n_rows, n_a, n_k)
+        shape = (count, n_rows, n_a, n_k)
         log_p = self._log_p[:size].reshape(shape)
         log_q = self._log_q[:size].reshape(shape)
-        hits = self._hits[:n_stages, rows]
-        misses = self._misses[:n_stages, rows]
+        hits = self._hits[stages, rows]
+        misses = self._misses[stages, rows]
         theta = np.arcsin(np.sqrt(np.minimum(np.maximum(a_grids, 0.0), 1.0)))
-        osc = np.cos(np.multiply.outer(self._freq[:n_stages], theta))
-        n_flat = min(self._n_flat, n_stages)
+        osc = np.cos(np.multiply.outer(self._freq[stages], theta))
+        n_flat = min(max(self._n_flat - first, 0), count)  # the range's m = 0 stages
         if n_flat:
             flat = 0.5 - osc[:n_flat] * 0.5
             _weigh(flat, np.empty_like(flat), hits[:n_flat, :, :, 0], misses[:n_flat, :, :, 0],
                    clamp=True)
             log_p[:n_flat] = flat[..., None]
-        if n_flat < n_stages:
+        if n_flat < count:
             rest = log_p[n_flat:]
-            half_decay = np.exp(np.multiply.outer(self.depths[n_flat:n_stages], -kappa_grids))
+            half_decay = np.exp(np.multiply.outer(self.depths[stages][n_flat:], -kappa_grids))
             half_decay *= 0.5
             np.einsum("sra,srk->srak", osc[n_flat:], half_decay, out=rest)
             np.subtract(0.5, rest, out=rest)
@@ -234,28 +241,45 @@ class _StageLikelihood:
         return log_p.sum(axis=0)
 
     def best(
-        self, n_stages: int, a_grids: np.ndarray, kappa_grids: np.ndarray, held=None
+        self, n_stages: int, a_grids: np.ndarray, kappa_grids: np.ndarray, held=None,
+        extend: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
         """Each dataset's first maximum in a-major order (smallest a, then
         kappa) on stages 0..n_stages-1: its a and kappa indices and its
         log-likelihood, and the log-likelihood at the flat a-major index
         held[t] when held is given (else None).  Each grid call takes as
-        many datasets as fit in _BLOCK_CELLS cells, and at least one.  Adds
-        one dataset's grid size to self.evaluations."""
+        many datasets as fit in _BLOCK_CELLS cells, and at least one.
+
+        When one grid call covers every dataset, its log-likelihoods are
+        kept by reference, which holds no more memory than the call did.
+        extend says the grids are the last call's and n_stages is one more:
+        if that call kept them, only stage n_stages - 1 is evaluated and
+        added to them in place.  Either way adds one dataset's grid size to
+        self.evaluations."""
         n_k = kappa_grids.shape[1]
         size = a_grids.shape[1] * n_k
         self.evaluations += size
-        step = max(1, _BLOCK_CELLS // (n_stages * size))
+        if extend and self._kept:
+            rows, lls = self._kept
+            lls += self.grid(rows, n_stages, a_grids[rows], kappa_grids[rows], n_stages - 1)
+            blocks = [self._kept]
+        else:
+            self._kept = None
+            step = max(1, _BLOCK_CELLS // (n_stages * size))
+            starts = range(0, self.n_data, step)
+            blocks = ((rows, self.grid(rows, n_stages, a_grids[rows], kappa_grids[rows]))
+                      for rows in (slice(start, start + step) for start in starts))
         top, best_ll = np.empty(self.n_data, dtype=np.intp), np.empty(self.n_data)
         held_ll = None if held is None else np.empty(self.n_data)
-        for start in range(0, self.n_data, step):
-            rows = slice(start, start + step)
-            ll = self.grid(rows, n_stages, a_grids[rows], kappa_grids[rows]).reshape(-1, size)
+        for rows, lls in blocks:
+            ll = lls.reshape(-1, size)
             at = np.arange(len(ll))
             top[rows] = flat = ll.argmax(axis=1)
             best_ll[rows] = ll[at, flat]
             if held is not None:
                 held_ll[rows] = ll[at, held[rows]]
+        if rows.start == 0 and rows.stop >= self.n_data:
+            self._kept = rows, lls
         ia, ik = np.divmod(top, n_k)
         return ia, ik, best_ll, held_ll
 
@@ -319,9 +343,20 @@ def _fisher_prefix(
 ) -> np.ndarray:
     """Fisher sums (i11, i12, i22), a (3, T) array, of the first n_stages
     stages at each (a[t], kappa[t]), with a inset from the {0, 1} boundary
-    where the information is singular."""
+    where the information is singular.
+
+    The last call's points and per-stage terms are kept on lik; at the
+    same points, bit for bit, their prefix is re-summed as a fresh
+    _element_sums sums it.  The terms cover the whole schedule when every
+    kappa is at least _KAPPA_GRID_FLOOR, where no denominator past the
+    prefix can fail _element_terms' check (an m >= 1 stage's is at least
+    expm1(2e-10), an m = 0 stage's is stage 0's), else the prefix alone."""
     a = np.minimum(np.maximum(a, _A_INSET), 1.0 - _A_INSET)
-    return _element_sums(a, kappa, tuple(w[:, :n_stages] for w in lik.weights))
+    key = a.tobytes() + np.asarray(kappa, dtype=float).tobytes()
+    if lik._fisher is None or lik._fisher[0] != key or lik._fisher[1].shape[2] < n_stages:
+        stop = len(lik.depths) if np.min(kappa) >= _KAPPA_GRID_FLOOR else n_stages
+        lik._fisher = key, _element_terms(a, kappa, tuple(w[:, :stop] for w in lik.weights))
+    return lik._fisher[1][..., :n_stages].sum(axis=2)
 
 
 def _box(
@@ -354,9 +389,13 @@ def _search(
     trace, and counts one dataset's evaluations in lik.evaluations.
 
     Stage 0 searches the init box.  Each later stage makes one Fisher and
-    one _bound_rule call, one grid-spacing call per axis, one snap and one
-    lik.best call for all datasets, and sizes each dataset's box from its
-    own errors.  kappa_fixed=None searches kappa on the log-spaced grid.  A
+    one _bound_rule call, one grid-spacing call per axis, one snap per axis
+    and one lik.best call for all datasets, and sizes each dataset's box
+    from its own errors.  A stage whose boxes and carried estimates all
+    equal the last stage's, bit for bit, would build the same grids: it
+    keeps them and the carried indices, with no spacing or snap call, and
+    has lik.best extend the last stage's grid log-likelihoods by its own
+    stage.  kappa_fixed=None searches kappa on the log-spaced grid.  A
     fixed kappa is searched as a one-point axis, its a-box sized by the
     one-parameter error 1/sqrt(i11).
     """
@@ -366,6 +405,7 @@ def _search(
     a_hat = kappa_hat = np.full(n_data, math.nan)
     traces: list[list[StageTrace]] = [[] for _ in range(n_data)]
     carried = None  # stage 0 has no carried estimate
+    last = b""  # the last stage's boxes and carried estimates, as bytes
 
     for stage in range(len(lik.depths)):
         if stage == 0:  # no stage seen yet: the init box
@@ -379,18 +419,20 @@ def _search(
             _box(e_a, e_k, a, k, kappa_fixed)
             for e_a, e_k, a, k in zip(eps_a, eps_k, a_hat.tolist(), kappa_hat.tolist())
         ])
-        a_lo, a_hi, k_lo, k_hi = np.ascontiguousarray(box.T)
+        key = box.tobytes() + a_hat.tobytes() + kappa_hat.tobytes()
+        repeat, last = key == last, key
+        if not repeat:  # else the last stage's grids and carried index, bit for bit
+            a_lo, a_hi, k_lo, k_hi = np.ascontiguousarray(box.T)
+            # (dataset, point) views of numpy's native (point, dataset) layout
+            a_grid = _linspace(a_lo, a_hi, div).T
+            if kappa_fixed is None:
+                k_grid = _geomspace(k_lo, k_hi, div).T
+            else:
+                k_grid = np.full((n_data, 1), kappa_fixed)
+            if stage > 0:  # the carried estimate's index in a-major order
+                carried = _snap(a_grid, a_hat) * k_grid.shape[1] + _snap(k_grid, kappa_hat)
 
-        # (dataset, point) views of numpy's native (point, dataset) layout
-        a_grid = _linspace(a_lo, a_hi, div).T
-        if kappa_fixed is None:
-            k_grid = _geomspace(k_lo, k_hi, div).T
-        else:
-            k_grid = np.full((n_data, 1), kappa_fixed)
-        if stage > 0:  # the carried estimate's index in a-major order
-            carried = _snap(a_grid, a_hat) * k_grid.shape[1] + _snap(k_grid, kappa_hat)
-
-        ia, ik, best_ll, carried_ll = lik.best(stage + 1, a_grid, k_grid, carried)
+        ia, ik, best_ll, carried_ll = lik.best(stage + 1, a_grid, k_grid, carried, repeat)
         a_hat, kappa_hat = a_grid[rows, ia], k_grid[rows, ik]
         carried_ll = [math.nan] * n_data if carried_ll is None else carried_ll.tolist()
         for trace, bounds, best, held in zip(traces, box.tolist(), best_ll.tolist(), carried_ll):

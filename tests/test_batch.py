@@ -25,7 +25,7 @@ from aemle import (
     mle_profile_1d,
     sample_counts,
 )
-from aemle.estimator import _estimate_batch, _geomspace, _linspace
+from aemle.estimator import _estimate_batch, _geomspace, _linspace, _StageLikelihood
 from aemle.model import ScheduleKind, _ladder
 
 KINDS = [(ScheduleKind.EIS, None), (ScheduleKind.LIS, None),
@@ -145,6 +145,66 @@ def test_batches_straddling_zoom_blocks_equal_reference(size, kind, M):
     assert [_outcome(res) for res in _estimate_batch(batch, MleConfig())] == expected
     reversed_batch = _estimate_batch(batch[::-1], MleConfig())
     assert [_outcome(res) for res in reversed_batch][::-1] == expected
+
+
+# Past the noise-limited depth a stage's boxes and carried estimates can equal
+# the last stage's bit for bit; the search then keeps its grids and adds only
+# the new stage's terms, through a one-stage kernel call.  At a = 0.3 and
+# kappa = 1e-3 with 1,000 shots, EIS M = 20 repeats its last 4 of 21 stages
+# at seeds 0-2 and power-base M = 14 its last 1-2; at kappa = 1e-6 neither
+# repeats a stage.  An all-classical schedule of few shots keeps the init
+# a-box [0, 1]: its zero-shot stages repeat, through the m = 0 clamp, and a
+# stage where the estimate moves must not.
+_FEW_SHOTS = ((0, 7), (0, 0), (0, 0), (0, 2), (0, 1), (0, 1))
+
+
+def _saturated(kind, M, r=None):
+    """Three datasets that repeat stages together, one that repeats none,
+    and the kappa to profile them at."""
+    if kind == "classical":
+        data = [ExperimentData(stages=tuple(
+            (m, n, h) for (m, n), h in zip(_FEW_SHOTS, hits)))
+            for hits in [(5, 0, 0, 2, 0, 1), (3, 0, 0, 0, 1, 0), (4, 0, 0, 1, 1, 0)]]
+        return data, None, 0.0
+    schedule = make_schedule(kind, M, 1000, r)
+    data = [sample_counts(amplitude_point(0.3, 1e-3), schedule, seed) for seed in range(3)]
+    return data, sample_counts(amplitude_point(0.3, 1e-6), schedule, 7), 1e-3
+
+
+@pytest.mark.parametrize("kind, M, r", [("eis", 20, None), ("powerbase", 14, 2.5),
+                                         ("classical", None, None)],
+                         ids=["eis20", "powerbase14", "classical-few-shots"])
+def test_repeated_stages_add_one_stage_and_equal_reference(monkeypatch, kind, M, r):
+    repeating, other, kappa = _saturated(kind, M, r)
+    one_stage = []  # n_stages of each one-stage kernel call past stage 0
+
+    def spy(self, rows, n_stages, a_grids, kappa_grids, first=0):
+        if first:
+            assert first == n_stages - 1
+            one_stage.append(n_stages)
+        return grid(self, rows, n_stages, a_grids, kappa_grids, first)
+
+    grid = _StageLikelihood.grid
+    monkeypatch.setattr(_StageLikelihood, "grid", spy)
+    expected = [repr(estimate_reference(data)) for data in repeating]
+    for data, want in zip(repeating, expected):
+        one_stage.clear()
+        assert repr(_estimate_batch([data], MleConfig())[0]) == want
+        assert one_stage
+        one_stage.clear()
+        assert mle_profile_1d(data, kappa).hex() == profile_reference(data, kappa).hex()
+        assert one_stage
+    one_stage.clear()
+    assert [repr(res) for res in _estimate_batch(repeating, MleConfig())] == expected
+    assert one_stage
+    if other is not None:  # a batch whose datasets do not all repeat takes the full path
+        one_stage.clear()
+        assert repr(_estimate_batch([other], MleConfig())[0]) == repr(estimate_reference(other))
+        assert not one_stage
+        mixed = [repeating[0], other]
+        assert [repr(res) for res in _estimate_batch(mixed, MleConfig())] == [
+            expected[0], repr(estimate_reference(other))]
+        assert not one_stage
 
 
 def test_batch_needs_one_schedule():

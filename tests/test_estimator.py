@@ -187,6 +187,9 @@ def test_evaluation_count_is_linear_in_stages():
         result = mle_grid_adaptive(data)
         # a 32 x 32 grid per stage, then four 17 x 17 zoom rounds
         assert result.likelihood_evaluations == 32 * 32 * (M + 1) + 4 * 17 * 17
+    # this ladder repeats its last 4 stages' grids, and each still counts its grid
+    data = sample_counts(amplitude_point(0.3, 1e-3), make_schedule("eis", 20, 1000), seed=0)
+    assert mle_grid_adaptive(data).likelihood_evaluations == 32 * 32 * 21 + 4 * 17 * 17
 
 
 def test_stage_never_loses_to_carried_estimate():

@@ -28,6 +28,7 @@ from aemle import (
     total_queries,
 )
 
+from aemle import estimator
 from aemle.estimator import _fisher_prefix, _StageLikelihood
 from aemle.fisher import (
     _DET_RTOL,
@@ -761,3 +762,36 @@ def test_weights_prefix_equals_weights_of_the_prefix(data, n_rows, n_stages):
     lik = _StageLikelihood([schedule])
     for got in (sliced, _fisher_prefix(lik, a, kappa, n)):
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25])
+def test_fisher_prefix_at_a_repeated_point_resums_its_kept_terms(monkeypatch, n):
+    # the search's Fisher calls at an estimate that holds, stage after stage:
+    # each re-sums the kept terms' prefix as a fresh call sums it (numpy's
+    # pairwise sum, which a running total does not reproduce), and a batch
+    # in which one point moved recomputes
+    schedule = make_schedule("eis", 24, 100)
+    lik = _StageLikelihood([ExperimentData(stages=tuple((m, s, s // 3) for m, s in
+                                                        schedule.stages))] * 3)
+    weights = _stage_weights(schedule.depths, schedule.shots)
+    a = np.asarray([0.2, 0.5, 0.7])
+    kappa = np.asarray([1e-3, 1e-10, 0.3])
+    computed = []
+
+    def spy(a, kappa, weights):
+        computed.append(weights[0].shape[1])
+        return element_terms(a, kappa, weights)
+
+    element_terms = estimator._element_terms
+    monkeypatch.setattr(estimator, "_element_terms", spy)
+    for k in range(1, n + 1):
+        got = _fisher_prefix(lik, a, kappa, k)
+        want = _element_sums(a, kappa, tuple(w[:, :k] for w in weights))
+        assert got.tobytes() == want.tobytes()
+    assert computed == [25]  # every kappa is at the floor or above: the whole schedule, once
+    moved = np.asarray([0.2, 0.55, 0.7])
+    got = _fisher_prefix(lik, moved, kappa, n)
+    want = _element_sums(moved, kappa, tuple(w[:, :n] for w in weights))
+    assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(got[:, 1], _fisher_prefix(lik, a, kappa, n)[:, 1])
+    assert computed == [25, 25, 25]
