@@ -118,6 +118,15 @@ def _meta(args: argparse.Namespace, params: dict[str, object]) -> dict:
             "params": {"seed": args.seed, **params}}
 
 
+def _params(args: argparse.Namespace, *names: str, **values: object) -> dict[str, object]:
+    """Header parameters: each named flag, then `values`, then --r when the
+    ladder is powerbase, the one kind that reads it."""
+    params = {name: getattr(args, name) for name in names} | values
+    if getattr(args, "kind", None) == "powerbase":
+        params["r"] = args.r
+    return params
+
+
 def _write(args: argparse.Namespace, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -142,10 +151,7 @@ def _check(ok: bool, message: str) -> None:
 
 def cmd_schedule(args: argparse.Namespace) -> None:
     schedule = make_schedule(args.kind, args.M, args.shots, args.r)
-    params: dict[str, object] = {"kind": args.kind, "M": args.M, "shots": args.shots,
-                                 "n_queries": total_queries(schedule)}
-    if args.kind == "powerbase":  # only that ladder reads --r
-        params["r"] = args.r
+    params = _params(args, "kind", "M", "shots", n_queries=total_queries(schedule))
     if args.format == "json":
         doc = json.loads(schedule_to_json(schedule))
         doc["meta"] = _meta(args, params)
@@ -159,16 +165,13 @@ def cmd_crbound(args: argparse.Namespace) -> None:
     _check(0.0 < args.a < 1.0, f"--a must be strictly inside (0, 1), got {args.a}")
     _check(args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
     mbar = max_grover_depth(args.kappa) if args.kappa > 0.0 else None
-    params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "kind": args.kind,
-                                 "shots": args.shots}
-    if args.kind == "powerbase":  # only that ladder reads --r
-        params["r"] = args.r
+    params = _params(args, "a", "kappa", "kind", "shots")
     if mbar is not None:
         params["m_bar"] = mbar
     rows = [
         [row.M, row.n_queries, row.epsilon_min, row.classical_epsilon, row.identifiable,
          row.beyond_max_depth]
-        for row in error_vs_queries(args.a, [args.kappa], args.M, args.shots, args.kind, args.r)
+        for row in error_vs_queries(args.a, args.kappa, args.M, args.shots, args.kind, args.r)
     ]
     _emit(
         args,
@@ -180,11 +183,11 @@ def cmd_crbound(args: argparse.Namespace) -> None:
 
 def cmd_estimate(args: argparse.Namespace) -> None:
     config = MleConfig(divisions_per_stage=args.divisions)
-    params: dict[str, object] = {"divisions": args.divisions}
     if args.data is not None:
         with open(args.data, "r", encoding="utf-8") as fh:
             data = data_from_json(fh.read())
-        params["data"] = os.path.basename(args.data)
+        params: dict[str, object] = {"divisions": args.divisions,
+                                     "data": os.path.basename(args.data)}
     else:
         _check(args.a is not None and args.kappa is not None,
                "--simulate requires --a and --kappa")
@@ -192,10 +195,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
         _check(args.kappa >= 0.0, f"--kappa must be >= 0, got {args.kappa}")
         schedule = make_schedule(args.kind, args.M, args.shots, args.r)
         data = sample_counts(amplitude_point(args.a, args.kappa), schedule, args.seed)
-        params.update({"a": args.a, "kappa": args.kappa, "kind": args.kind,
-                       "M": args.M, "shots": args.shots})
-        if args.kind == "powerbase":  # only that ladder reads --r
-            params["r"] = args.r
+        params = _params(args, "divisions", "a", "kappa", "kind", "M", "shots")
     result = mle_grid_adaptive(data, config)
     rows = [[
         result.a_hat,
@@ -228,11 +228,7 @@ def cmd_trials(args: argparse.Namespace) -> None:
         MleConfig(divisions_per_stage=args.divisions),
         args.r,
     )
-    params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "kind": args.kind,
-                                 "shots": args.shots, "trials": args.trials,
-                                 "divisions": args.divisions}
-    if args.kind == "powerbase":  # only that ladder reads --r
-        params["r"] = args.r
+    params = _params(args, "a", "kappa", "kind", "shots", "trials", "divisions")
     rows = [
         [rec.M, rec.n_queries, rec.rmse, rec.stderr, rec.mean_kappa_hat,
          rec.failed_trials, rec.epsilon_min]
@@ -253,8 +249,7 @@ def cmd_density(args: argparse.Namespace) -> None:
     else:
         schedule = default_density_schedule(args.kappa, args.shots)
     result = anomaly_density(args.kappa, args.samples, args.threshold, schedule, args.seed)
-    params: dict[str, object] = {"kappa": args.kappa, "samples": args.samples,
-                                 "threshold": args.threshold}
+    params = _params(args, "kappa", "samples", "threshold")
     rows = [[
         result.kappa,
         result.density_percent,
@@ -285,10 +280,7 @@ def cmd_contour(args: argparse.Namespace) -> None:
     with np.errstate(all="ignore"):  # a non-finite end is the library's DomainError
         k_grid = np.geomspace(args.kappa_min, args.kappa_max, kappa_points)
     grid = error_vs_kappa_contour(a_grid, k_grid, schedule)
-    params: dict[str, object] = {"kind": args.kind, "M": args.M, "shots": args.shots,
-                                 "a_points": args.a_points, "kappa_points": args.kappa_points}
-    if args.kind == "powerbase":  # only that ladder reads --r
-        params["r"] = args.r
+    params = _params(args, "kind", "M", "shots", "a_points", "kappa_points")
     columns = ["a"] + [f"kappa={_fmt(k)}" for k in grid.kappa_values]
     rows = [[a, *eps_row] for a, eps_row in zip(grid.a_values, grid.epsilon_min)]
     _emit(args, params, columns, rows)
@@ -310,17 +302,9 @@ def cmd_hwspec(args: argparse.Namespace) -> None:
     interpretation = TimeInterpretation(args.interpretation)
     report = compute_spec(assumptions, interpretation)
     gap = gate_error_gap(report, args.device_eps_s, args.device_eps_d)
-    params: dict[str, object] = {
-        "eps": args.eps,
-        "nint": args.nint,
-        "nk": args.nk,
-        "t_s": args.ts,
-        "t_d": args.td,
-        "t_m": args.tm,
-        "interval_factor": args.interval_factor,
-        "error_ratio": args.error_ratio,
-        "interpretation": args.interpretation,
-    }
+    params = _params(args, "eps", "nint", "nk", t_s=args.ts, t_d=args.td, t_m=args.tm,
+                     interval_factor=args.interval_factor, error_ratio=args.error_ratio,
+                     interpretation=args.interpretation)
     if args.kappa_bar is not None:
         params["kappa_bar_override"] = args.kappa_bar
     rows = [[name, desc, value] for name, desc, value in report_rows(report)]
@@ -342,7 +326,7 @@ def cmd_hitcurve(args: argparse.Namespace) -> None:
         depths = range(_integral(args.max_depth, "--max-depth") + 1)
     point = amplitude_point(args.a, args.kappa)
     curve = hit_rate_curve(point, depths, args.shots, args.seed)
-    params: dict[str, object] = {"a": args.a, "kappa": args.kappa, "shots": args.shots}
+    params = _params(args, "a", "kappa", "shots")
     rows = [[m, rate, noisy_good_prob(m, point)] for m, rate in curve]
     _emit(args, params, ["m", "hit_rate", "expected_prob"], rows)
 

@@ -345,17 +345,15 @@ def _fisher_prefix(
     stages at each (a[t], kappa[t]), with a inset from the {0, 1} boundary
     where the information is singular.
 
-    The last call's points and per-stage terms are kept on lik; at the
-    same points, bit for bit, their prefix is re-summed as a fresh
-    _element_sums sums it.  The terms cover the whole schedule when every
-    kappa is at least _KAPPA_GRID_FLOOR, where no denominator past the
-    prefix can fail _element_terms' check (an m >= 1 stage's is at least
-    expm1(2e-10), an m = 0 stage's is stage 0's), else the prefix alone."""
+    The last call's points and their terms of every stage are kept on lik;
+    at the same points, bit for bit, their prefix is re-summed as a fresh
+    _element_sums sums it.  No denominator past the prefix can fail
+    _element_terms' check: at the inset a each is at least the sin^2 of a
+    nonzero double, far above its floor."""
     a = np.minimum(np.maximum(a, _A_INSET), 1.0 - _A_INSET)
     key = a.tobytes() + np.asarray(kappa, dtype=float).tobytes()
-    if lik._fisher is None or lik._fisher[0] != key or lik._fisher[1].shape[2] < n_stages:
-        stop = len(lik.depths) if np.min(kappa) >= _KAPPA_GRID_FLOOR else n_stages
-        lik._fisher = key, _element_terms(a, kappa, tuple(w[:, :stop] for w in lik.weights))
+    if lik._fisher is None or lik._fisher[0] != key:
+        lik._fisher = key, _element_terms(a, kappa, lik.weights)
     return lik._fisher[1][..., :n_stages].sum(axis=2)
 
 

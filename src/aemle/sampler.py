@@ -21,7 +21,6 @@ from .estimator import (
     _estimate_batch,
     _stage_cap_error,
 )
-from .fisher import cr_lower_bound
 from .model import (
     AmplitudePoint,
     Schedule,
@@ -29,8 +28,8 @@ from .model import (
     _integral,
     make_schedule,
     noisy_good_prob,
-    total_queries,
 )
+from .survey import error_vs_queries
 
 
 @dataclass(frozen=True)
@@ -102,18 +101,20 @@ def run_trials(
     Per M: builds the schedule, samples `trials` independent datasets,
     estimates (a, kappa) on all of them in one batched stage loop, and
     records the RMSE of a-hat against the true a with a jackknife standard
-    error.  Trials whose estimation fails are excluded and counted.  A
-    ladder whose M_max schedule has more stages than the estimator takes
-    is refused, as estimating its data would be, before any trial runs.
+    error.  Trials whose estimation fails are excluded and counted.  The
+    N_q and epsilon_min columns are error_vs_queries' rows.  A ladder whose
+    M_max schedule has more stages than the estimator takes is refused, as
+    estimating its data would be, and so is a point with no bound, before
+    any trial runs.
     """
     trials = _integral(trials, "trials", 1)
     M_max = _integral(M_max, "M_max", 1)
     config = config or MleConfig()
-    # a bad or too long ladder is refused before any trial runs
     if (error := _stage_cap_error(len(make_schedule(kind, M_max, shots, r)))) is not None:
         raise error
+    bounds = error_vs_queries(point.a, point.kappa, M_max, shots, kind, r)
     records = []
-    for M in range(1, M_max + 1):
+    for M, bound in enumerate(bounds, 1):
         schedule = make_schedule(kind, M, shots, r)
         datasets = [
             _sample_with_rng(point, schedule, _rng_for(seed, M, t)) for t in range(trials)
@@ -128,12 +129,12 @@ def run_trials(
         records.append(
             TrialRecord(
                 M=M,
-                n_queries=total_queries(schedule),
+                n_queries=bound.n_queries,
                 rmse=rmse,
                 stderr=stderr,
                 mean_kappa_hat=mean_kappa,
                 failed_trials=failed,
-                epsilon_min=cr_lower_bound(point, schedule).epsilon_min,
+                epsilon_min=bound.epsilon_min,
             )
         )
     return TrialBatchResult(records=tuple(records), trials=trials, seed=seed)

@@ -2,11 +2,11 @@
 
 Three studies built on the Fisher machinery: the linear density of anomalous
 target amplitudes (fraction of a in [0,1] with beta above a threshold), error
-bound versus total query count (the rows crbound prints), and the error bound
-on an (a, kappa) grid.  The density and the grid share one blocked sweep,
-_bound_sweep, which runs more than one block on a thread per core (numpy's
-sin/cos release the interpreter lock); each block writes only its own slice,
-so any core count gives the same bits.
+bound versus total query count (the rows crbound prints and trials reads),
+and the error bound on an (a, kappa) grid.  The density and the grid share
+one blocked sweep, _bound_sweep, which runs more than one block on a thread
+per core (numpy's sin/cos release the interpreter lock); each block writes
+only its own slice, so any core count gives the same bits.
 """
 from __future__ import annotations
 
@@ -57,8 +57,6 @@ class QueryErrorRow:
     """One point of an error-versus-queries curve: the schedule's bound and
     identifiability flag, and the classical bound at the same queries."""
 
-    kind: str
-    kappa: float
     M: int
     n_queries: int
     epsilon_min: float
@@ -157,21 +155,23 @@ def anomaly_density(
 
 def error_vs_queries(
     a: float,
-    kappas: list[float],
+    kappa: float,
     M_max: int,
     shots: int,
     kind: ScheduleKind | str = ScheduleKind.EIS,
     r: float | None = None,
 ) -> list[QueryErrorRow]:
-    """Error-bound curves against total queries, one per noise level.
+    """Error bound against total queries at one noise level, one row per
+    M = 1..M_max.
 
-    Emits one row per (kappa, M): the schedule's cr_lower_bound and the
-    classical bound sqrt(a(1-a)/N_q) at the same query count.  Rows whose
-    deepest stage exceeds m-bar(kappa) are flagged: past that point the bound
-    saturates and extra depth is wasted.
+    Row M holds the cr_lower_bound of the M-stage schedule and the classical
+    bound sqrt(a(1-a)/N_q) at the same query count.  Rows whose deepest
+    stage exceeds m-bar(kappa), where (2m + 1)(1 - e^{-kappa}) > 1 as in
+    max_grover_depth, are flagged: past that point the bound saturates and
+    extra depth is wasted.  A kappa whose m-bar passes 2**52 flags no row.
 
     Each M's schedule is the first M + 1 stages of the M_max one, so one
-    Fisher pass per kappa covers every row: row M sums that prefix as a lone
+    Fisher pass covers every row: row M sums that prefix as a lone
     cr_lower_bound call sums its schedule (a running sum rounds differently),
     and one _bounds call inverts every row.
     """
@@ -179,22 +179,17 @@ def error_vs_queries(
         raise DomainError(f"a={a} outside (0, 1)")
     M_max = _integral(M_max, "M_max", 1)
     schedule = make_schedule(kind, M_max, shots, r)
-    depths = schedule.depths
-    weights = _stage_weights(depths, schedule.shots)
+    point = amplitude_point(a, kappa)
+    weights = _stage_weights(schedule.depths, schedule.shots)
+    terms = _element_terms(np.asarray([point.a]), point.kappa, weights)[:, 0]
+    sums = np.stack([terms[:, :M + 1].sum(axis=1) for M in range(1, M_max + 1)], axis=1)
+    eps_a, eps_kappa, _ = _bounds(sums, a).tolist()
+    decay = -math.expm1(-point.kappa)
     queries = list(itertools.accumulate(n * (2 * m + 1) for m, n in schedule.stages))
-    rows: list[QueryErrorRow] = []
-    for kappa in kappas:
-        point = amplitude_point(a, kappa)
-        mbar = max_grover_depth(kappa) if kappa > 0.0 else None
-        terms = _element_terms(np.asarray([point.a]), point.kappa, weights)[:, 0]
-        sums = np.stack([terms[:, :M + 1].sum(axis=1) for M in range(1, M_max + 1)], axis=1)
-        eps_a, eps_kappa, _ = _bounds(sums, a).tolist()
-        for M, eps, eps_k in zip(range(1, M_max + 1), eps_a, eps_kappa):
-            nq = queries[M]
-            beyond = mbar is not None and depths[M] > mbar
-            rows.append(QueryErrorRow(schedule.kind.value, kappa, M, nq, eps,
-                                      classical_bound(a, nq), not math.isnan(eps_k), beyond))
-    return rows
+    return [QueryErrorRow(M, nq, eps, classical_bound(a, nq), not math.isnan(eps_k),
+                          (2 * m + 1) * decay > 1.0)
+            for M, m, nq, eps, eps_k in zip(range(1, M_max + 1), schedule.depths[1:],
+                                            queries[1:], eps_a, eps_kappa)]
 
 
 def error_vs_kappa_contour(

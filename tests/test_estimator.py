@@ -507,6 +507,31 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, block_cells, kind,
         assert mle_profile_1d(data, 0.05).hex() == profile_reference(data, 0.05).hex()
 
 
+# The stage search keeps each point's Fisher terms of every stage, also at a
+# fixed kappa below the grid floor, where every denominator is still at
+# least the sin^2 of a nonzero double: one _element_terms call per point,
+# each over the whole schedule, and the prefix sums of the reference, which
+# builds each prefix's Fisher matrix alone.
+@pytest.mark.parametrize("kind, M", [("eis", 30), ("lis", 40)])
+@pytest.mark.parametrize("kappa_fixed", [0.0, 1e-11])
+def test_profile_fisher_terms_span_the_schedule_below_the_kappa_floor(
+    monkeypatch, kind, M, kappa_fixed
+):
+    data = sample_counts(amplitude_point(0.3, 0.0), make_schedule(kind, M, 50), seed=3)
+    expected = profile_reference(data, kappa_fixed).hex()
+    calls = []
+
+    def spy(a, kappa, weights):
+        calls.append((a.tobytes(), weights[0].shape[-1]))
+        return element_terms(a, kappa, weights)
+
+    element_terms = estimator._element_terms
+    monkeypatch.setattr(estimator, "_element_terms", spy)
+    assert mle_profile_1d(data, kappa_fixed).hex() == expected
+    assert calls and {stages for _, stages in calls} == {M + 1}
+    assert all(this != last for (this, _), (last, _) in zip(calls[1:], calls))
+
+
 @pytest.mark.parametrize("n_stages", [*range(1, 65), 129, 200, 300])
 def test_stage_sum_matches_numpy_reduction_order(n_stages):
     # The kernel sums its stage-first workspace with .sum(axis=0) and the

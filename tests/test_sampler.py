@@ -7,17 +7,20 @@ import pytest
 from aemle import (
     AemleError,
     ConfigError,
+    DomainError,
     ExperimentData,
     Schedule,
     amplitude_point,
+    cr_lower_bound,
     hit_rate_curve,
     make_schedule,
     mle_grid_adaptive,
     noisy_good_prob,
     run_trials,
     sample_counts,
+    total_queries,
 )
-from aemle import sampler
+from aemle import sampler, survey
 from aemle.sampler import _jackknife_rmse_stderr, _rng_for, _sample_with_rng
 
 
@@ -142,6 +145,36 @@ def test_run_trials_refuses_a_ladder_past_the_stage_cap(M_max, monkeypatch):
     data = ExperimentData(stages=tuple((m, 10, 5) for m in range(M_max + 1)))
     with pytest.raises(ConfigError, match=reason):
         mle_grid_adaptive(data)
+
+
+# The N_q and epsilon_min columns come from one Fisher pass over the M_max
+# ladder, and equal per-M total_queries and cr_lower_bound bit for bit.
+@pytest.mark.parametrize("kind, r", [("eis", None), ("lis", None), ("powerbase", 2.5),
+                                     ("classical", None)])
+@pytest.mark.parametrize("a, kappa", [(1e-6, 0.0), (0.375, 0.067), (1.0 - 1e-9, 2.0)])
+def test_run_trials_bound_columns_are_the_per_M_bound(monkeypatch, kind, r, a, kappa):
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2][0].shape)
+        return element_terms(*args)
+
+    element_terms = survey._element_terms
+    monkeypatch.setattr(survey, "_element_terms", spy)
+    point = amplitude_point(a, kappa)
+    batch = run_trials(point, kind, 5, 20, trials=2, seed=3, r=r)
+    assert calls == [(1, 6)]  # one pass over the M = 5 ladder's six stages
+    for rec in batch.records:
+        schedule = make_schedule(kind, rec.M, 20, r)
+        assert rec.n_queries == total_queries(schedule)
+        assert rec.epsilon_min.hex() == cr_lower_bound(point, schedule).epsilon_min.hex()
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_run_trials_refuses_an_amplitude_with_no_bound_before_sampling(a, monkeypatch):
+    monkeypatch.setattr(sampler, "_sample_with_rng", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(DomainError, match=rf"^a={a} outside \(0, 1\)$"):
+        run_trials(amplitude_point(a, 0.01), "eis", 3, 10, trials=2, seed=1)
 
 
 def test_hit_rate_curve():

@@ -151,22 +151,42 @@ def test_segment_counts_scale_inversely_with_noise():
 
 
 def test_error_vs_queries_rows():
-    rows = error_vs_queries(0.375, [0.0, 0.01], M_max=8, shots=100)
-    assert [(r.kappa, r.M) for r in rows] == [(k, M) for k in (0.0, 0.01) for M in range(1, 9)]
-    mbar = max_grover_depth(0.01)
-    for row in rows:
-        schedule = make_schedule("eis", row.M, 100)
-        bound = cr_lower_bound(amplitude_point(0.375, row.kappa), schedule)
-        assert row.kind == "eis" and row.n_queries == total_queries(schedule)
-        assert (row.epsilon_min, row.identifiable) == (bound.epsilon_min, bound.identifiable)
-        assert row.classical_epsilon == classical_bound(0.375, row.n_queries)
-        # noiseless rows never exceed the depth limit; noisy rows flag
-        # exactly the schedules deeper than m-bar
-        assert row.beyond_max_depth == (row.kappa > 0.0 and max(schedule.depths) > mbar)
+    for kappa in (0.0, 0.01):
+        rows = error_vs_queries(0.375, kappa, M_max=8, shots=100)
+        assert [r.M for r in rows] == list(range(1, 9))
+        mbar = max_grover_depth(kappa) if kappa > 0.0 else None
+        for row in rows:
+            schedule = make_schedule("eis", row.M, 100)
+            bound = cr_lower_bound(amplitude_point(0.375, kappa), schedule)
+            assert row.n_queries == total_queries(schedule)
+            assert (row.epsilon_min, row.identifiable) == (bound.epsilon_min, bound.identifiable)
+            assert row.classical_epsilon == classical_bound(0.375, row.n_queries)
+            # noiseless rows never exceed the depth limit; noisy rows flag
+            # exactly the schedules deeper than m-bar
+            assert row.beyond_max_depth == (mbar is not None and max(schedule.depths) > mbar)
+
+
+# beyond_max_depth reads the depth limit's rule, (2m + 1)(1 - e^{-kappa}) > 1, so
+# it flags the rows max_grover_depth flags on either side of each depth's
+# own limit, and a kappa whose m-bar passes 2**52 flags none and is not
+# refused (run_trials reads these rows at any kappa)
+def test_error_vs_queries_flags_the_rows_past_max_grover_depth():
+    for M in range(1, 20):
+        depth = make_schedule("eis", M, 1).depths[M]
+        edge = -math.log1p(-1.0 / (2 * depth + 1))
+        for kappa in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            rows = error_vs_queries(0.375, float(kappa), M_max=20, shots=100)
+            mbar = max_grover_depth(float(kappa))
+            assert [r.beyond_max_depth for r in rows] == [
+                make_schedule("eis", r.M, 1).depths[r.M] > mbar for r in rows]
+    for kappa in (1e-17, 1e-300):
+        with pytest.raises(DomainError, match="is too small"):
+            max_grover_depth(kappa)
+        assert not any(r.beyond_max_depth for r in error_vs_queries(0.375, kappa, 53, 100))
 
 
 def test_error_vs_queries_quantum_beats_classical_under_low_noise():
-    rows = error_vs_queries(0.375, [0.001], M_max=8, shots=100)
+    rows = error_vs_queries(0.375, 0.001, M_max=8, shots=100)
     for row in rows[2:]:  # M = 3..8
         assert row.epsilon_min < row.classical_epsilon
 
@@ -175,13 +195,13 @@ def test_error_vs_queries_quantum_beats_classical_under_low_noise():
 @pytest.mark.parametrize("M_max", [0, -2])
 def test_error_vs_queries_refuses_an_empty_sweep(M_max):
     with pytest.raises(ConfigError, match=rf"M_max={M_max} must be an integer in \[1, 2\*\*52\]"):
-        error_vs_queries(0.375, [0.01], M_max=M_max, shots=100)
+        error_vs_queries(0.375, 0.01, M_max=M_max, shots=100)
 
 
 @pytest.mark.parametrize("a", [0.0, 1.0, -0.5, math.nan])
 def test_error_vs_queries_refuses_an_amplitude_outside_0_1(a):
     with pytest.raises(DomainError, match=rf"^a={a} outside \(0, 1\)$"):
-        error_vs_queries(a, [0.01], M_max=3, shots=100)
+        error_vs_queries(a, 0.01, M_max=3, shots=100)
 
 
 # a schedule with no information about a, and one whose information passes
@@ -196,7 +216,7 @@ UNUSABLE = {
         np.asarray([0.3, 0.5]), np.asarray([1e-5, 0.1]), NO_SHOTS), NONE),
     "contour-overflow": (lambda: error_vs_kappa_contour(
         np.asarray([0.3, 1e-300, 2e-300]), np.asarray([1e-5, 0.1]), OVERFLOWING), OVERFLOW),
-    "crbound-overflow": (lambda: error_vs_queries(1e-300, [0.0], M_max=3, shots=2**52), OVERFLOW),
+    "crbound-overflow": (lambda: error_vs_queries(1e-300, 0.0, M_max=3, shots=2**52), OVERFLOW),
     "density-no-shots": (lambda: anomaly_density(0.01, 1000, schedule=NO_SHOTS), NONE),
 }
 
