@@ -8,8 +8,8 @@ stage k's accumulated likelihood on a constant-size grid inside that box
 grid so a stage can never do worse than carrying the old estimate forward.
 After the last stage a final zoom of a few shrinking linear grids around
 the estimate polishes it, moving it only to a strictly better point.
-Datasets that share a schedule run through one stage loop and zoom
-together, and each gets the result it would get alone.
+The hit rows of datasets that share a schedule run through one stage loop
+and zoom together, and each gets the result it would get alone.
 """
 from __future__ import annotations
 
@@ -158,15 +158,15 @@ def _weigh(
 
 
 class _StageLikelihood:
-    """Binomial log-likelihoods of datasets that share one schedule, on
-    (a, kappa) grids, with the schedule's Fisher weights.
+    """Binomial log-likelihoods of hit rows on one schedule (depths, shots),
+    on (a, kappa) grids, with the schedule's Fisher weights.
 
-    The schedule, its _stage_weights and every dataset's counts are
-    converted once, and one stage-first (stage, dataset, a, kappa)
-    workspace, grown to the largest call, serves every block of datasets
-    (see best).  The m = 0 stages lead (depths are non-decreasing) and,
-    as e^{-kappa 0} = 1 at every finite kappa, their terms are computed on
-    (dataset, a) columns and copied along the kappa axis.  The other stages
+    The schedule, its _stage_weights and every row's counts are converted
+    once, and one stage-first (stage, dataset, a, kappa) workspace, grown
+    to the largest call, serves every block of datasets (see best).  The
+    m = 0 stages lead (depths are non-decreasing) and, as e^{-kappa 0} = 1
+    at every finite kappa, their terms are computed on (dataset, a) columns
+    and copied along the kappa axis.  The other stages
     form cos(2(2m+1) theta_a) x e^{-kappa m} / 2 with einsum, which skips
     the buffering of numpy's broadcast multiply, and are clamped only when
     a kappa of the call is below _KAPPA_GRID_FLOOR: above it the clamp
@@ -177,12 +177,12 @@ class _StageLikelihood:
     and any block.
     """
 
-    def __init__(self, datasets: Sequence[ExperimentData]) -> None:
-        self.depths = np.asarray(datasets[0].depths, dtype=float)
-        self.shots = np.asarray(datasets[0].shots, dtype=float)
-        self.n_data = len(datasets)
+    def __init__(self, depths: Sequence[int], shots: Sequence[int], hits) -> None:
+        self.depths = np.asarray(depths, dtype=float)
+        self.shots = np.asarray(shots, dtype=float)
+        self.n_data = len(hits)
         # (stage, dataset, 1, 1) hit and miss counts
-        self._hits = np.asarray([data.hits for data in datasets], dtype=float).T[:, :, None, None]
+        self._hits = np.asarray(hits, dtype=float).T[:, :, None, None]
         self._misses = self.shots[:, None, None, None] - self._hits
         self.weights = _stage_weights(self.depths, self.shots)
         self._freq = self.weights[1][0]  # 2(2m+1)
@@ -290,7 +290,8 @@ def log_likelihood(data: ExperimentData, a: float, kappa: float) -> float:
     is negative or not finite raise DomainError."""
     point = amplitude_point(a, kappa)
     cell = np.asarray([[point.a, point.kappa]])
-    grid = _StageLikelihood([data]).grid(slice(0, 1), len(data.stages), cell[:, :1], cell[:, 1:])
+    lik = _StageLikelihood(data.depths, data.shots, [data.hits])
+    grid = lik.grid(slice(0, 1), len(data.stages), cell[:, :1], cell[:, 1:])
     return float(grid[0, 0, 0])
 
 
@@ -490,17 +491,19 @@ def _stage_cap_error(n_stages: int) -> ConfigError | None:
     return None
 
 
-def _data_error(data: ExperimentData) -> AemleError | None:
-    """The error that keeps data from being estimated, or None; the stage
-    cap is checked first."""
-    if (error := _stage_cap_error(len(data.stages))) is not None:
+def _data_error(
+    depths: Sequence[int], shots: Sequence[int], hits: Sequence[int]
+) -> AemleError | None:
+    """The error that keeps one hit row on the schedule (depths, shots) from
+    being estimated, or None; the stage cap is checked first."""
+    if (error := _stage_cap_error(len(depths))) is not None:
         return error
-    if all(m == 0 for m in data.depths) and all(h in (0, n) for _, n, h in data.stages):
+    if all(m == 0 for m in depths) and all(h in (0, n) for n, h in zip(shots, hits)):
         return DegenerateDataError(
             "all stages are classical with saturated hit counts; the estimate "
             "lies on the amplitude boundary"
         )
-    if all(h == 0 for h in data.hits) or data.hits == data.shots:
+    if all(h == 0 for h in hits) or all(h == n for n, h in zip(shots, hits)):
         return DegenerateDataError(
             "no stage has both hits and misses; the estimate lies on the "
             "parameter boundary"
@@ -509,24 +512,23 @@ def _data_error(data: ExperimentData) -> AemleError | None:
 
 
 def _estimate_batch(
-    datasets: Sequence[ExperimentData], config: MleConfig
+    depths: Sequence[int], shots: Sequence[int], hits: Sequence[Sequence[int]],
+    config: MleConfig, kappa_fixed: float | None = None,
 ) -> list[EstimateResult | AemleError]:
-    """mle_grid_adaptive on datasets that share one schedule (the same depths
-    and shots), in one stage loop.
+    """mle_grid_adaptive, or at kappa_fixed the profile search, on each row
+    of a (T, S) hit matrix on one schedule (depths, shots), in one stage loop.
 
-    A dataset that cannot be estimated gets its error in place of a result;
-    the others are estimated exactly as they would be alone.
+    A row that cannot be estimated gets its error in place of a result; the
+    others are estimated exactly as they would be alone.
     """
-    depths, shots = datasets[0].depths, datasets[0].shots
-    if any(data.depths != depths or data.shots != shots for data in datasets):
-        raise ConfigError("the datasets of a batch must share one schedule")
-    errors = [_data_error(data) for data in datasets]
-    good = [data for data, error in zip(datasets, errors) if error is None]
+    errors = [_data_error(depths, shots, row) for row in hits]
+    good = [row for row, error in zip(hits, errors) if error is None]
     if not good:
         return errors
     kappa_identifiable = any(m > 0 for m in depths)
-    kappa_fixed = None if kappa_identifiable else math.sqrt(math.prod(_KAPPA_INIT))
-    lik = _StageLikelihood(good)
+    if kappa_fixed is None and not kappa_identifiable:
+        kappa_fixed = math.sqrt(math.prod(_KAPPA_INIT))
+    lik = _StageLikelihood(depths, shots, good)
     a_hat, kappa_hat, best_ll, traces = _search(lik, config, kappa_fixed)
 
     sums = _fisher_prefix(lik, a_hat, kappa_hat, len(depths))
@@ -562,7 +564,7 @@ def mle_grid_adaptive(data: ExperimentData, config: MleConfig | None = None) -> 
     0, or all equal to the shots, raise DegenerateDataError: its likelihood
     peaks on the parameter boundary.  This is a batch of one dataset.
     """
-    (result,) = _estimate_batch([data], config or MleConfig())
+    (result,) = _estimate_batch(data.depths, data.shots, [data.hits], config or MleConfig())
     if isinstance(result, AemleError):
         raise result
     return result
@@ -576,10 +578,10 @@ def mle_profile_1d(
     refuses."""
     if not 0.0 <= kappa_fixed < math.inf:
         raise ConfigError(f"kappa_fixed={kappa_fixed} must be finite and >= 0")
-    if (error := _data_error(data)) is not None:
-        raise error
-    config = config or MleConfig()
-    lik = _StageLikelihood([data])
     # kappa_fixed near 1e308 overflows m * -kappa to -inf; exp(-inf) = 0 is right
     with np.errstate(over="ignore"):
-        return float(_search(lik, config, float(kappa_fixed))[0][0])
+        (result,) = _estimate_batch(data.depths, data.shots, [data.hits],
+                                    config or MleConfig(), float(kappa_fixed))
+    if isinstance(result, AemleError):
+        raise result
+    return result.a_hat

@@ -56,24 +56,17 @@ def _rng_for(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *stream))))
 
 
-def _binomial(rng: np.random.Generator, n: int, p: float) -> int:
-    # sum of Bernoulli draws: exact, and stable across numpy versions (n = 0 draws nothing)
-    return int(np.count_nonzero(rng.random(n) < p))
+def _draw(point: AmplitudePoint, stages, rng: np.random.Generator) -> list[int]:
+    """Hits h_k ~ Binomial(N_k, P(m_k; a, kappa)) of each (m_k, N_k) stage, as
+    sums of Bernoulli draws: exact, and stable across numpy versions (a
+    zero-shot stage draws nothing)."""
+    return [int(np.count_nonzero(rng.random(n) < noisy_good_prob(m, point))) for m, n in stages]
 
 
 def sample_counts(point: AmplitudePoint, schedule: Schedule, seed: int) -> ExperimentData:
     """Draw h_k ~ Binomial(N_k, P(m_k; a, kappa)) for every stage."""
-    return _sample_with_rng(point, schedule, _rng_for(seed))
-
-
-def _sample_with_rng(
-    point: AmplitudePoint, schedule: Schedule, rng: np.random.Generator
-) -> ExperimentData:
-    stages = []
-    for m, n in schedule.stages:
-        p = noisy_good_prob(m, point)
-        stages.append((m, n, _binomial(rng, n, p)))
-    return ExperimentData(stages=tuple(stages))
+    hits = _draw(point, schedule.stages, _rng_for(seed))
+    return ExperimentData(stages=tuple((m, n, h) for (m, n), h in zip(schedule.stages, hits)))
 
 
 def _jackknife_rmse_stderr(sq_errors: np.ndarray) -> float:
@@ -98,28 +91,27 @@ def run_trials(
 ) -> TrialBatchResult:
     """Estimate over seeded repetitions for each M = 1..M_max.
 
-    Per M: builds the schedule, samples `trials` independent datasets,
-    estimates (a, kappa) on all of them in one batched stage loop, and
-    records the RMSE of a-hat against the true a with a jackknife standard
-    error.  Trials whose estimation fails are excluded and counted.  The
-    N_q and epsilon_min columns are error_vs_queries' rows.  A ladder whose
-    M_max schedule has more stages than the estimator takes is refused, as
-    estimating its data would be, and so is a point with no bound, before
-    any trial runs.
+    Per M: samples `trials` independent hit rows on the first M + 1 stages
+    of the M_max ladder, estimates (a, kappa) on all of them in one batched
+    stage loop, and records the RMSE of a-hat against the true a with a
+    jackknife standard error.  Trials whose estimation fails are excluded
+    and counted.  The N_q and epsilon_min columns are error_vs_queries'
+    rows.  A ladder whose M_max schedule has more stages than the estimator
+    takes is refused, as estimating its data would be, and so is a point
+    with no bound, before any trial runs.
     """
     trials = _integral(trials, "trials", 1)
     M_max = _integral(M_max, "M_max", 1)
     config = config or MleConfig()
-    if (error := _stage_cap_error(len(make_schedule(kind, M_max, shots, r)))) is not None:
+    ladder = make_schedule(kind, M_max, shots, r)
+    if (error := _stage_cap_error(len(ladder))) is not None:
         raise error
     bounds = error_vs_queries(point.a, point.kappa, M_max, shots, kind, r)
     records = []
     for M, bound in enumerate(bounds, 1):
-        schedule = make_schedule(kind, M, shots, r)
-        datasets = [
-            _sample_with_rng(point, schedule, _rng_for(seed, M, t)) for t in range(trials)
-        ]
-        results = _estimate_batch(datasets, config)
+        stages = ladder.stages[: M + 1]
+        hits = [_draw(point, stages, _rng_for(seed, M, t)) for t in range(trials)]
+        results = _estimate_batch(ladder.depths[: M + 1], ladder.shots[: M + 1], hits, config)
         good = [res for res in results if isinstance(res, EstimateResult)]
         failed = trials - len(good)
         sq_errors = np.asarray([(res.a_hat - point.a) ** 2 for res in good])
@@ -143,14 +135,8 @@ def run_trials(
 def hit_rate_curve(
     point: AmplitudePoint, depths: Sequence[int], shots: int, seed: int
 ) -> list[tuple[int, float]]:
-    """Sampled hit rate h/shots per amplification depth; `depths` is read
-    twice, so a range serves as well as a list."""
+    """Sampled hit rate h/shots per amplification depth, every depth
+    checked before any draw."""
     shots = _integral(shots, "shots", 1)
-    for m in depths:  # every depth before any draw
-        _integral(m, "depth m")
-    rng = _rng_for(seed)
-    out = []
-    for m in depths:
-        p = noisy_good_prob(m, point)
-        out.append((m, _binomial(rng, shots, p) / shots))
-    return out
+    stages = [(_integral(m, "depth m"), shots) for m in depths]
+    return [(m, h / shots) for (m, _), h in zip(stages, _draw(point, stages, _rng_for(seed)))]

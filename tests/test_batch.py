@@ -16,7 +16,6 @@ from oracles import estimate_reference, profile_reference
 
 from aemle import (
     AemleError,
-    ConfigError,
     ExperimentData,
     MleConfig,
     amplitude_point,
@@ -77,6 +76,11 @@ def _reference_or_error(data, config):
         return type(exc), str(exc)
 
 
+def _rows(batch):
+    """_estimate_batch's schedule and hit rows of datasets on one schedule."""
+    return batch[0].depths, batch[0].shots, [data.hits for data in batch]
+
+
 def _outcome(result):
     if isinstance(result, AemleError):
         return type(result), str(result)
@@ -86,16 +90,16 @@ def _outcome(result):
 @given(batch=shared_batch(), config=CONFIGS)
 @settings(max_examples=60, deadline=None)
 def test_batch_equals_reference_per_dataset(batch, config):
-    got = [_outcome(res) for res in _estimate_batch(batch, config)]
+    got = [_outcome(res) for res in _estimate_batch(*_rows(batch), config)]
     assert got == [_reference_or_error(data, config) for data in batch]
 
 
 @given(batch=shared_batch(), config=CONFIGS)
 @settings(max_examples=25, deadline=None)
 def test_result_does_not_depend_on_the_batch(batch, config):
-    forward = [_outcome(res) for res in _estimate_batch(batch, config)]
-    backward = [_outcome(res) for res in _estimate_batch(batch[::-1], config)][::-1]
-    alone = [_outcome(_estimate_batch([data], config)[0]) for data in batch]
+    forward = [_outcome(res) for res in _estimate_batch(*_rows(batch), config)]
+    backward = [_outcome(res) for res in _estimate_batch(*_rows(batch[::-1]), config)][::-1]
+    alone = [_outcome(_estimate_batch(*_rows([data]), config)[0]) for data in batch]
     assert forward == backward == alone
     for data, outcome in zip(batch, alone):
         if isinstance(outcome, str):
@@ -142,8 +146,8 @@ def test_batches_straddling_zoom_blocks_equal_reference(size, kind, M):
     if size > 2:
         batch[2] = ExperimentData(stages=tuple((m, n, n) for m, n, _ in batch[2].stages))
     expected = [_reference_or_error(data, MleConfig()) for data in batch]
-    assert [_outcome(res) for res in _estimate_batch(batch, MleConfig())] == expected
-    reversed_batch = _estimate_batch(batch[::-1], MleConfig())
+    assert [_outcome(res) for res in _estimate_batch(*_rows(batch), MleConfig())] == expected
+    reversed_batch = _estimate_batch(*_rows(batch[::-1]), MleConfig())
     assert [_outcome(res) for res in reversed_batch][::-1] == expected
 
 
@@ -189,30 +193,23 @@ def test_repeated_stages_add_one_stage_and_equal_reference(monkeypatch, kind, M,
     expected = [repr(estimate_reference(data)) for data in repeating]
     for data, want in zip(repeating, expected):
         one_stage.clear()
-        assert repr(_estimate_batch([data], MleConfig())[0]) == want
+        assert repr(_estimate_batch(*_rows([data]), MleConfig())[0]) == want
         assert one_stage
         one_stage.clear()
         assert mle_profile_1d(data, kappa).hex() == profile_reference(data, kappa).hex()
         assert one_stage
     one_stage.clear()
-    assert [repr(res) for res in _estimate_batch(repeating, MleConfig())] == expected
+    assert [repr(res) for res in _estimate_batch(*_rows(repeating), MleConfig())] == expected
     assert one_stage
     if other is not None:  # a batch whose datasets do not all repeat takes the full path
         one_stage.clear()
-        assert repr(_estimate_batch([other], MleConfig())[0]) == repr(estimate_reference(other))
+        alone = _estimate_batch(*_rows([other]), MleConfig())[0]
+        assert repr(alone) == repr(estimate_reference(other))
         assert not one_stage
         mixed = [repeating[0], other]
-        assert [repr(res) for res in _estimate_batch(mixed, MleConfig())] == [
+        assert [repr(res) for res in _estimate_batch(*_rows(mixed), MleConfig())] == [
             expected[0], repr(estimate_reference(other))]
         assert not one_stage
-
-
-def test_batch_needs_one_schedule():
-    first = ExperimentData(stages=((0, 10, 4), (1, 10, 6)))
-    with pytest.raises(ConfigError):
-        _estimate_batch([first, ExperimentData(stages=((0, 10, 4), (2, 10, 6)))], MleConfig())
-    with pytest.raises(ConfigError):
-        _estimate_batch([first, ExperimentData(stages=((0, 10, 4), (1, 11, 6)))], MleConfig())
 
 
 # Columns whose step is zero (equal endpoints, or a subnormal difference that

@@ -628,18 +628,23 @@ def test_a_swept_input_ends_with_one_reason(capsys, argv, expected):
     assert err.startswith("aemle: ") and err.count("\n") == 1 and err.strip() != "aemle:"
 
 
-# each printed its row, or a time or gap computed from it, as inf with exit 0
+# each printed its row, or a time or gap computed from it, as inf with exit 0;
+# at --nint 2**52 the gap's budget is 0.0
 OVERFLOWED_ROWS = [
-    ("--ts", "t_AA"), ("--td", "t_AA"), ("--tm", "t_total"), ("--interval-factor", "t_total"),
-    ("--error-ratio", "gap_s"),
+    ("3", "--ts", "t_AA"), ("3", "--td", "t_AA"), ("3", "--tm", "t_total"),
+    ("3", "--interval-factor", "t_total"), ("3", "--error-ratio", "gap_s"),
+    ("4503599627370496", "--error-ratio", "gap_s: device error 0.001 over the budget 0.0"),
 ]
 
 
-@pytest.mark.parametrize("flag, row", OVERFLOWED_ROWS, ids=[flag for flag, _ in OVERFLOWED_ROWS])
-def test_an_overflowed_hwspec_row_exits_3(capsys, flag, row):
-    code, out, err = run_cli(capsys, "hwspec", "--eps", "1e-3", "--nint", "3", flag, "1e308")
+@pytest.mark.parametrize("nint, flag, row", OVERFLOWED_ROWS,
+                         ids=[flag if nint == "3" else f"--nint {nint} {flag}"
+                              for nint, flag, _ in OVERFLOWED_ROWS])
+def test_an_overflowed_hwspec_row_exits_3(capsys, nint, flag, row):
+    code, out, err = run_cli(capsys, "hwspec", "--eps", "1e-3", "--nint", nint, flag, "1e308")
+    name, _, reason = row.partition(": ")
     assert code == 3 and out == ""
-    assert err.startswith(f"aemle: {row}=inf is not finite") and err.count("\n") == 1
+    assert err.startswith(f"aemle: {name}=inf is not finite: {reason}") and err.count("\n") == 1
 
 
 # a device gate error is a probability; 2 and 5 printed gaps of 7.6e6 and

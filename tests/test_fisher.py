@@ -11,7 +11,6 @@ from aemle import (
     DegenerateScheduleError,
     DegenerateTermError,
     DomainError,
-    ExperimentData,
     FisherMatrix,
     NotAchievableError,
     Schedule,
@@ -758,8 +757,7 @@ def test_weights_prefix_equals_weights_of_the_prefix(data, n_rows, n_stages):
     kappa = np.asarray(draw_list(st.floats(1e-9, 3.0), n_rows))
     want = _element_sums(a, kappa, _stage_weights(depths[:n], shots[:n]))
     sliced = _element_sums(a, kappa, tuple(w[:, :n] for w in _stage_weights(depths, shots)))
-    schedule = ExperimentData(stages=tuple((m, s, 0) for m, s in zip(depths, shots)))
-    lik = _StageLikelihood([schedule])
+    lik = _StageLikelihood(depths, shots, [[0] * n_stages])
     for got in (sliced, _fisher_prefix(lik, a, kappa, n)):
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
@@ -771,8 +769,8 @@ def test_fisher_prefix_at_a_repeated_point_resums_its_kept_terms(monkeypatch, n)
     # pairwise sum, which a running total does not reproduce), and a batch
     # in which one point moved recomputes
     schedule = make_schedule("eis", 24, 100)
-    lik = _StageLikelihood([ExperimentData(stages=tuple((m, s, s // 3) for m, s in
-                                                        schedule.stages))] * 3)
+    lik = _StageLikelihood(schedule.depths, schedule.shots,
+                           [[s // 3 for s in schedule.shots]] * 3)
     weights = _stage_weights(schedule.depths, schedule.shots)
     a = np.asarray([0.2, 0.5, 0.7])
     kappa = np.asarray([1e-3, 1e-10, 0.3])
@@ -788,7 +786,7 @@ def test_fisher_prefix_at_a_repeated_point_resums_its_kept_terms(monkeypatch, n)
         got = _fisher_prefix(lik, a, kappa, k)
         want = _element_sums(a, kappa, tuple(w[:, :k] for w in weights))
         assert got.tobytes() == want.tobytes()
-    assert computed == [25]  # every kappa is at the floor or above: the whole schedule, once
+    assert computed == [25]  # the whole schedule's terms, once
     moved = np.asarray([0.2, 0.55, 0.7])
     got = _fisher_prefix(lik, moved, kappa, n)
     want = _element_sums(moved, kappa, tuple(w[:, :n] for w in weights))

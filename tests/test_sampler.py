@@ -21,7 +21,7 @@ from aemle import (
     total_queries,
 )
 from aemle import sampler, survey
-from aemle.sampler import _jackknife_rmse_stderr, _rng_for, _sample_with_rng
+from aemle.sampler import _draw, _jackknife_rmse_stderr, _rng_for
 
 
 def test_sample_counts_deterministic():
@@ -76,16 +76,17 @@ def test_run_trials_record_shape():
         assert rec.epsilon_min > 0.0
 
 
-def _records_from_single_trials(point, shots, trials, seed, M):
+def _records_from_single_trials(point, kind, r, shots, trials, seed, M):
     """failed_trials, rmse, stderr and mean_kappa_hat of one M, with every
-    trial sampled from its (seed, M, t) stream and estimated alone."""
-    schedule = make_schedule("eis", M, shots)
+    trial sampled on the kind's M schedule from its (seed, M, t) stream and
+    estimated alone."""
+    schedule = make_schedule(kind, M, shots, r)
     results = []
     for t in range(trials):
+        hits = _draw(point, schedule.stages, _rng_for(seed, M, t))
+        data = ExperimentData(stages=tuple((m, n, h) for (m, n), h in zip(schedule.stages, hits)))
         try:
-            results.append(
-                mle_grid_adaptive(_sample_with_rng(point, schedule, _rng_for(seed, M, t)))
-            )
+            results.append(mle_grid_adaptive(data))
         except AemleError:
             pass
     sq_errors = np.asarray([(res.a_hat - point.a) ** 2 for res in results])
@@ -99,21 +100,40 @@ def _records_from_single_trials(point, shots, trials, seed, M):
 
 def test_run_trials_records_follow_per_trial_streams():
     # each trial's estimate depends only on its (seed, M, t) stream: the batch
-    # records equal records rebuilt from trials estimated one at a time
-    point = amplitude_point(0.375, 0.067)
-    batch = run_trials(point, "eis", 3, 40, trials=6, seed=10)
-    for rec in batch.records:
-        expected = _records_from_single_trials(point, 40, 6, 10, rec.M)
-        assert (rec.failed_trials, rec.rmse, rec.stderr, rec.mean_kappa_hat) == expected
-        assert rec.failed_trials == 0
-    # few hits at a small amplitude: some datasets have no hit at all and fail
-    # the degenerate-data rule inside the batch of their M, and fail alone
-    point = amplitude_point(0.01, 0.02)
-    batch = run_trials(point, "eis", 3, 5, trials=8, seed=10)
-    for rec in batch.records:
-        expected = _records_from_single_trials(point, 5, 8, 10, rec.M)
-        assert (rec.failed_trials, rec.rmse, rec.stderr, rec.mean_kappa_hat) == expected
-    assert any(0 < rec.failed_trials < 8 for rec in batch.records)
+    # records, drawn on prefixes of the M_max ladder, equal records rebuilt
+    # from trials on each M's own schedule, estimated one at a time
+    for kind, r in [("eis", None), ("lis", None), ("powerbase", 2.5), ("classical", None)]:
+        point = amplitude_point(0.375, 0.067)
+        batch = run_trials(point, kind, 3, 40, trials=6, seed=10, r=r)
+        for rec in batch.records:
+            expected = _records_from_single_trials(point, kind, r, 40, 6, 10, rec.M)
+            assert (rec.failed_trials, rec.rmse, rec.stderr, rec.mean_kappa_hat) == expected
+            assert rec.failed_trials == 0
+        # few hits at a small amplitude: some datasets have no hit at all and
+        # fail the degenerate-data rule inside the batch of their M, and fail
+        # alone (repr: a lone good trial's stderr is nan)
+        point = amplitude_point(0.01, 0.02)
+        batch = run_trials(point, kind, 3, 5, trials=8, seed=10, r=r)
+        for rec in batch.records:
+            got = (rec.failed_trials, rec.rmse, rec.stderr, rec.mean_kappa_hat)
+            assert repr(got) == repr(_records_from_single_trials(point, kind, r, 5, 8, 10, rec.M))
+        assert any(0 < rec.failed_trials < 8 for rec in batch.records)
+
+
+def test_run_trials_builds_one_ladder_and_no_data_object(monkeypatch):
+    # one M_max ladder per call, whose prefixes are each M's schedule, and
+    # hit rows in place of a validated ExperimentData per trial
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return make(*args)
+
+    make = sampler.make_schedule
+    monkeypatch.setattr(sampler, "make_schedule", spy)
+    monkeypatch.setattr(sampler, "ExperimentData", lambda **kw: pytest.fail("data object"))
+    run_trials(amplitude_point(0.375, 0.067), "powerbase", 4, 20, trials=3, seed=2, r=2.5)
+    assert calls == [("powerbase", 4, 20, 2.5)]
 
 
 def test_run_trials_counts_failures():
@@ -138,7 +158,7 @@ def test_run_trials_rejects_an_empty_sweep(M_max):
 def test_run_trials_refuses_a_ladder_past_the_stage_cap(M_max, monkeypatch):
     # it sampled every trial and printed nan rows for every M past 63; it now
     # refuses as the estimator refuses such data, before any trial is drawn
-    monkeypatch.setattr(sampler, "_sample_with_rng", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(sampler, "_draw", lambda *args: pytest.fail("sampled"))
     reason = f"data has {M_max + 1} stages, at most 64 are allowed"
     with pytest.raises(ConfigError, match=reason):
         run_trials(amplitude_point(0.3, 0.0), "lis", M_max, 10, trials=2, seed=1)
@@ -172,7 +192,7 @@ def test_run_trials_bound_columns_are_the_per_M_bound(monkeypatch, kind, r, a, k
 
 @pytest.mark.parametrize("a", [0.0, 1.0])
 def test_run_trials_refuses_an_amplitude_with_no_bound_before_sampling(a, monkeypatch):
-    monkeypatch.setattr(sampler, "_sample_with_rng", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(sampler, "_draw", lambda *args: pytest.fail("sampled"))
     with pytest.raises(DomainError, match=rf"^a={a} outside \(0, 1\)$"):
         run_trials(amplitude_point(a, 0.01), "eis", 3, 10, trials=2, seed=1)
 
@@ -185,6 +205,11 @@ def test_hit_rate_curve():
         assert 0.0 <= rate <= 1.0
     again = hit_rate_curve(point, [0, 1, 2, 5], 200, seed=6)
     assert curve == again
+    # the counts of one Philox stream, drawn depth after depth
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((6,))))
+    drawn = [(m, int(np.count_nonzero(rng.random(200) < noisy_good_prob(m, point))) / 200)
+             for m in [0, 1, 2, 5]]
+    assert curve == drawn
     with pytest.raises(ConfigError):
         hit_rate_curve(point, [0], 0, seed=6)
 
